@@ -7,11 +7,10 @@
 namespace {
 
 camult::bench::Competitor calu_variant(camult::idx b, camult::idx tr,
-                                       camult::idx group, bool lookahead,
-                                       bool pack = true) {
+                                       camult::idx group, bool lookahead) {
   using namespace camult;
   return {"CALU",
-          [b, tr, group, lookahead, pack](const Matrix& a, int threads) {
+          [b, tr, group, lookahead](const Matrix& a, int threads) {
             Matrix w = a;
             core::CaluOptions o;
             o.b = b;
@@ -19,7 +18,6 @@ camult::bench::Competitor calu_variant(camult::idx b, camult::idx tr,
             o.num_threads = threads;
             o.update_cols_per_task = group;
             o.lookahead = lookahead;
-            o.pack_trailing = pack;
             auto r = core::calu_factor(w.view(), o);
             return bench::RunArtifacts{std::move(r.trace),
                                        std::move(r.edges),
@@ -38,8 +36,7 @@ int main() {
   const int cores = 8;
   bench::print_mode_banner("Ablation: update column blocking B = g*b", cores);
 
-  Table t({"m=n", "B=b", "B=2b", "B=4b", "B=all", "no-lookahead(B=b)",
-           "no-pack(B=b)"});
+  Table t({"m=n", "B=b", "B=2b", "B=4b", "B=all", "no-lookahead(B=b)"});
   for (idx n : sizes) {
     Matrix a = random_matrix(n, n, 600 + n);
     const idx b = std::min<idx>(n, 100);
@@ -55,7 +52,6 @@ int main() {
     t.cell(run(calu_variant(b, 4, 4, true)));
     t.cell(run(calu_variant(b, 4, 1 << 20, true)));
     t.cell(run(calu_variant(b, 4, 1, false)));
-    t.cell(run(calu_variant(b, 4, 1, true, /*pack=*/false)));
   }
   t.print("Ablation: trailing-update blocking and look-ahead (GFlop/s)",
           bench::csv_path("ablation_update_block"));

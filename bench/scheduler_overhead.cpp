@@ -1,9 +1,9 @@
 // Scheduler overhead: the paper notes that "for a too large number of
 // tasks, the time spent in the scheduling can become significant" (Section
 // III). This bench measures the runtime's per-task cost directly — empty
-// tasks through inline mode, the central priority queue, and the
-// work-stealing deques — for wide (independent) and deep (chained) DAGs,
-// plus the dependency-inference cost of the tracker.
+// tasks through inline mode and through the priority queue on a private
+// worker pool — for wide (independent) and deep (chained) DAGs, plus the
+// dependency-inference cost of the tracker.
 //
 // The per-task nanosecond table across 1/2/4/8 threads is the acceptance
 // gauge for the lock-sharded scheduler: on the wide DAG every worker hits
@@ -20,11 +20,10 @@ namespace {
 using namespace camult;
 using Clock = std::chrono::steady_clock;
 
-double run_graph(int threads, rt::TaskGraph::Policy policy, int n_tasks,
-                 bool chained) {
+double run_graph(int threads, int n_tasks, bool chained) {
   const auto t0 = Clock::now();
   {
-    rt::TaskGraph g({threads, false, policy});
+    rt::TaskGraph g({threads, false});
     rt::TaskId prev = rt::kNoTask;
     for (int i = 0; i < n_tasks; ++i) {
       std::vector<rt::TaskId> deps;
@@ -66,26 +65,19 @@ int main() {
 
   Table t({"configuration", "wide ns/task", "chain ns/task",
            "wide DAG (Mtask/s)", "chain DAG (Mtask/s)"});
-  auto row = [&](const char* name, int threads,
-                 rt::TaskGraph::Policy policy) {
-    const double wide = run_graph(threads, policy, n_tasks, false);
-    const double chain = run_graph(threads, policy, n_tasks, true);
+  auto row = [&](const char* name, int threads) {
+    const double wide = run_graph(threads, n_tasks, false);
+    const double chain = run_graph(threads, n_tasks, true);
     t.row().cell(name);
     t.cell(wide / n_tasks * 1e9).cell(chain / n_tasks * 1e9);
     t.cell(n_tasks / wide * 1e-6).cell(n_tasks / chain * 1e-6);
   };
-  row("inline (0 threads)", 0, rt::TaskGraph::Policy::CentralPriority);
+  row("inline (0 threads)", 0);
   for (int threads : {1, 2, 4, 8}) {
     char name[64];
-    std::snprintf(name, sizeof(name), "central, %d thread%s", threads,
+    std::snprintf(name, sizeof(name), "pool, %d thread%s", threads,
                   threads == 1 ? "" : "s");
-    row(name, threads, rt::TaskGraph::Policy::CentralPriority);
-  }
-  for (int threads : {1, 2, 4, 8}) {
-    char name[64];
-    std::snprintf(name, sizeof(name), "stealing, %d thread%s", threads,
-                  threads == 1 ? "" : "s");
-    row(name, threads, rt::TaskGraph::Policy::WorkStealing);
+    row(name, threads);
   }
   t.print("Task throughput", bench::csv_path("scheduler_overhead"));
   bench::JsonReport rep("scheduler_overhead", 8);

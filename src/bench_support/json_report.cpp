@@ -83,11 +83,8 @@ void JsonReport::fill_measurement(JsonValue& row, const Measurement& m) {
   row.set("seconds", JsonValue::make_number(m.seconds));
   row.set("gflops", JsonValue::make_number(m.gflops));
   row.set("idle_fraction", JsonValue::make_number(m.idle_fraction));
-  const rt::WorkerStats totals = m.sched.totals();
-  row.set("steals",
-          JsonValue::make_number(static_cast<double>(totals.steals)));
-  row.set("tasks", JsonValue::make_number(
-                       static_cast<double>(totals.tasks_executed)));
+  row.set("tasks", JsonValue::make_number(static_cast<double>(
+                       m.sched.totals().tasks_executed)));
   // Task-store / trace memory telemetry (zero for competitors whose
   // drivers predate MemoryStats): the fields the windowed-submission CI
   // tier asserts on.

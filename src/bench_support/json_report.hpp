@@ -11,7 +11,7 @@
 //     "env":    {"git": ..., "compiler": ..., "flags": ...},
 //     "rows":   [{"competitor": ..., "m": ..., "n": ..., "b": ..., "tr": ...,
 //                 "seconds": ..., "gflops": ..., "idle_fraction": ...,
-//                 "steals": ..., ...}, ...]
+//                 "tasks": ..., ...}, ...]
 //   }
 //
 // establishing the perf trajectory future PRs regress against. Rows are
@@ -55,7 +55,7 @@ class JsonReport {
   void add_table(const Table& t);
 
   /// Fill the standard measurement fields of `row` from `m` (seconds,
-  /// gflops, idle_fraction, steals, plus sim bounds when present).
+  /// gflops, idle_fraction, tasks, plus sim bounds when present).
   static void fill_measurement(JsonValue& row, const Measurement& m);
 
   /// Serialize the full report document.

@@ -39,8 +39,8 @@ struct Measurement {
   double idle_fraction = 0.0;
   std::vector<rt::TaskRecord> schedule;  ///< sim mode: the simulated Gantt
   /// Scheduler counters of the measured run. Real mode: the real worker
-  /// pool's counters (steals, wakeups, ...). Sim mode: the serial record
-  /// run's counters (execution telemetry like steals is not meaningful).
+  /// pool's counters (tasks, wakeups, ...). Sim mode: the serial record
+  /// run's counters (execution telemetry like wakeups is not meaningful).
   rt::SchedulerStats sched;
   /// Task-store / trace memory telemetry of the measured run (peak task
   /// store bytes, slab recycling counters, harvested trace records).

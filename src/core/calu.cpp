@@ -31,9 +31,9 @@ using rt::TaskKind;
 // derived from the real per-iteration slot bound (see calu_submit) — a fixed
 // stride would silently alias iteration k's keys with iteration k+1's once a
 // panel produced more slots than the stride, corrupting the DAG. The
-// iteration index `k` here is a KeyRing slot in windowed mode (the dep-key
-// spaces wrap modulo window + 2 — see lookahead.hpp) and the global index
-// otherwise; checked_key_offset throws instead of wrapping past the 2^59
+// iteration index `k` here is a KeyRing slot (the dep-key spaces wrap
+// modulo window + 2 — see lookahead.hpp; a window spanning every panel
+// never wraps); checked_key_offset throws instead of wrapping past the 2^59
 // per-space envelope, which keeps (1<<60) | (1<<61) | (1<<62) disjoint.
 rt::BlockKey tile_key(idx i, idx j) { return rt::block_key(i, j); }
 rt::BlockKey cand_key(idx k, idx slot, idx stride) {
@@ -81,15 +81,14 @@ void add_tile_range(std::vector<BlockAccess>& acc, idx i0, idx i1, idx j,
 // Submission-side state for the sliding-window pump: everything the
 // per-iteration submit loop needs to resume where it left off. Lives on the
 // job (heap, stable address) because calu_collect keeps pumping after the
-// constructor returned. With window == 0 the pump degenerates to the old
-// submit-everything-up-front loop run to completion inside calu_submit.
+// constructor returned.
 struct CaluSubmitCtx {
   MatrixView a;
   CaluOptions opts;
   idx m = 0, n = 0, k_total = 0, b = 0;
   idx n_panels = 0, n_blocks = 0, m_blocks = 0;
   idx cand_stride = 0;
-  idx window = 0;   // 0 = full-DAG mode
+  idx window = 0;   // iterations in flight, in [1, n_panels]
   KeyRing ring;     // dep-key reuse across retired iterations
   rt::DepTracker tracker;
   LookaheadPriorities prio;
@@ -126,9 +125,9 @@ TaskId calu_add_task(CaluJob& job, const std::vector<BlockAccess>& acc,
 
 // Submit every task of panel iteration k (tournament, pivot, L, pack, U, S,
 // pack release). Identical task bodies, priorities, and dependency structure
-// whether the pump runs it eagerly (full-DAG) or throttled (windowed) — only
-// the dep-key indices wrap through the KeyRing in windowed mode, which
-// resolves to the same edges because the previous slot owner has retired.
+// whatever the window — only the dep-key indices wrap through the KeyRing,
+// which resolves to the same edges because the previous slot owner has
+// retired.
 void calu_submit_iteration(CaluJob& job, idx k) {
   CaluSubmitCtx& C = *job.ctx;
   MatrixView a = C.a;
@@ -161,7 +160,7 @@ void calu_submit_iteration(CaluJob& job, idx k) {
     st->part = partition_panel_rows(panel_rows, b, opts.tr, jb);
     const idx leaves = st->part.count();
     st->slot.resize(static_cast<std::size_t>(leaves));
-    if (opts.pack_trailing) st->lpack.resize(static_cast<std::size_t>(leaves));
+    st->lpack.resize(static_cast<std::size_t>(leaves));
     IterState* S = st.get();
     iters.push_back(std::move(st));
 
@@ -347,7 +346,7 @@ void calu_submit_iteration(CaluJob& job, idx k) {
     // reads the L tiles (ordering it after the L tasks and before the
     // deferred left swaps, which see the tiles' post-update values) and
     // publishes the pack_key the S tasks read.
-    const bool pack_here = opts.pack_trailing && !segments.empty();
+    const bool pack_here = !segments.empty();
     if (pack_here) {
       for (idx i = 0; i < leaves; ++i) {
         idx lstart = S->part.start[static_cast<std::size_t>(i)];
@@ -413,16 +412,10 @@ void calu_submit_iteration(CaluJob& job, idx k) {
           lrows -= jb;
         }
         if (lrows <= 0) continue;
+        // The packed copy replaces the L tiles as the data source; the
+        // Read on pack_key inherits the ordering the pack task set up.
         std::vector<BlockAccess> acc;
-        if (pack_here) {
-          // The packed copy replaces the L tiles as the data source; the
-          // Read on pack_key inherits the ordering the pack task set up.
-          acc.push_back({pack_key(kr, i, cand_stride), AccessMode::Read});
-        } else {
-          add_tile_range(acc, kb + lstart / b,
-                         kb + (lstart + lrows + b - 1) / b, kb,
-                         AccessMode::Read);                  // L blocks
-        }
+        acc.push_back({pack_key(kr, i, cand_stride), AccessMode::Read});
         for (idx j2 = seg.jblk0; j2 < seg.jblk1; ++j2) {
           acc.push_back({tile_key(kb, j2), AccessMode::Read});  // U row
           add_tile_range(acc, kb + lstart / b,
@@ -434,20 +427,12 @@ void calu_submit_iteration(CaluJob& job, idx k) {
         topts.iteration = static_cast<int>(k);
         topts.priority = prio.update(k, jblk);
         topts.label = "S i" + std::to_string(i) + " j" + std::to_string(jblk);
-        MatrixView lblk = a.block(row0 + lstart, col0, lrows, jb);
         MatrixView ublk = a.block(row0, jcol0, jb, jcols);
         MatrixView cblk = a.block(row0 + lstart, jcol0, lrows, jcols);
-        if (pack_here) {
-          add_task(acc, std::move(topts), [S, ublk, cblk, i]() {
-            blas::gemm_packed(-1.0, S->lpack[static_cast<std::size_t>(i)],
-                              blas::Trans::NoTrans, ublk, 1.0, cblk);
-          });
-        } else {
-          add_task(acc, std::move(topts), [lblk, ublk, cblk]() {
-            blas::gemm(blas::Trans::NoTrans, blas::Trans::NoTrans, -1.0, lblk,
-                       ublk, 1.0, cblk);
-          });
-        }
+        add_task(acc, std::move(topts), [S, ublk, cblk, i]() {
+          blas::gemm_packed(-1.0, S->lpack[static_cast<std::size_t>(i)],
+                            blas::Trans::NoTrans, ublk, 1.0, cblk);
+        });
       }
     }
 
@@ -474,10 +459,10 @@ void calu_submit_iteration(CaluJob& job, idx k) {
 
 // --- Deferred left swaps (Algorithm 1, line 41), one task per column
 // block: apply the pivots of every later iteration, in order. Submitted
-// after the last panel iteration; in windowed mode they ride in iteration
-// n_panels - 1 (nondecreasing tags) and their bodies read the retained
-// per-iteration piv vectors — which is exactly why the retire hook frees
-// tournament slots and pack slabs but never piv.
+// after the last panel iteration; they ride in iteration n_panels - 1
+// (nondecreasing tags) and their bodies read the retained per-iteration piv
+// vectors — which is exactly why the retire hook frees tournament slots and
+// pack slabs but never piv.
 void calu_submit_left_swaps(CaluJob& job) {
   CaluSubmitCtx& C = *job.ctx;
   MatrixView a = C.a;
@@ -489,14 +474,13 @@ void calu_submit_left_swaps(CaluJob& job) {
   const idx n_blocks = C.n_blocks;
   const idx m_blocks = C.m_blocks;
   std::vector<std::unique_ptr<IterState>>& iters = job.iters;
-  // In windowed mode only iterations >= n_panels - 1 - window can still be
-  // in flight here (the pump waited for everything older to retire before
-  // submitting the last panel), and those occupy distinct KeyRing slots
-  // whose latest tracker writer IS their pivot task — so depending on that
-  // suffix alone yields the same effective edges as the full-DAG loop over
-  // every later iteration, without touching O(n_panels) stale keys.
-  const idx dep_floor =
-      C.window > 0 ? std::max<idx>(0, n_panels - 1 - C.window) : 0;
+  // Only iterations >= n_panels - 1 - window can still be in flight here
+  // (the pump waited for everything older to retire before submitting the
+  // last panel), and those occupy distinct KeyRing slots whose latest
+  // tracker writer IS their pivot task — so depending on that suffix alone
+  // yields the same effective edges as a loop over every later iteration,
+  // without touching O(n_panels) stale keys. A full window reads them all.
+  const idx dep_floor = std::max<idx>(0, n_panels - 1 - C.window);
   for (idx jblk = 0; jblk < n_blocks && jblk * b < k_total; ++jblk) {
     const idx jcol0 = jblk * b;
     const idx jcols = std::min(b, n - jcol0);
@@ -530,44 +514,41 @@ void calu_submit_left_swaps(CaluJob& job) {
 
 // Advance the submission pump until iteration `stop` (exclusive) has been
 // submitted; once every panel iteration is in, submit the deferred left
-// swaps. Windowed mode throttles: iteration k is only submitted after
-// iteration k - window fully retired (its slabs recycled, its IterState
-// buffers freed by the retire hook), and each iteration is sealed as soon
-// as its last task is in so completions can retire it. On cancellation the
-// pump stops submitting — skipped tasks still complete, so the retired
-// prefix stays consistent and wait() reports the CancelledError.
+// swaps. Iteration k is only submitted after iteration k - window fully
+// retired (its slabs recycled, its IterState buffers freed by the retire
+// hook), and each iteration is sealed as soon as its last task is in so
+// completions can retire it. On a failure or cancellation the pump stops
+// submitting — skipped tasks still complete, so the retired prefix stays
+// consistent and wait() reports the error.
 void calu_pump(CaluJob& job, idx stop) {
   CaluSubmitCtx& C = *job.ctx;
   rt::TaskGraph& graph = *job.graph;
   const idx lim = std::min(stop, C.n_panels);
   while (C.next_k < lim) {
-    if (C.window > 0) {
-      if (graph.aborted()) return;
-      if (C.next_k > C.window) {
-        graph.wait_retired_iterations(C.next_k - C.window);
-      }
+    if (graph.aborted()) return;
+    if (C.next_k > C.window) {
+      graph.wait_retired_iterations(C.next_k - C.window);
     }
     calu_submit_iteration(job, C.next_k);
     // The last iteration stays open for the left-swap tasks below.
-    if (C.window > 0 && C.next_k < C.n_panels - 1) {
-      graph.seal_iterations(C.next_k);
-    }
+    if (C.next_k < C.n_panels - 1) graph.seal_iterations(C.next_k);
     ++C.next_k;
   }
-  if (C.next_k >= C.n_panels && !C.swaps_done) {
-    if (!(C.window > 0 && graph.aborted())) {
-      calu_submit_left_swaps(job);
-    }
-    if (C.window > 0) graph.seal_iterations(C.n_panels - 1);
+  if (C.next_k == C.n_panels && C.n_panels > 0 && !C.swaps_done) {
+    if (!graph.aborted()) calu_submit_left_swaps(job);
+    graph.seal_iterations(C.n_panels - 1);
     C.swaps_done = true;
   }
 }
 
-// Set up one factorization's graph + submission context and start the pump:
-// everything with window == 0 (the full DAG, completing here in inline
-// mode), the first `window` iterations otherwise — calu_collect pumps the
-// rest. Returns immediately in real-thread/attached mode.
+// Set up one factorization's graph + submission context and start the pump
+// on the first `window` iterations (all of them with window == 0, completing
+// here in inline mode); calu_collect pumps the rest. Returns immediately in
+// threaded mode.
 void calu_submit(MatrixView a, const CaluOptions& opts, CaluJob& job) {
+  if (opts.window < 0) {
+    throw std::invalid_argument("calu: window must be >= 0 (0 = all panels)");
+  }
   auto ctx = std::make_unique<CaluSubmitCtx>();
   CaluSubmitCtx& C = *ctx;
   C.a = a;
@@ -584,8 +565,8 @@ void calu_submit(MatrixView a, const CaluOptions& opts, CaluJob& job) {
   // bound keeps every iteration's slot keys disjoint for any user-supplied
   // tr — unbounded tr used to overflow a fixed stride of 8192.
   C.cand_stride = std::max<idx>(1, std::min(opts.tr, C.m_blocks)) + 1;
-  C.window = (opts.window > 0 && C.n_panels > 0) ? opts.window : 0;
-  C.ring.ring = C.window > 0 ? C.window + 2 : 0;
+  C.window = opts.window > 0 ? std::min(opts.window, C.n_panels) : C.n_panels;
+  C.ring.ring = C.window + 2;
   // Look-ahead priority bands (see lookahead.hpp): panel path on top, then
   // the U/S tasks of column k+1 that unblock panel k+1, then ordinary
   // trailing updates — so the next panel races ahead as soon as its column
@@ -601,7 +582,6 @@ void calu_submit(MatrixView a, const CaluOptions& opts, CaluJob& job) {
   rt::TaskGraph::Config graph_cfg;
   graph_cfg.num_threads = opts.num_threads;
   graph_cfg.record_trace = opts.record_trace;
-  graph_cfg.policy = opts.scheduler;
   graph_cfg.pool = opts.pool;
   graph_cfg.cancel = opts.cancel;
   graph_cfg.fault = opts.fault;
@@ -609,7 +589,7 @@ void calu_submit(MatrixView a, const CaluOptions& opts, CaluJob& job) {
   job.graph = std::make_unique<rt::TaskGraph>(graph_cfg);
   job.ctx = std::move(ctx);
 
-  if (C.window > 0) {
+  if (C.n_panels > 0) {
     job.graph->track_iterations(C.n_panels);
     // Retirement frees the per-iteration working set the trailing tasks no
     // longer need — tournament candidate blocks and pack slabs (the packfree
@@ -626,10 +606,8 @@ void calu_submit(MatrixView a, const CaluOptions& opts, CaluJob& job) {
       st.lpack.clear();
       st.lpack.shrink_to_fit();
     });
-    calu_pump(job, C.window);
-  } else {
-    calu_pump(job, C.n_panels);
   }
+  calu_pump(job, C.window);
 }
 
 // Drain the job's graph, fold panel infos + health, harvest trace/stats.

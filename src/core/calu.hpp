@@ -39,23 +39,18 @@ struct CaluOptions {
   int num_threads = rt::default_num_threads();
   /// Execute on this persistent WorkerPool instead of spawning threads for
   /// the call (pool->size() workers; num_threads only distinguishes the
-  /// 0 = inline case). The pool must outlive the call. nullptr = spawn
-  /// num_threads owned threads, today's behaviour.
+  /// 0 = inline case). The pool must outlive the call. nullptr = a private
+  /// pool of num_threads workers that lives for the call.
   rt::WorkerPool* pool = nullptr;
   bool lookahead = true;  ///< look-ahead-of-1 priorities (paper Section III)
   bool record_trace = true;
-  /// Scheduler policy for real-thread mode (see rt::TaskGraph::Policy).
-  rt::TaskGraph::Policy scheduler = rt::TaskGraph::Policy::CentralPriority;
   /// The paper's Section V future-work extension: perform the trailing
   /// update on column super-blocks of `update_cols_per_task` panels (B =
   /// this * b), reducing the task count and improving BLAS-3 granularity at
   /// the cost of available parallelism. 1 = the paper's base algorithm.
+  /// Each leaf's L block is packed once per iteration and shared by every
+  /// S task of that iteration, whatever the grouping.
   idx update_cols_per_task = 1;
-  /// Pack each leaf's L block once per iteration (a dedicated pack task
-  /// ordered before the S tasks) and share the read-only PackedPanel across
-  /// every trailing column segment, instead of letting each S gemm repack
-  /// the same L block. false = pre-pack behaviour (the ablation baseline).
-  bool pack_trailing = true;
   /// Numerical health monitoring with graceful degradation (see
   /// HealthReport): screen each panel before mutating it, track per-panel
   /// pivot growth, and refactor a panel with full-panel GEPP when the
@@ -81,14 +76,15 @@ struct CaluOptions {
   /// its `sched` member — is lost; this is the only way to observe how much
   /// of the DAG a fast-abort actually skipped).
   rt::SchedulerStats* sched_out = nullptr;
-  /// Sliding-window submission (ROADMAP item 4): keep at most `window`
-  /// panel iterations in flight, submitting iteration k only once iteration
-  /// k - window has fully retired, and recycling the retired prefix's
-  /// task-store slabs, dep keys, and tournament/pack buffers. Peak runtime
-  /// memory becomes O(window) instead of O(n_panels) while the executed
-  /// schedule — and the factorization, bitwise — is unchanged. 0 (the
-  /// default) keeps today's build-the-whole-DAG-then-wait behaviour. See
-  /// docs/runtime.md § Windowed submission.
+  /// Sliding-window submission: keep at most `window` panel iterations in
+  /// flight, submitting iteration k only once iteration k - window has
+  /// fully retired, and recycling the retired prefix's task-store slabs,
+  /// dep keys, and tournament/pack buffers. Peak runtime memory becomes
+  /// O(window) instead of O(n_panels) while the factorization is bitwise
+  /// unchanged. 0 (the default) is one window spanning every panel: the
+  /// whole DAG is submitted up front through the same pump. Negative values
+  /// make calu_factor / CaluAsync throw std::invalid_argument. See
+  /// docs/runtime.md § Sliding-window submission.
   idx window = 0;
 };
 
@@ -120,9 +116,9 @@ struct CaluResult {
 /// Factor A = P L U in place (same storage convention as getrf).
 CaluResult calu_factor(MatrixView a, const CaluOptions& opts = {});
 
-/// An in-flight CALU factorization: the constructor builds and submits the
-/// task DAG (all of it with window == 0; just the first `window` iterations
-/// otherwise — collect() pumps the rest as earlier iterations retire) and
+/// An in-flight CALU factorization: the constructor builds the task DAG and
+/// submits its first window of iterations (all of them with window == 0;
+/// collect() pumps the rest as earlier iterations retire) and
 /// returns immediately in pool/real-thread mode; inline mode runs the
 /// submitted prefix in the constructor. collect() blocks for the result.
 /// This is the submit/collect split the batch driver and the svc job service

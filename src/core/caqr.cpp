@@ -29,8 +29,8 @@ using rt::TaskKind;
 // bound (see caqr_submit) — a fixed stride would silently alias iteration
 // k's keys with iteration k+1's once a panel produced more slots than the
 // stride, corrupting the DAG. The iteration index `k` here is a KeyRing
-// slot in windowed mode (wrapping modulo window + 2 — see lookahead.hpp)
-// and the global index otherwise; checked_key_offset throws instead of
+// slot (wrapping modulo window + 2 — see lookahead.hpp; a window spanning
+// every panel never wraps); checked_key_offset throws instead of
 // wrapping past the 2^59 per-space envelope, which keeps the spaces
 // disjoint even through the pack keys' 2*offset+1 even/odd doubling.
 rt::BlockKey tile_key(idx i, idx j) { return rt::block_key(i, j); }
@@ -65,15 +65,14 @@ void add_tile_range(std::vector<BlockAccess>& acc, idx i0, idx i1, idx j,
 
 // Submission-side state for the sliding-window pump (see CaluSubmitCtx in
 // calu.cpp — same shape): everything the per-iteration submit loop needs to
-// resume where it left off. With window == 0 the pump degenerates to the
-// old submit-everything-up-front loop run to completion inside caqr_submit.
+// resume where it left off.
 struct CaqrSubmitCtx {
   MatrixView a;
   CaqrOptions opts;
   idx m = 0, n = 0, k_total = 0, b = 0;
   idx n_panels = 0, n_blocks = 0, m_blocks = 0;
   idx key_stride = 0;
-  idx window = 0;   // 0 = full-DAG mode
+  idx window = 0;   // iterations in flight, in [1, n_panels]
   KeyRing ring;     // dep-key reuse across retired iterations
   rt::DepTracker tracker;
   LookaheadPriorities prio;
@@ -112,10 +111,9 @@ TaskId caqr_add_task(CaqrJob& job, const std::vector<BlockAccess>& acc,
 
 // Submit every task of panel iteration k (leaf QR, packs, leaf updates,
 // tree nodes + node updates, pack release). Identical task bodies,
-// priorities, and dependency structure whether the pump runs it eagerly
-// (full-DAG) or throttled (windowed) — only the dep-key indices wrap
-// through the KeyRing, which resolves to the same edges because the
-// previous slot owner has retired.
+// priorities, and dependency structure whatever the window — only the
+// dep-key indices wrap through the KeyRing, which resolves to the same
+// edges because the previous slot owner has retired.
 void caqr_submit_iteration(CaqrJob& job, idx k) {
   CaqrSubmitCtx& C = *job.ctx;
   MatrixView a = C.a;
@@ -198,7 +196,7 @@ void caqr_submit_iteration(CaqrJob& job, idx k) {
     // V tile reads order the pack after the leaf QR; the S tasks read the
     // pack key (plus the leaf's top tile, whose unit-lower V1 the larfb
     // trmm consumes straight from the panel).
-    const bool pack_here = opts.pack_trailing && !segments.empty();
+    const bool pack_here = !segments.empty();
     if (pack_here) {
       for (idx i = 0; i < leaves; ++i) {
         const idx lstart = F.part.start[static_cast<std::size_t>(i)];
@@ -233,7 +231,7 @@ void caqr_submit_iteration(CaqrJob& job, idx k) {
       for (idx i = 0; i < leaves; ++i) {
         const idx lstart = F.part.start[static_cast<std::size_t>(i)];
         const idx lrows = F.part.rows[static_cast<std::size_t>(i)];
-        const bool packed = pack_here && lrows > jb;
+        const bool packed = lrows > jb;
         std::vector<BlockAccess> acc;
         acc.push_back({leaf_key(kr, i, key_stride), AccessMode::Read});
         if (packed) {
@@ -241,9 +239,10 @@ void caqr_submit_iteration(CaqrJob& job, idx k) {
           acc.push_back({tile_key(kb + lstart / b, kb), AccessMode::Read});
           acc.push_back({pack_leaf_key(kr, i, key_stride), AccessMode::Read});
         } else {
+          // No V2 (the leaf is at most jb rows): V1 is the leaf's tiles.
           add_tile_range(acc, kb + lstart / b,
                          kb + (lstart + lrows + b - 1) / b, kb,
-                         AccessMode::Read);  // leaf V tiles
+                         AccessMode::Read);
         }
         add_tile_range(acc, kb + lstart / b,
                        kb + (lstart + lrows + b - 1) / b, jblk,
@@ -400,34 +399,35 @@ void caqr_submit_iteration(CaqrJob& job, idx k) {
 }
 
 // Advance the submission pump until iteration `stop` (exclusive) has been
-// submitted. Windowed mode throttles: iteration k is only submitted after
-// iteration k - window fully retired, and each iteration is sealed as soon
-// as its last task is in (CAQR has no cross-iteration tail like CALU's left
-// swaps, so even the final iteration seals immediately). On cancellation
-// the pump stops submitting — skipped tasks still complete, so the retired
-// prefix stays consistent and wait() reports the CancelledError.
+// submitted. Iteration k is only submitted after iteration k - window
+// fully retired, and each iteration is sealed as soon as its last task is
+// in (CAQR has no cross-iteration tail like CALU's left swaps, so even the
+// final iteration seals immediately). On a failure or cancellation the
+// pump stops submitting — skipped tasks still complete, so the retired
+// prefix stays consistent and wait() reports the error.
 void caqr_pump(CaqrJob& job, idx stop) {
   CaqrSubmitCtx& C = *job.ctx;
   rt::TaskGraph& graph = *job.graph;
   const idx lim = std::min(stop, C.n_panels);
   while (C.next_k < lim) {
-    if (C.window > 0) {
-      if (graph.aborted()) return;
-      if (C.next_k > C.window) {
-        graph.wait_retired_iterations(C.next_k - C.window);
-      }
+    if (graph.aborted()) return;
+    if (C.next_k > C.window) {
+      graph.wait_retired_iterations(C.next_k - C.window);
     }
     caqr_submit_iteration(job, C.next_k);
-    if (C.window > 0) graph.seal_iterations(C.next_k);
+    graph.seal_iterations(C.next_k);
     ++C.next_k;
   }
 }
 
-// Set up one factorization's graph + submission context and start the pump:
-// everything with window == 0 (the full DAG, completing here in inline
-// mode), the first `window` iterations otherwise — caqr_collect pumps the
-// rest. Returns immediately in real-thread/attached mode.
+// Set up one factorization's graph + submission context and start the pump
+// on the first `window` iterations (all of them with window == 0, completing
+// here in inline mode); caqr_collect pumps the rest. Returns immediately in
+// threaded mode.
 void caqr_submit(MatrixView a, const CaqrOptions& opts, CaqrJob& job) {
+  if (opts.window < 0) {
+    throw std::invalid_argument("caqr: window must be >= 0 (0 = all panels)");
+  }
   auto ctx = std::make_unique<CaqrSubmitCtx>();
   CaqrSubmitCtx& C = *ctx;
   C.a = a;
@@ -444,8 +444,8 @@ void caqr_submit(MatrixView a, const CaqrOptions& opts, CaqrJob& job) {
   // than leaves), so this bound keeps every iteration's keys disjoint for
   // any user-supplied tr — unbounded tr used to overflow a fixed 8192.
   C.key_stride = std::max<idx>(1, std::min(opts.tr, C.m_blocks)) + 1;
-  C.window = (opts.window > 0 && C.n_panels > 0) ? opts.window : 0;
-  C.ring.ring = C.window > 0 ? C.window + 2 : 0;
+  C.window = opts.window > 0 ? std::min(opts.window, C.n_panels) : C.n_panels;
+  C.ring.ring = C.window + 2;
   // Same banded look-ahead scheme as CALU (see lookahead.hpp): panel path
   // on top, then the next panel's column updates, then ordinary updates.
   C.prio = LookaheadPriorities{C.n_panels, C.n_blocks, opts.lookahead};
@@ -467,7 +467,6 @@ void caqr_submit(MatrixView a, const CaqrOptions& opts, CaqrJob& job) {
   rt::TaskGraph::Config graph_cfg;
   graph_cfg.num_threads = opts.num_threads;
   graph_cfg.record_trace = opts.record_trace;
-  graph_cfg.policy = opts.scheduler;
   graph_cfg.pool = opts.pool;
   graph_cfg.cancel = opts.cancel;
   graph_cfg.fault = opts.fault;
@@ -475,7 +474,7 @@ void caqr_submit(MatrixView a, const CaqrOptions& opts, CaqrJob& job) {
   job.graph = std::make_unique<rt::TaskGraph>(graph_cfg);
   job.ctx = std::move(ctx);
 
-  if (C.window > 0) {
+  if (C.n_panels > 0) {
     job.graph->track_iterations(C.n_panels);
     // Retirement releases the iteration's pack scratch (the packfree task
     // already emptied the slabs; shrink releases the vectors too). The
@@ -491,10 +490,8 @@ void caqr_submit(MatrixView a, const CaqrOptions& opts, CaqrJob& job) {
       p.node.clear();
       p.node.shrink_to_fit();
     });
-    caqr_pump(job, C.window);
-  } else {
-    caqr_pump(job, C.n_panels);
   }
+  caqr_pump(job, C.window);
 }
 
 // Drain the job's graph and harvest trace/stats/health. The graph is

@@ -36,16 +36,11 @@ struct CaqrOptions {
   rt::WorkerPool* pool = nullptr;
   bool lookahead = true;
   bool record_trace = true;
-  /// Scheduler policy for real-thread mode (see rt::TaskGraph::Policy).
-  rt::TaskGraph::Policy scheduler = rt::TaskGraph::Policy::CentralPriority;
   /// Structured tpqrt kernels for binary-tree nodes (see TsqrOptions).
+  /// Dense nodes and leaves have their reflector V2 packed once per
+  /// iteration and shared by every S task; structured nodes have no
+  /// larfb-shaped V2 and always run unpacked.
   bool structured_nodes = false;
-  /// Pack each leaf's (and dense node's) reflector V2 once per iteration
-  /// (dedicated pack tasks ordered before the S tasks) and share the
-  /// read-only pack across every trailing column segment, instead of
-  /// letting each larfb gemm repack the same V block. Structured (tpqrt)
-  /// nodes have no larfb-shaped V2 and always run unpacked.
-  bool pack_trailing = true;
   /// Numerical health monitoring: screen the input for non-finite entries
   /// before any task mutates it and report max|R| / max|A| as the growth
   /// factor. Householder QR is unconditionally stable, so unlike CALU
@@ -66,7 +61,8 @@ struct CaqrOptions {
   /// recycled as the factorization streams (see CaluOptions::window — same
   /// semantics, bitwise-identical results). The per-iteration Q factors in
   /// CaqrResult::iterations are the output and are never recycled. 0 (the
-  /// default) keeps the full-DAG behaviour.
+  /// default) is one window spanning every panel; negative values throw
+  /// std::invalid_argument.
   idx window = 0;
 };
 
@@ -106,8 +102,8 @@ CaqrResult caqr_factor(MatrixView a, const CaqrOptions& opts = {});
 
 /// An in-flight CAQR factorization — the submit/collect split the batch
 /// driver and the svc job service are built on. Same contract as CaluAsync:
-/// the constructor submits the DAG (all of it with window == 0, the first
-/// `window` iterations otherwise; inline mode runs the submitted prefix in
+/// the constructor submits the first window of iterations (all of them with
+/// window == 0; inline mode runs the submitted prefix in
 /// the constructor), collect() pumps any remaining iterations, blocks for
 /// the result, and may throw exactly like caqr_factor; destruction without
 /// collect() drains and discards.

@@ -94,9 +94,10 @@ inline std::int64_t checked_key_offset(idx k, idx stride, idx slot) {
 /// tasks (dropped or no-op edges), and no two live iterations ever share a
 /// slot (the live span is at most w + 1 < ring). Bounds the tracker's
 /// per-iteration key population at O(ring * stride) instead of O(n_panels).
+/// A window spanning all n_panels never wraps: every slot is k itself.
 struct KeyRing {
-  idx ring = 0;  ///< 0 = no reuse (full-DAG mode keeps global indices)
-  idx slot(idx k) const { return ring > 0 ? k % ring : k; }
+  idx ring = 1;  ///< window + 2
+  idx slot(idx k) const { return k % ring; }
 };
 
 struct LookaheadPriorities {

@@ -26,15 +26,9 @@ WorkerStats& WorkerStats::operator+=(const WorkerStats& o) {
   tasks_executed += o.tasks_executed;
   tasks_skipped += o.tasks_skipped;
   local_pops += o.local_pops;
-  steals += o.steals;
-  stolen_tasks += o.stolen_tasks;
-  steal_fails += o.steal_fails;
   inbox_drains += o.inbox_drains;
   wakeups_sent += o.wakeups_sent;
-  wakeups_received += o.wakeups_received;
-  idle_spins += o.idle_spins;
   busy_ns += o.busy_ns;
-  idle_ns += o.idle_ns;
   return *this;
 }
 
@@ -119,45 +113,30 @@ TaskGraph::TaskGraph(const Config& config) : config_(config) {
   if (config_.num_threads < 0) {
     throw std::invalid_argument("TaskGraph: negative thread count");
   }
-  // Inline mode always stays inline (it is the serial record mode); a pool
-  // only takes over when real-thread execution was requested.
-  pool_ = (config_.num_threads != 0) ? config_.pool : nullptr;
   fault_ = config_.fault != nullptr ? config_.fault : FaultInjector::from_env();
   epoch_ = std::chrono::steady_clock::now();
-  exec_width_ = pool_ ? pool_->size() : std::max(config_.num_threads, 1);
-  const auto n_workers = static_cast<std::size_t>(exec_width_);
-  local_ready_.reserve(n_workers);
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    local_ready_.push_back(std::make_unique<WorkerDeque>());
+  // Inline mode always stays inline (it is the serial record mode). Threaded
+  // mode runs on the caller's pool, or on a private one sized num_threads.
+  if (config_.num_threads != 0) {
+    pool_ = config_.pool;
+    if (pool_ == nullptr) {
+      own_pool_ = std::make_unique<WorkerPool>(
+          WorkerPoolConfig{config_.num_threads, false});
+      pool_ = own_pool_.get();
+    }
   }
-  counters_.reset(new Counters[n_workers]);
-  if (pool_ != nullptr) {
-    pool_->attach(this);
-    return;
-  }
-  workers_.reserve(static_cast<std::size_t>(config_.num_threads));
-  for (int t = 0; t < config_.num_threads; ++t) {
-    workers_.emplace_back([this, t] { worker_loop(t); });
-  }
+  exec_width_ = pool_ != nullptr ? pool_->size() : 1;
+  counters_.reset(new Counters[static_cast<std::size_t>(exec_width_)]);
+  if (pool_ != nullptr) pool_->attach(this);
 }
 
 TaskGraph::~TaskGraph() {
-  if (pool_ != nullptr) {
-    // Detach drains every pending task (the same guarantee owned mode
-    // gives via its worker shutdown protocol) and then waits until no pool
-    // worker is still inside this graph's structures.
-    pool_->detach(this);
-    return;
-  }
-  // Publish shutdown under the sleep mutex so no worker can check the flag,
-  // miss it, and then sleep through the broadcast. Workers only exit once a
-  // refill finds everything drained, so pending tasks still run.
-  {
-    std::lock_guard<std::mutex> lock(idle_mu_);
-    shutdown_.store(true, std::memory_order_release);
-  }
-  idle_cv_.notify_all();
-  for (auto& w : workers_) w.join();
+  if (pool_ == nullptr) return;
+  // Detach drains every pending task and then waits until no pool worker is
+  // still inside this graph's structures; only then may a private pool join
+  // its workers.
+  pool_->detach(this);
+  own_pool_.reset();
 }
 
 TaskId TaskGraph::submit(const std::vector<TaskId>& deps, TaskOptions opts,
@@ -269,13 +248,6 @@ void TaskGraph::dispatch_ready(const TaskId* ready, int n, int worker_hint) {
     // locks.
     std::lock_guard<std::mutex> lock(inbox_mu_);
     inbox_.insert(inbox_.end(), ready, ready + n);
-  } else if (config_.policy == Policy::WorkStealing) {
-    // Completing worker: successors run where their producer finished
-    // (locality), and are exposed to stealers through this deque.
-    WorkerDeque& dq = *local_ready_[static_cast<std::size_t>(worker_hint) %
-                                    local_ready_.size()];
-    std::lock_guard<std::mutex> lock(dq.mu);
-    for (int i = 0; i < n; ++i) dq.q.push_back(ready[i]);
   } else {
     std::lock_guard<std::mutex> lock(central_mu_);
     for (int i = 0; i < n; ++i) {
@@ -283,42 +255,23 @@ void TaskGraph::dispatch_ready(const TaskId* ready, int n, int worker_hint) {
     }
     ready_count_ += static_cast<std::size_t>(n);
   }
-  // Wake only if someone may be sleeping, and only when no notify is
-  // already in flight: the woken worker re-arms the next wake itself when
-  // its refill still sees a backlog (relay wakeup), so a push burst costs
-  // one futex wake, not one per task. If a worker's final pre-sleep scan
-  // missed this push, its sleepers_ increment happened-before the load in
-  // maybe_wake_sleeper (both sides bracket the same queue mutex), so a
-  // stale zero cannot be read there.
+  // Wake only if someone may be parked, and only when no notify is already
+  // in flight: the woken worker re-arms the next wake itself when its
+  // refill still sees a backlog (relay wakeup), so a push burst costs one
+  // futex wake, not one per task. If a worker's final pre-park scan missed
+  // this push, its sleeper count happened-before the pool's load (both
+  // sides bracket the same queue mutex), so a stale zero cannot be read.
   maybe_wake_sleeper(worker_hint);
 }
 
 void TaskGraph::maybe_wake_sleeper(int caller) {
-  bool wake = false;
-  if (pool_ != nullptr) {
-    // Attached mode: the sleepers are the pool's, so the relay-wake
-    // bookkeeping lives there; only the counter attribution stays here.
-    wake = pool_->try_wake_one();
+  // The sleepers are the pool's, so the relay-wake bookkeeping lives there;
+  // only the counter attribution stays here.
+  if (!pool_->try_wake_one()) return;
+  if (caller >= 0) {
+    bump(counters_[static_cast<std::size_t>(caller)].wakeups_sent);
   } else {
-    if (sleepers_.load(std::memory_order_seq_cst) == 0) return;
-    {
-      // The worker's whole sleep handshake runs under idle_mu_, so this
-      // cannot interleave with a half-asleep worker.
-      std::lock_guard<std::mutex> lock(idle_mu_);
-      if (idle_wakes_ == 0 && sleepers_.load(std::memory_order_relaxed) > 0) {
-        ++idle_wakes_;
-        wake = true;
-      }
-    }
-  }
-  if (wake) {
-    if (caller >= 0) {
-      bump(counters_[static_cast<std::size_t>(caller) % local_ready_.size()]
-               .wakeups_sent);
-    } else {
-      bump(submit_wakeups_);
-    }
-    if (pool_ == nullptr) idle_cv_.notify_one();
+    bump(submit_wakeups_);
   }
 }
 
@@ -337,9 +290,9 @@ void TaskGraph::run_task(TaskId id, int worker_id, bool inline_mode) {
   std::chrono::steady_clock::time_point t0;
   if (config_.record_trace) t0 = std::chrono::steady_clock::now();
   // Heartbeat: publish "worker_id is inside task `id` of run `tag`" for the
-  // stall watchdog. Pool mode only — owned/inline runs have no monitor and
-  // no per-worker liveness slots.
-  const bool hb = pool_ != nullptr && !inline_mode && !skip;
+  // stall watchdog. Inline runs have no pool and no per-worker liveness
+  // slots.
+  const bool hb = !inline_mode && !skip;
   if (hb) pool_->heartbeat_begin(worker_id, config_.cancel.id(), id);
   if (!skip) {
     try {
@@ -398,8 +351,7 @@ void TaskGraph::run_task(TaskId id, int worker_id, bool inline_mode) {
   }
 
   // Collect the newly-ready successors, then hand them over in one batch:
-  // one deque lock (they run where their producer finished — locality
-  // under work stealing) or one central-queue lock, and counted wakeups.
+  // one ready-queue lock and at most one counted wakeup.
   TaskId newly[64];
   int n = 0;
   for (TaskId s : succs) {
@@ -436,62 +388,8 @@ void TaskGraph::drain_inbox(std::vector<TaskId>& scratch) {
   scratch.swap(inbox_);
 }
 
-bool TaskGraph::try_fill_stealing(int worker_id, std::vector<TaskId>& batch,
-                                  std::vector<TaskId>& scratch,
-                                  bool* backlog) {
-  *backlog = false;
-  Counters& cnt = counters_[static_cast<std::size_t>(worker_id)];
-  WorkerDeque& own = *local_ready_[static_cast<std::size_t>(worker_id)];
-  {
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (own.q.empty()) {
-      // Adopt everything the submission thread staged. The inbox is
-      // swapped out in O(1) so the submitter never blocks behind this
-      // merge; later refills — and other workers' steals — drain the
-      // adopted tasks from this deque.
-      drain_inbox(scratch);
-      own.q.insert(own.q.end(), scratch.begin(), scratch.end());
-      if (!scratch.empty()) bump(cnt.inbox_drains);
-    }
-    if (!own.q.empty()) {
-      // Take half (at least one, at most kMaxBatch): one lock round-trip
-      // per ~16 tasks in the deep-queue regime, while always leaving the
-      // other half visible to stealers.
-      std::size_t take = own.q.size() / 2;
-      take = std::max<std::size_t>(1, std::min(take, kMaxBatch));
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(own.q.back());  // LIFO: freshest (hot) tasks first
-        own.q.pop_back();
-      }
-      bump(cnt.local_pops, static_cast<std::int64_t>(take));
-      *backlog = !own.q.empty();
-      return true;
-    }
-  }
-  const std::size_t n = local_ready_.size();
-  for (std::size_t off = 1; off < n; ++off) {
-    WorkerDeque& victim =
-        *local_ready_[(static_cast<std::size_t>(worker_id) + off) % n];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.q.empty()) {
-      std::size_t take = victim.q.size() / 2;  // classic steal-half
-      take = std::max<std::size_t>(1, std::min(take, kMaxBatch));
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(victim.q.front());  // FIFO steal: coldest first
-        victim.q.pop_front();
-      }
-      bump(cnt.steals);
-      bump(cnt.stolen_tasks, static_cast<std::int64_t>(take));
-      *backlog = !victim.q.empty();
-      return true;
-    }
-    bump(cnt.steal_fails);
-  }
-  return false;
-}
-
-bool TaskGraph::try_fill_central(int worker_id, std::vector<TaskId>& batch,
-                                 std::vector<TaskId>& scratch, bool* backlog) {
+bool TaskGraph::try_fill(int worker_id, std::vector<TaskId>& batch,
+                         std::vector<TaskId>& scratch, bool* backlog) {
   *backlog = false;
   Counters& cnt = counters_[static_cast<std::size_t>(worker_id)];
   std::lock_guard<std::mutex> lock(central_mu_);
@@ -525,78 +423,16 @@ bool TaskGraph::try_fill_central(int worker_id, std::vector<TaskId>& batch,
   return true;
 }
 
-void TaskGraph::worker_loop(int worker_id) {
-  const bool stealing = config_.policy == Policy::WorkStealing;
-  Counters& cnt = counters_[static_cast<std::size_t>(worker_id)];
-  std::vector<TaskId> scratch;  // recycled inbox-drain buffer
-  auto fill = [&](std::vector<TaskId>& batch, bool* backlog) {
-    return stealing ? try_fill_stealing(worker_id, batch, scratch, backlog)
-                    : try_fill_central(worker_id, batch, scratch, backlog);
-  };
-  std::vector<TaskId> batch;  // consumed front-to-back
-  batch.reserve(kMaxBatch);
-  std::size_t cursor = 0;
-  for (;;) {
-    if (cursor == batch.size()) {
-      batch.clear();
-      cursor = 0;
-      bool backlog = false;
-      bool filled = fill(batch, &backlog);
-      // Back off with yields before the futex sleep: a worker that merely
-      // caught up with the producer hands the CPU over for whole scheduler
-      // slices instead of entering a sleep/wake-preemption cycle that
-      // resumes it after a handful of tasks (pathological when producer
-      // and workers share cores). Persistent idleness still reaches the
-      // condition variable below.
-      for (int spin = 0; spin < 4 && !filled; ++spin) {
-        std::this_thread::yield();
-        bump(cnt.idle_spins);
-        filled = fill(batch, &backlog);
-      }
-      if (!filled) {
-        const auto idle0 = std::chrono::steady_clock::now();
-        std::unique_lock<std::mutex> lock(idle_mu_);
-        sleepers_.fetch_add(1, std::memory_order_seq_cst);
-        // Re-scan while counted as a sleeper: any push this scan misses
-        // is guaranteed to see sleepers_ > 0 and take idle_mu_ to wake us.
-        bool got = fill(batch, &backlog);
-        while (!got && !shutdown_.load(std::memory_order_acquire)) {
-          idle_cv_.wait(lock);
-          if (idle_wakes_ > 0) {  // consume our notify
-            --idle_wakes_;
-            bump(cnt.wakeups_received);
-          }
-          got = fill(batch, &backlog);
-        }
-        sleepers_.fetch_sub(1, std::memory_order_relaxed);
-        bump(cnt.idle_ns,
-             std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 std::chrono::steady_clock::now() - idle0)
-                 .count());
-        if (!got) return;  // shutdown and everything drained
-      }
-      // Relay: the source we refilled from still holds work, so re-arm the
-      // next wake before running (ramp-up propagates worker-to-worker).
-      if (backlog) maybe_wake_sleeper(worker_id);
-    }
-    run_task(batch[cursor++], worker_id);
-  }
-}
-
 bool TaskGraph::pool_service(int worker_id) {
   // Worker-owned refill buffers. thread_local (not per-graph) so a pool
   // worker recycles one pair of allocations across every graph it serves.
   thread_local std::vector<TaskId> batch;
   thread_local std::vector<TaskId> scratch;
-  const bool stealing = config_.policy == Policy::WorkStealing;
   bool any = false;
   for (int round = 0; round < kServiceRounds; ++round) {
     batch.clear();
     bool backlog = false;
-    const bool filled =
-        stealing ? try_fill_stealing(worker_id, batch, scratch, &backlog)
-                 : try_fill_central(worker_id, batch, scratch, &backlog);
-    if (!filled) break;
+    if (!try_fill(worker_id, batch, scratch, &backlog)) break;
     any = true;
     // Relay: more work remains after this batch — re-arm the next pool
     // wake before running, so ramp-up propagates worker-to-worker.
@@ -611,15 +447,8 @@ bool TaskGraph::has_ready_work() {
     std::lock_guard<std::mutex> lock(inbox_mu_);
     if (!inbox_.empty()) return true;
   }
-  if (config_.policy == Policy::CentralPriority) {
-    std::lock_guard<std::mutex> lock(central_mu_);
-    return ready_count_ > 0;
-  }
-  for (const auto& dq : local_ready_) {
-    std::lock_guard<std::mutex> lock(dq->mu);
-    if (!dq->q.empty()) return true;
-  }
-  return false;
+  std::lock_guard<std::mutex> lock(central_mu_);
+  return ready_count_ > 0;
 }
 
 void TaskGraph::drain_all() {
@@ -836,22 +665,16 @@ void TaskGraph::wait_retired_iterations(idx r) {
 
 SchedulerStats TaskGraph::stats() const {
   SchedulerStats s;
-  s.workers.resize(local_ready_.size());
-  for (std::size_t w = 0; w < local_ready_.size(); ++w) {
+  s.workers.resize(static_cast<std::size_t>(exec_width_));
+  for (std::size_t w = 0; w < s.workers.size(); ++w) {
     const Counters& c = counters_[w];
     WorkerStats& out = s.workers[w];
     out.tasks_executed = c.tasks_executed.load(std::memory_order_relaxed);
     out.tasks_skipped = c.tasks_skipped.load(std::memory_order_relaxed);
     out.local_pops = c.local_pops.load(std::memory_order_relaxed);
-    out.steals = c.steals.load(std::memory_order_relaxed);
-    out.stolen_tasks = c.stolen_tasks.load(std::memory_order_relaxed);
-    out.steal_fails = c.steal_fails.load(std::memory_order_relaxed);
     out.inbox_drains = c.inbox_drains.load(std::memory_order_relaxed);
     out.wakeups_sent = c.wakeups_sent.load(std::memory_order_relaxed);
-    out.wakeups_received = c.wakeups_received.load(std::memory_order_relaxed);
-    out.idle_spins = c.idle_spins.load(std::memory_order_relaxed);
     out.busy_ns = c.busy_ns.load(std::memory_order_relaxed);
-    out.idle_ns = c.idle_ns.load(std::memory_order_relaxed);
   }
   s.submit_wakeups = submit_wakeups_.load(std::memory_order_relaxed);
   return s;

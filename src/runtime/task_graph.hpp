@@ -6,7 +6,10 @@
 // them highest-priority-first. Priorities implement the look-ahead policy.
 //
 // Modes:
-//  * num_threads >= 1 — real std::thread workers.
+//  * num_threads >= 1 — threaded on a WorkerPool: the caller's
+//    (Config::pool), or else a private pool of num_threads workers that
+//    lives exactly as long as the graph. The pool's workers are the only
+//    worker threads; they enter the graph through pool_service().
 //  * num_threads == 0 — inline: each task runs immediately on the submitting
 //    thread (submission order must be a topological order, which holds for
 //    all algorithms in this library). This is the serial record mode used to
@@ -26,13 +29,13 @@
 //  * The submission thread stages ready tasks in an inbox under its own
 //    small lock; workers splice the inbox in bulk during batched refills,
 //    so producer and consumers never contend on the same hot lock.
-//  * Policy::CentralPriority keeps one priority queue under its own mutex,
-//    touched only by workers; Policy::WorkStealing keeps per-worker deques,
-//    each under its own small mutex (LIFO self-pop, FIFO steal).
-//  * Wakeups are relayed, not broadcast: a push notifies one sleeper only
-//    when no notify is already in flight, and the woken worker re-arms the
-//    next wake if its refill leaves a backlog — a burst of pushes costs one
-//    futex wake, and the common all-busy case costs none.
+//  * One priority queue under its own mutex, touched only by workers:
+//    strict highest-priority-first, which the look-ahead policy relies on.
+//  * Wakeups are relayed, not broadcast: a push asks the pool to notify one
+//    parked worker only when no notify is already in flight, and the woken
+//    worker re-arms the next wake if its refill leaves a backlog — a burst
+//    of pushes costs one futex wake, and the common all-busy case costs
+//    none.
 //
 // After wait(), the executed trace and the dependency edges can be exported.
 // trace()/edges() are valid after wait() returns; submit() must be called
@@ -60,7 +63,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "runtime/cancel.hpp"
@@ -74,20 +76,15 @@ class WorkerPool;
 /// Per-worker scheduler counters, snapshotted by TaskGraph::stats().
 /// busy_ns is only accumulated when Config::record_trace is set (it reuses
 /// the trace timestamps; the counter-only path stays clock-free on the hot
-/// path). idle_ns covers time blocked in the sleep/wake handshake.
+/// path). Idle time and received wakeups are the pool's to count
+/// (WorkerPoolStats::parks / wakeups_issued): workers park in the pool.
 struct WorkerStats {
   std::int64_t tasks_executed = 0;
   std::int64_t tasks_skipped = 0;  ///< bodies not run (fast-abort / cancel)
-  std::int64_t local_pops = 0;    ///< tasks popped from own deque / buckets
-  std::int64_t steals = 0;        ///< successful steal operations
-  std::int64_t stolen_tasks = 0;  ///< tasks taken by those steals
-  std::int64_t steal_fails = 0;   ///< victim probes that found nothing
+  std::int64_t local_pops = 0;    ///< tasks popped from the priority buckets
   std::int64_t inbox_drains = 0;  ///< inbox swaps that yielded >= 1 task
   std::int64_t wakeups_sent = 0;  ///< relay notifies issued by this worker
-  std::int64_t wakeups_received = 0;  ///< notifies consumed after a sleep
-  std::int64_t idle_spins = 0;    ///< yield-backoff iterations before sleep
   std::int64_t busy_ns = 0;       ///< inside task bodies (record_trace only)
-  std::int64_t idle_ns = 0;       ///< blocked in the sleep/wake handshake
 
   WorkerStats& operator+=(const WorkerStats& o);
 };
@@ -102,26 +99,15 @@ struct SchedulerStats {
 
 class TaskGraph {
  public:
-  /// How ready tasks are handed to workers.
-  enum class Policy {
-    /// One global priority queue: strict highest-priority-first (the
-    /// look-ahead policy relies on this). Default.
-    CentralPriority,
-    /// Per-worker deques with LIFO self-pop and FIFO stealing: better
-    /// locality (a task's successors run where it finished) at the cost of
-    /// only approximate priority order.
-    WorkStealing,
-  };
-
   struct Config {
     int num_threads = 1;  ///< 0 = inline serial mode
     bool record_trace = true;
-    Policy policy = Policy::CentralPriority;
-    /// Attach to a persistent WorkerPool instead of spawning owned
-    /// threads: the pool's workers execute this graph (execution width =
-    /// pool->size(); num_threads is only consulted for the 0 = inline
-    /// case, which always stays inline). The pool must outlive the graph;
-    /// the graph's destructor drains pending tasks and detaches.
+    /// Execute on this persistent WorkerPool (execution width =
+    /// pool->size(); num_threads is then only consulted for the 0 = inline
+    /// case, which always stays inline). The pool must outlive the graph.
+    /// nullptr = a private pool of num_threads workers, built by the
+    /// constructor and destroyed with the graph. Either way the graph's
+    /// destructor drains pending tasks and detaches.
     WorkerPool* pool = nullptr;
     /// Cooperative cancellation handle (see cancel.hpp). Copy the token
     /// before constructing the graph and call request_cancel() from any
@@ -194,12 +180,12 @@ class TaskGraph {
 
   int num_threads() const { return config_.num_threads; }
 
-  /// Worker slots actually executing this graph: the pool size in attached
-  /// mode, max(num_threads, 1) otherwise (inline mode accounts everything
-  /// to slot 0).
+  /// Worker slots actually executing this graph: the pool size when
+  /// threaded, 1 in inline mode (which accounts everything to slot 0).
   int execution_width() const { return exec_width_; }
 
-  /// Non-null when the graph is attached to a persistent pool.
+  /// The pool executing this graph (the caller's or the private one);
+  /// nullptr in inline mode.
   WorkerPool* pool() const { return pool_; }
 
   /// Executed tasks, sorted by id. Valid after wait(). Records are only
@@ -336,11 +322,6 @@ class TaskGraph {
     std::int64_t blocks_recycled_ = 0;
   };
 
-  struct WorkerDeque {
-    std::mutex mu;
-    std::deque<TaskId> q;
-  };
-
   /// One cache-line-padded counter slot per worker. Every field has exactly
   /// one writer (its worker; the submission thread owns submit_wakeups_), so
   /// updates are plain relaxed load/store pairs — no RMW, no contention —
@@ -349,15 +330,9 @@ class TaskGraph {
     std::atomic<std::int64_t> tasks_executed{0};
     std::atomic<std::int64_t> tasks_skipped{0};
     std::atomic<std::int64_t> local_pops{0};
-    std::atomic<std::int64_t> steals{0};
-    std::atomic<std::int64_t> stolen_tasks{0};
-    std::atomic<std::int64_t> steal_fails{0};
     std::atomic<std::int64_t> inbox_drains{0};
     std::atomic<std::int64_t> wakeups_sent{0};
-    std::atomic<std::int64_t> wakeups_received{0};
-    std::atomic<std::int64_t> idle_spins{0};
     std::atomic<std::int64_t> busy_ns{0};
-    std::atomic<std::int64_t> idle_ns{0};
   };
   static void bump(std::atomic<std::int64_t>& c, std::int64_t v = 1) {
     c.store(c.load(std::memory_order_relaxed) + v,
@@ -396,11 +371,10 @@ class TaskGraph {
   /// only. Returns the new watermark.
   idx advance_retired();
 
-  void worker_loop(int worker_id);
-  /// Pool-worker entry point: run up to kServiceRounds batches of ready
-  /// tasks as pool worker `worker_id`. Returns whether at least one task
-  /// ran. Bounded so a worker revisits the pool between slices (control
-  /// hooks, fairness across attached graphs).
+  /// The single worker entry point: run up to kServiceRounds batches of
+  /// ready tasks as pool worker `worker_id`. Returns whether at least one
+  /// task ran. Bounded so a worker revisits the pool between slices
+  /// (control hooks, fairness across attached graphs).
   bool pool_service(int worker_id);
   /// Any task staged/ready right now? (Takes the queue locks; used by the
   /// pool's pre-park scan, so it participates in the same
@@ -415,37 +389,34 @@ class TaskGraph {
   /// the submission thread": the tasks are staged in the inbox so the
   /// submitter never contends on the worker-side queue locks.
   void dispatch_ready(const TaskId* ready, int n, int worker_hint);
-  /// Issue a single relay wake to a sleeping worker if none is in flight.
-  /// `caller` is the worker issuing the wake, or -1 for the submitter
-  /// (counter attribution only).
+  /// Ask the pool for a single relay wake of a parked worker if none is in
+  /// flight. `caller` is the worker issuing the wake, or -1 for the
+  /// submitter (counter attribution only).
   void maybe_wake_sleeper(int caller);
-  /// Refill `batch` for `worker_id` (LIFO own deque — adopting the staged
-  /// inbox when the deque is empty — then FIFO steal), taking up to half
-  /// the source deque (max kMaxBatch) under one lock. Consume
-  /// front-to-back. `*backlog` is set when the source still holds work
+  /// Refill `batch` for `worker_id`: splice the inbox into the priority
+  /// buckets, then pop a batch in strict priority order. Consume
+  /// front-to-back. `*backlog` is set when the queue still holds work
   /// (relay-wake signal). Returns false if everything was empty.
-  bool try_fill_stealing(int worker_id, std::vector<TaskId>& batch,
-                         std::vector<TaskId>& scratch, bool* backlog);
-  /// Same, for CentralPriority: splice the inbox into the heap, then pop a
-  /// batch in strict priority order.
-  bool try_fill_central(int worker_id, std::vector<TaskId>& batch,
-                        std::vector<TaskId>& scratch, bool* backlog);
+  bool try_fill(int worker_id, std::vector<TaskId>& batch,
+                std::vector<TaskId>& scratch, bool* backlog);
   /// O(1) inbox drain: swap its contents into `scratch` (a worker-owned
   /// buffer that recycles its capacity), so inbox_mu_ is never held for a
   /// bulk copy and the submission thread cannot block behind a splice.
   void drain_inbox(std::vector<TaskId>& scratch);
 
-  /// Workers pop ready tasks in batches to amortize queue locks. Half-take
-  /// (stealing) and queue/threads scaling (central) keep batches at 1 when
-  /// queues are short, so steal balance and strict priority order degrade
-  /// only in the overhead-bound regime where the queue is deep anyway.
+  /// Workers pop ready tasks in batches to amortize queue locks.
+  /// Queue/threads scaling keeps batches at 1 when the queue is short, so
+  /// strict priority order degrades only in the overhead-bound regime where
+  /// the queue is deep anyway.
   static constexpr std::size_t kMaxBatch = 16;
   /// Batches a pool worker runs per service slice before rotating back
   /// through the pool (control-hook latency / multi-graph fairness bound).
   static constexpr int kServiceRounds = 8;
 
   Config config_;
-  WorkerPool* pool_ = nullptr;  ///< non-null = attached mode
+  WorkerPool* pool_ = nullptr;  ///< executing pool; null = inline mode
+  /// The private pool built when Config::pool is null (pool_ points at it).
+  std::unique_ptr<WorkerPool> own_pool_;
   int exec_width_ = 1;          ///< worker slots (see execution_width())
   /// Pool workers currently inside pool_service (incremented under the
   /// pool's registry lock, so detach's unregister-then-drain is race-free).
@@ -458,21 +429,20 @@ class TaskGraph {
   /// they agree (Dekker pair with done_waiting_).
   std::atomic<idx> submitted_{0};
   std::atomic<idx> completed_{0};
-  std::atomic<bool> shutdown_{false};
   /// Set by the first task error when Config::abort_on_error: remaining
   /// bodies are skipped (they still resolve successors and complete).
   std::atomic<bool> abort_{false};
   /// Resolved fault hook: Config::fault, else the env-armed global.
   FaultInjector* fault_ = nullptr;
 
-  // --- Submission-side staging, shared by both policies. The submitter
-  // appends ready task ids here under a lock nobody holds for long; worker
-  // refills splice it in bulk into the policy's own structures.
+  // --- Submission-side staging. The submitter appends ready task ids here
+  // under a lock nobody holds for long; worker refills splice it in bulk
+  // into the priority buckets.
   std::mutex inbox_mu_;
   std::vector<TaskId> inbox_;
 
-  // --- Policy::CentralPriority state, touched by workers only. Priority
-  // buckets instead of one heap: DAG priorities cluster into a few bands
+  // --- Ready queue, touched by workers only. Priority buckets instead of
+  // one heap: DAG priorities cluster into a few bands
   // (the look-ahead scheme produces O(n_panels) distinct values live at
   // once), so push/pop are O(1) ring operations plus a lookup in a map
   // whose hot node stays cached — a 100k-deep heap pays an O(log n)
@@ -483,18 +453,9 @@ class TaskGraph {
       ready_;                  ///< guarded by central_mu_
   std::size_t ready_count_ = 0;  ///< total tasks across buckets, ditto
 
-  // --- Policy::WorkStealing state (one small lock per deque).
-  std::vector<std::unique_ptr<WorkerDeque>> local_ready_;
-
   // --- Per-worker counter slots (see Counters) + the submitter's wakeups.
   std::unique_ptr<Counters[]> counters_;
   std::atomic<std::int64_t> submit_wakeups_{0};
-
-  // --- Sleep/wake handshake, shared by both policies.
-  std::mutex idle_mu_;             ///< serializes the sleep/wake handshake
-  std::condition_variable idle_cv_;
-  std::atomic<int> sleepers_{0};   ///< workers inside the idle_mu_ section
-  int idle_wakes_ = 0;             ///< in-flight notifies, guarded by idle_mu_
 
   // --- Completion signalling for wait().
   std::mutex done_mu_;
@@ -516,7 +477,6 @@ class TaskGraph {
   std::vector<TaskRecord> harvested_trace_;
   std::exception_ptr harvested_error_;
 
-  std::vector<std::thread> workers_;
   std::chrono::steady_clock::time_point epoch_;
 };
 

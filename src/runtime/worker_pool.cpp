@@ -90,7 +90,7 @@ void WorkerPool::attach(TaskGraph* g) {
 
 void WorkerPool::detach(TaskGraph* g) {
   // 1. Drain: every submitted task runs (workers find the graph through
-  //    the registry until step 2). Mirrors owned mode's drain-at-shutdown.
+  //    the registry until step 2).
   g->drain_all();
   // 2. Unregister: no worker can begin a new service slice on g. The
   //    in-service refcount is bumped under this same lock, so after the
@@ -310,10 +310,9 @@ void WorkerPool::worker_main(int w) {
     // About to park: bump the progress epoch so a stall monitor never
     // mistakes a sleeping worker for one stuck inside a task body.
     heartbeat_park(w);
-    // Park. Same missed-wake-free handshake as TaskGraph's owned mode:
-    // count ourselves as a sleeper (seq_cst), re-scan with the queue locks
-    // (any push this scan misses sees sleepers_ > 0 and takes idle_mu_ to
-    // wake us), then wait.
+    // Park with a missed-wake-free handshake: count ourselves as a sleeper
+    // (seq_cst), re-scan with the queue locks (any push this scan misses
+    // sees sleepers_ > 0 and takes idle_mu_ to wake us), then wait.
     std::unique_lock<std::mutex> lock(idle_mu_);
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
     bool got = any_ready();

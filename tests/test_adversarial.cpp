@@ -80,48 +80,6 @@ TEST_P(AdversarialSweep, CaqrBackwardError) {
   }
 }
 
-// The pack-once trailing update must be a pure replumbing: factoring with
-// and without pack_trailing has to produce identical pivots and bits. The
-// adversarial inputs make this a strong check — any divergence in the
-// tournament or update path shows up as a pivot or bit difference.
-TEST(AdversarialPackParity, CaluPackedMatchesUnpacked) {
-  for (const AdversarialCase& c : adversarial_cases(180, 60, 917)) {
-    Matrix packed = c.a;
-    Matrix plain = c.a;
-    core::CaluOptions opts;
-    opts.b = 20;
-    opts.tr = 4;
-    opts.num_threads = 4;
-    opts.pack_trailing = true;
-    core::CaluResult rp = core::calu_factor(packed.view(), opts);
-    opts.pack_trailing = false;
-    core::CaluResult ru = core::calu_factor(plain.view(), opts);
-    ASSERT_EQ(rp.ipiv.size(), ru.ipiv.size()) << c.name;
-    for (std::size_t i = 0; i < rp.ipiv.size(); ++i) {
-      EXPECT_EQ(rp.ipiv[i], ru.ipiv[i]) << c.name << " pivot " << i;
-    }
-    EXPECT_EQ(camult::test::max_diff(packed.view(), plain.view()), 0.0)
-        << c.name;
-  }
-}
-
-TEST(AdversarialPackParity, CaqrPackedMatchesUnpacked) {
-  for (const AdversarialCase& c : adversarial_cases(180, 60, 919)) {
-    Matrix packed = c.a;
-    Matrix plain = c.a;
-    core::CaqrOptions opts;
-    opts.b = 20;
-    opts.tr = 4;
-    opts.num_threads = 4;
-    opts.pack_trailing = true;
-    core::caqr_factor(packed.view(), opts);
-    opts.pack_trailing = false;
-    core::caqr_factor(plain.view(), opts);
-    EXPECT_EQ(camult::test::max_diff(packed.view(), plain.view()), 0.0)
-        << c.name;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Sweep, AdversarialSweep,
     ::testing::Values(

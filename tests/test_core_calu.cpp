@@ -355,21 +355,6 @@ TEST(Calu, UpdateColumnBlockingMatchesBase) {
 }
 
 
-TEST(Calu, WorkStealingSchedulerSameResult) {
-  Matrix a = random_matrix(180, 90, 113);
-  Matrix lu1 = a, lu2 = a;
-  CaluOptions o;
-  o.b = 20;
-  o.tr = 4;
-  o.num_threads = 4;
-  o.scheduler = rt::TaskGraph::Policy::CentralPriority;
-  CaluResult r1 = calu_factor(lu1.view(), o);
-  o.scheduler = rt::TaskGraph::Policy::WorkStealing;
-  CaluResult r2 = calu_factor(lu2.view(), o);
-  EXPECT_EQ(r1.ipiv, r2.ipiv);
-  EXPECT_EQ(test::max_diff(lu1, lu2), 0.0);
-}
-
 TEST(Calu, EmptyishSmallestCases) {
   for (idx n : {1, 2, 3}) {
     Matrix a = random_matrix(n, n, 109 + n);

@@ -101,13 +101,11 @@ TEST(Fuzz, TsluPivotsAlwaysValidPermutation) {
 }
 
 TEST(Fuzz, RandomDagsExecuteExactlyOnce) {
-  // Random DAGs on the real runtime under both policies: every task runs
-  // exactly once and never before its dependencies.
+  // Random DAGs on the real runtime: every task runs exactly once and never
+  // before its dependencies.
   std::mt19937_64 gen(999);
   for (int trial = 0; trial < 10; ++trial) {
     const int n = 50 + static_cast<int>(gen() % 200);
-    const auto policy = (gen() % 2) ? rt::TaskGraph::Policy::WorkStealing
-                                    : rt::TaskGraph::Policy::CentralPriority;
     std::vector<std::vector<rt::TaskId>> deps(static_cast<std::size_t>(n));
     for (int i = 1; i < n; ++i) {
       const int ndeps = static_cast<int>(gen() % 4);
@@ -123,7 +121,7 @@ TEST(Fuzz, RandomDagsExecuteExactlyOnce) {
     std::atomic<bool> violation{false};
 
     {
-      rt::TaskGraph g({3, false, policy});
+      rt::TaskGraph g({3, false});
       for (int i = 0; i < n; ++i) {
         const auto my_deps = deps[static_cast<std::size_t>(i)];
         g.submit(my_deps, {}, [&, i, my_deps] {

@@ -2,20 +2,15 @@
 // trace-event exporter, and the machine-readable bench report writer.
 //
 // The counter tests pin the exact values a deterministic single-worker (or
-// inline) run must produce; the work-stealing test uses a rendezvous that
-// forces a second worker to steal before any child can finish.
+// inline) run must produce.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <mutex>
-#include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_support/json.hpp"
@@ -34,7 +29,7 @@ using bench::JsonValue;
 
 TEST(SchedulerStats, SingleWorkerCentralExactCounts) {
   constexpr int kTasks = 37;
-  rt::TaskGraph g({1, true, rt::TaskGraph::Policy::CentralPriority});
+  rt::TaskGraph g({1, true});
   std::atomic<int> ran{0};
   rt::TaskId prev = rt::kNoTask;
   for (int i = 0; i < kTasks; ++i) {
@@ -48,31 +43,11 @@ TEST(SchedulerStats, SingleWorkerCentralExactCounts) {
   const rt::WorkerStats t = s.totals();
   EXPECT_EQ(ran.load(), kTasks);
   EXPECT_EQ(t.tasks_executed, kTasks);
-  // Every executed task was popped locally; a lone worker has no victims.
+  // Every executed task was popped from the priority buckets.
   EXPECT_EQ(t.local_pops, kTasks);
-  EXPECT_EQ(t.steals, 0);
-  EXPECT_EQ(t.stolen_tasks, 0);
   EXPECT_GT(t.inbox_drains, 0);
   // record_trace is on, so busy time is accumulated from the trace stamps.
   EXPECT_GT(t.busy_ns, 0);
-}
-
-TEST(SchedulerStats, SingleWorkerStealingExactCounts) {
-  constexpr int kTasks = 37;
-  rt::TaskGraph g({1, true, rt::TaskGraph::Policy::WorkStealing});
-  std::atomic<int> ran{0};
-  for (int i = 0; i < kTasks; ++i) {
-    g.submit({}, {}, [&] { ++ran; });
-  }
-  g.wait();
-  const rt::SchedulerStats s = g.stats();
-  ASSERT_EQ(s.workers.size(), 1u);
-  const rt::WorkerStats t = s.totals();
-  EXPECT_EQ(ran.load(), kTasks);
-  EXPECT_EQ(t.tasks_executed, kTasks);
-  EXPECT_EQ(t.local_pops, kTasks);
-  EXPECT_EQ(t.steals, 0);
-  EXPECT_EQ(t.stolen_tasks, 0);
 }
 
 TEST(SchedulerStats, InlineModeAccountsToWorkerZero) {
@@ -82,9 +57,8 @@ TEST(SchedulerStats, InlineModeAccountsToWorkerZero) {
   const rt::SchedulerStats s = g.stats();
   ASSERT_EQ(s.workers.size(), 1u);
   EXPECT_EQ(s.workers[0].tasks_executed, 5);
-  EXPECT_EQ(s.workers[0].steals, 0);
   EXPECT_GT(s.workers[0].busy_ns, 0);
-  EXPECT_EQ(s.workers[0].idle_ns, 0);  // inline mode never sleeps
+  EXPECT_EQ(s.workers[0].wakeups_sent, 0);  // inline mode never wakes
 }
 
 TEST(SchedulerStats, TotalsSumAcrossWorkersAndFoldSubmitWakeups) {
@@ -93,56 +67,12 @@ TEST(SchedulerStats, TotalsSumAcrossWorkersAndFoldSubmitWakeups) {
   s.workers[0].tasks_executed = 3;
   s.workers[0].wakeups_sent = 1;
   s.workers[1].tasks_executed = 4;
-  s.workers[1].idle_spins = 7;
+  s.workers[1].local_pops = 7;
   s.submit_wakeups = 5;
   const rt::WorkerStats t = s.totals();
   EXPECT_EQ(t.tasks_executed, 7);
-  EXPECT_EQ(t.idle_spins, 7);
+  EXPECT_EQ(t.local_pops, 7);
   EXPECT_EQ(t.wakeups_sent, 6);  // worker relays + submission-side wakeups
-}
-
-TEST(SchedulerStats, WorkStealingEventuallySteals) {
-  // Deterministic steal-forcing harness. The root task spins until every
-  // child is submitted, so all children become ready through the root's
-  // COMPLETION and land on the finishing worker's own deque (never the
-  // inbox) — the only way a second worker can run a child is to steal it.
-  // Each child then parks until children have been entered by two distinct
-  // threads, which forces that steal to happen instead of hoping the
-  // timing produces one. The deadline and the outer retry are hang guards
-  // for pathologically loaded machines, not the mechanism.
-  for (int attempt = 0; attempt < 50; ++attempt) {
-    rt::TaskGraph g({4, false, rt::TaskGraph::Policy::WorkStealing});
-    std::atomic<bool> all_submitted{false};
-    const rt::TaskId root = g.submit({}, {}, [&all_submitted] {
-      while (!all_submitted.load()) std::this_thread::yield();
-    });
-    std::mutex mu;
-    std::set<std::thread::id> tids;
-    std::atomic<bool> met{false};
-    std::atomic<bool> give_up{false};
-    for (int i = 0; i < 64; ++i) {
-      g.submit({root}, {}, [&] {
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          tids.insert(std::this_thread::get_id());
-          if (tids.size() >= 2) met.store(true);
-        }
-        const auto deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(2);
-        while (!met.load() && !give_up.load()) {
-          if (std::chrono::steady_clock::now() > deadline) give_up.store(true);
-          std::this_thread::yield();
-        }
-      });
-    }
-    all_submitted.store(true);
-    g.wait();
-    if (met.load()) {
-      EXPECT_GT(g.stats().totals().steals, 0);
-      return;
-    }
-  }
-  FAIL() << "two workers never entered child tasks within the deadline";
 }
 
 TEST(SchedulerStats, FoldedIntoTraceStats) {
@@ -319,14 +249,13 @@ TEST(JsonReport, FillMeasurementSetsSchedulerFields) {
   meas.idle_fraction = 0.25;
   meas.sched.workers.resize(1);
   meas.sched.workers[0].tasks_executed = 11;
-  meas.sched.workers[0].steals = 4;
   JsonValue row = JsonValue::make_object();
   bench::JsonReport::fill_measurement(row, meas);
   EXPECT_EQ(row.find("seconds")->number, 2.0);
   EXPECT_EQ(row.find("gflops")->number, 3.5);
   EXPECT_EQ(row.find("idle_fraction")->number, 0.25);
   EXPECT_EQ(row.find("tasks")->number, 11.0);
-  EXPECT_EQ(row.find("steals")->number, 4.0);
+  EXPECT_EQ(row.find("steals"), nullptr);
 }
 
 }  // namespace

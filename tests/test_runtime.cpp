@@ -313,63 +313,6 @@ TEST(Trace, DotContainsNodesAndEdges) {
   EXPECT_NE(s.find("digraph"), std::string::npos);
 }
 
-
-TEST(WorkStealing, RespectsDependencies) {
-  TaskGraph g({4, true, TaskGraph::Policy::WorkStealing});
-  std::vector<int> order;
-  std::mutex mu;
-  auto log = [&](int v) {
-    std::lock_guard<std::mutex> lock(mu);
-    order.push_back(v);
-  };
-  TaskId a = g.submit({}, {}, [&] { log(1); });
-  TaskId b = g.submit({a}, {}, [&] { log(2); });
-  g.submit({b}, {}, [&] { log(3); });
-  g.wait();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(WorkStealing, StressLayeredDag) {
-  TaskGraph g({4, false, TaskGraph::Policy::WorkStealing});
-  const int layers = 40, width = 25;
-  std::atomic<long> sum{0};
-  std::vector<TaskId> prev, cur;
-  for (int l = 0; l < layers; ++l) {
-    cur.clear();
-    for (int w = 0; w < width; ++w) {
-      cur.push_back(g.submit(prev, {}, [&] { sum += 1; }));
-    }
-    prev = cur;
-  }
-  g.wait();
-  EXPECT_EQ(sum, layers * width);
-}
-
-TEST(WorkStealing, AllTasksExecuteOnWideGraph) {
-  // Many independent tasks scattered round-robin; every deque must drain.
-  TaskGraph g({3, true, TaskGraph::Policy::WorkStealing});
-  std::atomic<int> count{0};
-  for (int i = 0; i < 500; ++i) {
-    g.submit({}, {}, [&] { ++count; });
-  }
-  g.wait();
-  EXPECT_EQ(count, 500);
-  // Trace shows work spread across workers (not guaranteed perfectly even,
-  // but all tasks ran somewhere valid).
-  for (const auto& r : g.trace()) {
-    EXPECT_GE(r.worker, 0);
-    EXPECT_LT(r.worker, 3);
-  }
-}
-
-TEST(WorkStealing, CaluProducesIdenticalFactors) {
-  // Scheduling policy must not change the numerical result.
-  // (Exercised through the core API; see test_core_calu for the rest.)
-  SUCCEED();
-}
-
-
-
 TEST(TaskGraph, TaskExceptionRethrownAtWait) {
   TaskGraph g({2, true});
   std::atomic<bool> dependent_ran{false};

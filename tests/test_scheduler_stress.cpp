@@ -1,15 +1,14 @@
 // Scheduler stress tests: thousands of tiny tasks through randomized DAGs
-// with submission racing execution, across both policies and 1–8 worker
-// threads. Asserts the core scheduler contract: every task runs exactly
+// with submission racing execution, on 1–8 worker threads. Asserts the core scheduler contract: every task runs exactly
 // once, dependency edges are respected (a predecessor's end never follows
 // its successor's start in the recorded trace), exceptions drain the graph
 // and rethrow from wait(), and the graph object can be destroyed cleanly
 // right after wait().
 //
 // This file is the primary ThreadSanitizer target (tools/run_tsan.sh): the
-// random DAGs exercise every publication path — inbox staging, deque
-// self-pop and steal, central priority buckets, the registration/completion
-// handshake, and the sleep/wake relay.
+// random DAGs exercise every publication path — inbox staging, the priority
+// buckets, the registration/completion handshake, and the pool's sleep/wake
+// relay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,19 +24,11 @@
 namespace camult::rt {
 namespace {
 
-struct StressParam {
-  int threads;
-  TaskGraph::Policy policy;
-};
-
-std::string param_name(const testing::TestParamInfo<StressParam>& info) {
-  const char* policy = info.param.policy == TaskGraph::Policy::CentralPriority
-                           ? "Central"
-                           : "Stealing";
-  return std::string(policy) + std::to_string(info.param.threads) + "T";
+std::string param_name(const testing::TestParamInfo<int>& info) {
+  return std::to_string(info.param) + "T";
 }
 
-class SchedulerStress : public testing::TestWithParam<StressParam> {};
+class SchedulerStress : public testing::TestWithParam<int> {};
 
 // Busy-wait for ~n LCG steps without tripping C++20 volatile deprecation:
 // the volatile sink keeps the loop from being optimized away.
@@ -54,7 +45,7 @@ void spin(int n) {
 // (some already finished by submission time, racing the workers) and random
 // priorities. Submission deliberately overlaps execution: no barriers.
 TEST_P(SchedulerStress, RandomDagRunsEveryTaskExactlyOnce) {
-  const auto [threads, policy] = GetParam();
+  const int threads = GetParam();
   const int n_tasks = 4000;
   std::mt19937 rng(12345u + static_cast<unsigned>(threads));
   std::uniform_int_distribution<int> n_deps_dist(0, 4);
@@ -64,7 +55,7 @@ TEST_P(SchedulerStress, RandomDagRunsEveryTaskExactlyOnce) {
   for (auto& r : runs) r.store(0, std::memory_order_relaxed);
 
   {
-    TaskGraph g({threads, false, policy});
+    TaskGraph g({threads, false});
     std::vector<TaskId> ids;
     ids.reserve(n_tasks);
     for (int i = 0; i < n_tasks; ++i) {
@@ -94,13 +85,13 @@ TEST_P(SchedulerStress, RandomDagRunsEveryTaskExactlyOnce) {
 // With tracing on, every registered edge must be witnessed by the recorded
 // timestamps: the predecessor ends before (or when) the successor starts.
 TEST_P(SchedulerStress, TraceRespectsEveryEdge) {
-  const auto [threads, policy] = GetParam();
+  const int threads = GetParam();
   const int n_tasks = 2000;
   std::mt19937 rng(777u + static_cast<unsigned>(threads));
   std::uniform_int_distribution<int> n_deps_dist(0, 3);
   std::uniform_int_distribution<int> prio_dist(0, 10);
 
-  TaskGraph g({threads, true, policy});
+  TaskGraph g({threads, true});
   std::vector<TaskId> ids;
   ids.reserve(n_tasks);
   std::atomic<std::uint64_t> sink{0};
@@ -146,7 +137,7 @@ TEST_P(SchedulerStress, TraceRespectsEveryEdge) {
 // short-circuit in submit()). The final serial recompute also proves the
 // dependency-ordered dataflow produced the right values.
 TEST_P(SchedulerStress, PlainDataFlowsAcrossEdges) {
-  const auto [threads, policy] = GetParam();
+  const int threads = GetParam();
   const int n_tasks = 3000;
   std::mt19937 rng(4242u + static_cast<unsigned>(threads));
   std::uniform_int_distribution<int> n_deps_dist(0, 4);
@@ -156,7 +147,7 @@ TEST_P(SchedulerStress, PlainDataFlowsAcrossEdges) {
   std::vector<std::vector<int>> preds(n_tasks);
 
   {
-    TaskGraph g({threads, false, policy});
+    TaskGraph g({threads, false});
     std::vector<TaskId> ids;
     ids.reserve(n_tasks);
     for (int i = 0; i < n_tasks; ++i) {
@@ -210,14 +201,14 @@ TEST_P(SchedulerStress, PlainDataFlowsAcrossEdges) {
 // times sweep 0..~1µs so completions land in every phase of the
 // registration window regardless of scheduler timing.
 TEST_P(SchedulerStress, SentinelDropRacesCompletion) {
-  const auto [threads, policy] = GetParam();
+  const int threads = GetParam();
   if (threads < 2) return;  // needs a worker racing the submission thread
   const int n_pairs = 4000;
   std::mt19937 rng(99u + static_cast<unsigned>(threads));
   std::uniform_int_distribution<int> spin_dist(0, 256);
 
   std::vector<std::uint64_t> val(n_pairs, 0);  // plain memory, no atomics
-  TaskGraph g({threads, false, policy});
+  TaskGraph g({threads, false});
 
   // A pool of long-finished tasks used as padding dependencies: registering
   // them takes the lock-free fast path but still stretches the distance
@@ -252,10 +243,10 @@ TEST_P(SchedulerStress, SentinelDropRacesCompletion) {
 // Deep chains interleaved with wide fans: completion-side dispatch (chains)
 // races submission-side dispatch (fans) on the same ready structures.
 TEST_P(SchedulerStress, ChainsInterleavedWithFans) {
-  const auto [threads, policy] = GetParam();
+  const int threads = GetParam();
   const int n_chains = 8;
   const int chain_len = 250;
-  TaskGraph g({threads, false, policy});
+  TaskGraph g({threads, false});
   std::vector<std::atomic<int>> progress(n_chains);
   for (auto& p : progress) p.store(0, std::memory_order_relaxed);
   std::atomic<int> fan_runs{0};
@@ -295,9 +286,9 @@ TEST_P(SchedulerStress, ChainsInterleavedWithFans) {
 // A throwing task must not kill its worker: the rest of the graph drains,
 // and wait() rethrows the first failure by task id.
 TEST_P(SchedulerStress, ExceptionsDrainAndRethrow) {
-  const auto [threads, policy] = GetParam();
+  const int threads = GetParam();
   const int n_tasks = 1000;
-  TaskGraph g({threads, false, policy});
+  TaskGraph g({threads, false});
   std::atomic<int> ran{0};
   for (int i = 0; i < n_tasks; ++i) {
     g.submit({}, {}, [&ran, i] {
@@ -312,9 +303,8 @@ TEST_P(SchedulerStress, ExceptionsDrainAndRethrow) {
   const WorkerStats totals = g.stats().totals();
   EXPECT_EQ(totals.tasks_executed + totals.tasks_skipped, n_tasks);
   EXPECT_EQ(totals.tasks_executed, ran.load());
-  // Execution order is not submission order (stealing deques pop LIFO, and
-  // workers race the submitting thread), so the only guaranteed lower bound
-  // is the failing task itself.
+  // Execution order is not submission order (workers race the submitting
+  // thread), so the only guaranteed lower bound is the failing task itself.
   EXPECT_GE(ran.load(), 1);
   EXPECT_LE(ran.load(), n_tasks);
 }
@@ -322,12 +312,11 @@ TEST_P(SchedulerStress, ExceptionsDrainAndRethrow) {
 TEST_P(SchedulerStress, ExceptionsRunAllWithoutAbortOnError) {
   // abort_on_error = false restores the pre-fast-abort contract: every
   // task still runs, including the ones after the failures.
-  const auto [threads, policy] = GetParam();
+  const int threads = GetParam();
   const int n_tasks = 1000;
   TaskGraph::Config cfg;
   cfg.num_threads = threads;
   cfg.record_trace = false;
-  cfg.policy = policy;
   cfg.abort_on_error = false;
   TaskGraph g(cfg);
   std::atomic<int> ran{0};
@@ -342,17 +331,8 @@ TEST_P(SchedulerStress, ExceptionsRunAllWithoutAbortOnError) {
   EXPECT_EQ(g.stats().totals().tasks_skipped, 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Policies, SchedulerStress,
-    testing::Values(StressParam{1, TaskGraph::Policy::CentralPriority},
-                    StressParam{2, TaskGraph::Policy::CentralPriority},
-                    StressParam{4, TaskGraph::Policy::CentralPriority},
-                    StressParam{8, TaskGraph::Policy::CentralPriority},
-                    StressParam{1, TaskGraph::Policy::WorkStealing},
-                    StressParam{2, TaskGraph::Policy::WorkStealing},
-                    StressParam{4, TaskGraph::Policy::WorkStealing},
-                    StressParam{8, TaskGraph::Policy::WorkStealing}),
-    param_name);
+INSTANTIATE_TEST_SUITE_P(Threads, SchedulerStress,
+                         testing::Values(1, 2, 4, 8), param_name);
 
 }  // namespace
 }  // namespace camult::rt

@@ -153,6 +153,34 @@ TEST(SvcService, QrJobMatchesDirectFactorization) {
   EXPECT_FALSE(out.health.nan_detected);
 }
 
+TEST(SvcService, NegativeWindowJobFails) {
+  svc::ServiceConfig cfg;
+  cfg.num_threads = 2;
+  svc::Service service(cfg);
+  for (svc::JobKind kind :
+       {svc::JobKind::CaluFactor, svc::JobKind::CaqrFactor}) {
+    const Matrix orig = random_matrix(64, 64, 150);
+    Matrix m = orig;
+    svc::JobRequest req = lu_request(m.view(), svc::QosClass::Normal);
+    req.kind = kind;
+    req.window = -1;
+    const auto adm = service.submit(req);
+    ASSERT_TRUE(adm.accepted);
+    const svc::JobOutcome& out = adm.handle.wait();
+    EXPECT_EQ(out.status, svc::JobStatus::Failed);
+    EXPECT_NE(out.error.find("window"), std::string::npos) << out.error;
+    EXPECT_EQ(out.sched.totals().tasks_executed, 0);
+    // Rejected before any task touched the input.
+    EXPECT_EQ(test::max_diff(orig.view(), m.view()), 0.0);
+  }
+  // The service is unharmed: a well-formed job still completes.
+  Matrix ok = random_matrix(64, 64, 151);
+  const auto adm =
+      service.submit(lu_request(ok.view(), svc::QosClass::Normal));
+  EXPECT_EQ(adm.handle.wait().status, svc::JobStatus::Completed);
+  service.drain();
+}
+
 // ---- Accounting ----------------------------------------------------------
 
 TEST(SvcService, DrainsAndAccountsPerClassAndTenant) {

@@ -2,7 +2,7 @@
 // CaqrOptions::window) and the overflow-guard sweep that rode along with it:
 //
 //  * bitwise parity: windowed CALU/CAQR must equal the full-DAG run exactly
-//    (both reduction trees, owned threads, a shared WorkerPool, inline
+//    (both reduction trees, a private pool, a shared WorkerPool, inline
 //    record mode, and the adversarial input ensembles);
 //  * memory: windowed runs recycle task-store slabs and their peak stays
 //    flat as m grows at fixed window, while the full DAG's grows;
@@ -195,6 +195,48 @@ TEST(CaluWindow, BatchDriverMatchesFullDagPerProblem) {
   }
 }
 
+// ---- Window argument: 0 = every panel, > n_panels clamps, < 0 throws -----
+
+TEST(CaluWindow, OversizedWindowMatchesFullWindow) {
+  // A window past n_panels is clamped to it: the KeyRing size window + 2
+  // must not overflow even for the largest representable window.
+  Matrix base = random_matrix(160, 80, 905);  // 5 panels at b = 16
+  Matrix full = base;
+  const core::CaluResult ref = core::calu_factor(full.view(), lu_opts(0, 2));
+  for (idx window : {idx{1000}, std::numeric_limits<idx>::max()}) {
+    Matrix w = base;
+    const core::CaluResult res =
+        core::calu_factor(w.view(), lu_opts(window, 2));
+    EXPECT_EQ(res.ipiv, ref.ipiv) << "window " << window;
+    EXPECT_EQ(test::max_diff(full.view(), w.view()), 0.0)
+        << "window " << window;
+  }
+}
+
+TEST(CaluWindow, NegativeWindowThrowsBeforeTouchingInput) {
+  const Matrix orig = random_matrix(96, 48, 906);
+  for (int threads : {0, 2}) {
+    Matrix a = orig;
+    EXPECT_THROW(core::calu_factor(a.view(), lu_opts(-1, threads)),
+                 std::invalid_argument);
+    EXPECT_THROW(core::CaluAsync(a.view(), lu_opts(-3, threads)),
+                 std::invalid_argument);
+    EXPECT_EQ(test::max_diff(orig.view(), a.view()), 0.0);
+  }
+}
+
+TEST(CaqrWindow, NegativeWindowThrowsBeforeTouchingInput) {
+  const Matrix orig = random_matrix(96, 48, 907);
+  for (int threads : {0, 2}) {
+    Matrix a = orig;
+    EXPECT_THROW(core::caqr_factor(a.view(), qr_opts(-1, threads)),
+                 std::invalid_argument);
+    EXPECT_THROW(core::CaqrAsync(a.view(), qr_opts(-3, threads)),
+                 std::invalid_argument);
+    EXPECT_EQ(test::max_diff(orig.view(), a.view()), 0.0);
+  }
+}
+
 // ---- Memory: slab recycling and O(window) peak ---------------------------
 
 // b = 8, tr = 8 over n = 384 gives 48 panel iterations and ~10k tasks —
@@ -217,7 +259,10 @@ TEST(CaluWindow, RecyclesSlabsAndPeakStaysFlatInM) {
   ASSERT_GE(full.mem.blocks_allocated, 3)
       << "problem too small to span multiple task-store slabs; the "
          "recycling assertions below would be vacuous";
-  EXPECT_EQ(full.mem.blocks_recycled, 0);
+  // A window spanning every panel retires nothing before the final drain,
+  // so every slab is resident at the peak; wait() then recycles the full
+  // ones, none of which is ever reused.
+  EXPECT_LT(full.mem.blocks_recycled, full.mem.blocks_allocated);
 
   const core::CaluResult win = run_mem(768, 2);
   EXPECT_GT(win.mem.blocks_recycled, 0);
@@ -467,9 +512,11 @@ TEST(OverflowGuards, PaperScalePriorityBandsStayPositiveAndOrdered) {
 }
 
 TEST(OverflowGuards, KeyRingReusesSlotsOnlyPastTheLiveSpan) {
-  core::KeyRing off;  // full-DAG mode: identity
-  EXPECT_EQ(off.slot(0), 0);
-  EXPECT_EQ(off.slot(123456), 123456);
+  // A window spanning every panel never wraps: slot k is k itself.
+  const idx n_panels = 123457;
+  core::KeyRing full{n_panels + 2};
+  EXPECT_EQ(full.slot(0), 0);
+  EXPECT_EQ(full.slot(n_panels - 1), n_panels - 1);
 
   const idx window = 3;
   core::KeyRing ring{window + 2};

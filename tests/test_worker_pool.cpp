@@ -2,15 +2,18 @@
 //
 // Covers the attach/detach protocol (graphs draining on destruction, many
 // sequential runs on one pool), concurrent independent DAGs sharing one
-// pool with no stats cross-talk, bitwise-identical CALU/CAQR results
-// between owned-threads and attached-pool modes, the factorize-batch
-// drivers, run_on_all_workers, thread-local slab-pool persistence across
-// runs (the property the persistent pool exists to restore), CPU pinning,
-// and exception propagation through an attached graph's wait().
+// pool with no stats cross-talk, the private pool a graph builds when no
+// pool is given (width, lifetime, bitwise-identical CALU/CAQR results
+// against a shared pool), the factorize-batch drivers, run_on_all_workers,
+// thread-local slab-pool persistence across runs (the property the
+// persistent pool exists to restore), CPU pinning, and exception
+// propagation through an attached graph's wait().
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -22,6 +25,7 @@
 #include "core/caqr.hpp"
 #include "core/drivers.hpp"
 #include "matrix/random.hpp"
+#include "runtime/cancel.hpp"
 #include "runtime/task_graph.hpp"
 #include "runtime/worker_pool.hpp"
 
@@ -68,7 +72,7 @@ TEST(WorkerPool, DestructorDrainsWithoutWait) {
     rt::TaskGraph g(attached(pool));
     for (int i = 0; i < 100; ++i) g.submit({}, {}, [&count] { ++count; });
     // No wait(): the destructor must drain every pending task through the
-    // pool before detaching, like owned mode's join-at-destruction.
+    // pool before detaching.
   }
   EXPECT_EQ(count.load(), 100);
 }
@@ -316,7 +320,72 @@ TEST(WorkerPool, CaluSlabReuseAcrossCalls) {
   EXPECT_EQ(s2.allocs, s1.allocs);
 }
 
-// --- Bitwise equivalence of owned-threads vs attached-pool execution -----
+// --- Private pool: a threaded graph built without a caller pool ---------
+
+TEST(PrivatePool, WidthAndStatsFollowNumThreads) {
+  rt::TaskGraph::Config cfg;
+  cfg.num_threads = 3;
+  cfg.record_trace = false;
+  rt::TaskGraph g(cfg);
+  ASSERT_NE(g.pool(), nullptr);
+  EXPECT_EQ(g.pool()->size(), 3);
+  EXPECT_EQ(g.execution_width(), 3);
+  std::atomic<int> c{0};
+  for (int i = 0; i < 64; ++i) g.submit({}, {}, [&c] { ++c; });
+  g.wait();
+  EXPECT_EQ(c.load(), 64);
+  const rt::SchedulerStats s = g.stats();
+  EXPECT_EQ(s.workers.size(), 3u);
+  EXPECT_EQ(s.totals().tasks_executed, 64);
+}
+
+// Live threads of this process, from /proc (Linux); -1 elsewhere.
+int process_thread_count() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  int n = 0;
+  for (; it != std::filesystem::directory_iterator(); ++it) ++n;
+  return n;
+}
+
+TEST(PrivatePool, ThreadsReturnToBaselineAfterManyGraphs) {
+  const int baseline = process_thread_count();
+  if (baseline < 0) GTEST_SKIP() << "no /proc/self/task";
+  for (int cycle = 0; cycle < 64; ++cycle) {
+    rt::TaskGraph::Config cfg;
+    cfg.num_threads = 1 + cycle % 4;
+    cfg.record_trace = false;
+    rt::CancelToken token = cfg.cancel;
+    rt::TaskGraph g(cfg);
+    std::atomic<int> c{0};
+    for (int i = 0; i < 32; ++i) {
+      g.submit({}, {}, [&c, &token, cycle, i] {
+        ++c;
+        if (cycle == 10 && i == 3) throw std::runtime_error("cycle boom");
+        if (cycle == 20 && i == 3) token.request_cancel();
+      });
+    }
+    if (cycle == 10) {
+      EXPECT_THROW(g.wait(), std::runtime_error);
+    } else if (cycle == 20) {
+      EXPECT_THROW(g.wait(), rt::CancelledError);
+    } else {
+      g.wait();
+      EXPECT_EQ(c.load(), 32);
+    }
+  }
+  // Joined threads leave /proc/self/task a moment after join returns.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (process_thread_count() != baseline &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(process_thread_count(), baseline);
+}
+
+// --- Bitwise equivalence of private-pool vs shared-pool execution --------
 
 bool bitwise_equal(ConstMatrixView x, ConstMatrixView y) {
   if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
@@ -330,7 +399,7 @@ bool bitwise_equal(ConstMatrixView x, ConstMatrixView y) {
   return true;
 }
 
-TEST(WorkerPool, CaluBitwiseMatchesOwnedThreads) {
+TEST(PrivatePool, CaluBitwiseMatchesSharedPool) {
   const Matrix a0 = random_matrix(180, 180, 42);
   core::CaluOptions base;
   base.b = 48;
@@ -338,8 +407,9 @@ TEST(WorkerPool, CaluBitwiseMatchesOwnedThreads) {
   base.record_trace = false;
   base.num_threads = 3;
 
-  Matrix a_owned = a0;
-  const core::CaluResult r_owned = core::calu_factor(a_owned.view(), base);
+  Matrix a_private = a0;
+  const core::CaluResult r_private =
+      core::calu_factor(a_private.view(), base);
 
   rt::WorkerPool pool(rt::WorkerPoolConfig{3, false});
   core::CaluOptions att = base;
@@ -347,12 +417,12 @@ TEST(WorkerPool, CaluBitwiseMatchesOwnedThreads) {
   Matrix a_pool = a0;
   const core::CaluResult r_pool = core::calu_factor(a_pool.view(), att);
 
-  EXPECT_EQ(r_owned.info, r_pool.info);
-  EXPECT_EQ(r_owned.ipiv, r_pool.ipiv);
-  EXPECT_TRUE(bitwise_equal(a_owned.view(), a_pool.view()));
+  EXPECT_EQ(r_private.info, r_pool.info);
+  EXPECT_EQ(r_private.ipiv, r_pool.ipiv);
+  EXPECT_TRUE(bitwise_equal(a_private.view(), a_pool.view()));
 }
 
-TEST(WorkerPool, CaqrBitwiseMatchesOwnedThreads) {
+TEST(PrivatePool, CaqrBitwiseMatchesSharedPool) {
   const Matrix a0 = random_matrix(200, 120, 43);
   core::CaqrOptions base;
   base.b = 40;
@@ -360,8 +430,9 @@ TEST(WorkerPool, CaqrBitwiseMatchesOwnedThreads) {
   base.record_trace = false;
   base.num_threads = 3;
 
-  Matrix a_owned = a0;
-  const core::CaqrResult r_owned = core::caqr_factor(a_owned.view(), base);
+  Matrix a_private = a0;
+  const core::CaqrResult r_private =
+      core::caqr_factor(a_private.view(), base);
 
   rt::WorkerPool pool(rt::WorkerPoolConfig{3, false});
   core::CaqrOptions att = base;
@@ -369,8 +440,8 @@ TEST(WorkerPool, CaqrBitwiseMatchesOwnedThreads) {
   Matrix a_pool = a0;
   const core::CaqrResult r_pool = core::caqr_factor(a_pool.view(), att);
 
-  EXPECT_TRUE(bitwise_equal(a_owned.view(), a_pool.view()));
-  const Matrix r1 = core::caqr_extract_r(a_owned.view(), r_owned);
+  EXPECT_TRUE(bitwise_equal(a_private.view(), a_pool.view()));
+  const Matrix r1 = core::caqr_extract_r(a_private.view(), r_private);
   const Matrix r2 = core::caqr_extract_r(a_pool.view(), r_pool);
   EXPECT_TRUE(bitwise_equal(r1.view(), r2.view()));
 }

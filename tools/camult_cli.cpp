@@ -141,12 +141,9 @@ void report_run(const Args& args, const std::vector<rt::TaskRecord>& trace,
                 const rt::SchedulerStats& sched) {
   const rt::WorkerStats tot = sched.totals();
   if (tot.tasks_executed > 0) {
-    std::printf(
-        "scheduler: %lld tasks, %lld steals (%lld failed), %lld wakeups\n",
-        static_cast<long long>(tot.tasks_executed),
-        static_cast<long long>(tot.steals),
-        static_cast<long long>(tot.steal_fails),
-        static_cast<long long>(tot.wakeups_sent));
+    std::printf("scheduler: %lld tasks, %lld wakeups\n",
+                static_cast<long long>(tot.tasks_executed),
+                static_cast<long long>(tot.wakeups_sent));
   }
   if (!args.trace_json.empty()) {
     rt::write_chrome_trace_file(args.trace_json, trace, edges);

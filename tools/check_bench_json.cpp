@@ -90,7 +90,7 @@ void check_row(const std::string& file, const JsonValue& row,
   static const char* kNumeric[] = {"m",       "n",     "b",
                                    "tr",      "cores", "seconds",
                                    "gflops",  "tasks", "edges",
-                                   "steals",  "idle_fraction",
+                                   "idle_fraction",
                                    "critical_path_s", "total_work_s",
                                    "health_max_growth", "fallback_panels",
                                    "flops_per_byte",

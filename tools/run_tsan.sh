@@ -2,14 +2,15 @@
 # Build the runtime tests under ThreadSanitizer and run the scheduler's
 # concurrency surface: test_runtime (API + wakeup paths),
 # test_scheduler_stress (randomized DAGs, submission racing execution,
-# both policies, 1-8 threads), test_observability (the per-worker
-# counter instrumentation: single-writer slots racing the stats() reader,
-# steal accounting under contention), test_pack_concurrency (one shared
+# 1-8 threads on a private pool), test_observability (the per-worker
+# counter instrumentation: single-writer slots racing the stats() reader),
+# test_pack_concurrency (one shared
 # PackedPanel consumed read-only by many S tasks while other workers pack
 # the next panel — the only happens-before is the scheduler's dep edge),
 # test_worker_pool (persistent workers rotating between concurrently
 # attached DAGs: the attach/detach, park/wake and control-epoch
-# handshakes), test_blas_pack (including the dead-thread_local slab
+# handshakes, and the private pool a graph builds and joins for itself),
+# test_blas_pack (including the dead-thread_local slab
 # pool regression, which under ASAN is a heap use-after-free if pool()
 # ever hands back the destroyed pool), test_fault_inject (the
 # failure-aware surface: seeded fault injection — throws, delays and
