@@ -276,36 +276,60 @@ TEST(FaultInjector, FromEnvNamesEachMalformedVariableOnStderr) {
 
 // ---- TaskGraph under injection -----------------------------------------
 
+// 400 independent tasks at a 5% throw rate under `seed`, on 4 threads of
+// the graph's own pool (pool == nullptr) or of `pool`.
+void faulted_independent_run(std::uint64_t seed, rt::WorkerPool* pool) {
+  FaultConfig fc;
+  fc.seed = seed;
+  fc.throw_rate = 0.05;
+  FaultInjector inj(fc);
+  TaskGraph::Config cfg;
+  cfg.num_threads = 4;
+  cfg.record_trace = false;
+  cfg.pool = pool;
+  cfg.fault = &inj;
+  TaskGraph g(cfg);
+  std::atomic<int> ran{0};
+  const int n_tasks = 400;
+  for (int i = 0; i < n_tasks; ++i) {
+    g.submit({}, {}, [&ran] { ran.fetch_add(1); });
+  }
+  bool threw = false;
+  try {
+    g.wait();
+  } catch (const InjectedFault&) {
+    threw = true;
+  }
+  const auto totals = g.stats().totals();
+  EXPECT_EQ(totals.tasks_executed + totals.tasks_skipped, n_tasks);
+  EXPECT_EQ(totals.tasks_executed, ran.load() + inj.injected_throws());
+  EXPECT_EQ(threw, inj.injected_throws() > 0);
+  // 0.05 over 400 independent ids: some seed-dependent set of tasks must
+  // have been hit (P(none) ~ 1e-9 per seed).
+  EXPECT_TRUE(threw) << "seed " << seed;
+}
+
 TEST(FaultedGraph, DrainsAndRethrowsAcrossSeeds) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    FaultConfig fc;
-    fc.seed = seed;
-    fc.throw_rate = 0.05;
-    FaultInjector inj(fc);
-    TaskGraph::Config cfg;
-    cfg.num_threads = 4;
-    cfg.record_trace = false;
-    cfg.fault = &inj;
-    TaskGraph g(cfg);
-    std::atomic<int> ran{0};
-    const int n_tasks = 400;
-    for (int i = 0; i < n_tasks; ++i) {
-      g.submit({}, {}, [&ran] { ran.fetch_add(1); });
-    }
-    bool threw = false;
-    try {
-      g.wait();
-    } catch (const InjectedFault&) {
-      threw = true;
-    }
-    const auto totals = g.stats().totals();
-    EXPECT_EQ(totals.tasks_executed + totals.tasks_skipped, n_tasks);
-    EXPECT_EQ(totals.tasks_executed, ran.load() + inj.injected_throws());
-    EXPECT_EQ(threw, inj.injected_throws() > 0);
-    // 0.05 over 400 independent ids: some seed-dependent set of tasks must
-    // have been hit (P(none) ~ 1e-9 per seed).
-    EXPECT_TRUE(threw) << "seed " << seed;
+    faulted_independent_run(seed, nullptr);
   }
+}
+
+TEST(FaultedGraph, DrainsAndRethrowsAcrossSeedsOnSharedPool) {
+  // One pool serves every faulted graph in turn, then a clean one: no
+  // failure may leave a worker wedged or a task behind.
+  rt::WorkerPool pool(rt::WorkerPoolConfig{4, false});
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    faulted_independent_run(seed, &pool);
+  }
+  TaskGraph::Config cfg;
+  cfg.record_trace = false;
+  cfg.pool = &pool;
+  TaskGraph g(cfg);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 100; ++i) g.submit({}, {}, [&ran] { ran.fetch_add(1); });
+  g.wait();
+  EXPECT_EQ(ran.load(), 100);
 }
 
 TEST(FaultedGraph, TargetedFailureFastAbortsTheChain) {

@@ -4,9 +4,11 @@
 // alphas), direct microkernel calls on exactly-sized buffers (out-of-bounds
 // reads fault under the sanitizer leg), cross-kernel agreement on gemm, and
 // the cross-kernel determinism suite: adversarial CALU/CAQR backward-error
-// bounds plus packed-vs-unpacked bitwise parity under each forced variant.
+// bounds plus packed-vs-one-shot trailing-update bitwise parity under each
+// forced variant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -236,8 +238,8 @@ TEST(KernelCross, AllVariantsAgreeToRounding) {
 // Per forced variant: adversarial ensembles (Wilkinson growth,
 // near-singular, duplicate rows, rank-deficient, badly scaled) must meet
 // the CALU/CAQR backward-error bounds, and the pack-once trailing update
-// must stay bitwise identical to the unpacked path (the packed panels run
-// the same kernel the unpacked driver dispatches to).
+// must stay bitwise identical to one-shot gemm (the packed panels run the
+// same kernel gemm dispatches to).
 class KernelSweep : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
@@ -280,6 +282,34 @@ TEST_P(KernelSweep, CaqrAdversarialBackwardError) {
     core::CaqrResult res = core::caqr_factor(fact.view(), opts);
     EXPECT_LT(core::caqr_residual(c.a.view(), fact.view(), res),
               kResidualThreshold)
+        << GetParam() << " " << c.name;
+  }
+}
+
+TEST_P(KernelSweep, PackedTrailingUpdateBitwiseParity) {
+  // The CALU S task packs the L block once (pack_a) and runs gemm_packed
+  // over every trailing column block. On adversarial data that must equal a
+  // one-shot gemm per block bit for bit, so the factors do not depend on
+  // whether a block was packed. b must keep each update above the
+  // small-gemm cutoff (16^3 flops): below it, plain gemm takes the direct
+  // triple-loop path and sums in a different order. 24^3 > 16^3.
+  const idx b = 24;
+  for (const auto& c : camult::test::adversarial_cases(144, 48, 1305)) {
+    const idx m = c.a.rows() - b;
+    const idx n = c.a.cols() - b;
+    const ConstMatrixView l = c.a.view().block(b, 0, m, b);
+    const ConstMatrixView u = c.a.view().block(0, b, b, n);
+    Matrix packed = Matrix::from(c.a.view().block(b, b, m, n));
+    Matrix plain = packed;
+    const blas::PackedPanel lpack = blas::pack_a(l, Trans::NoTrans);
+    for (idx j = 0; j < n; j += b) {
+      const idx w = std::min(b, n - j);
+      blas::gemm_packed(-1.0, lpack, Trans::NoTrans, u.block(0, j, b, w), 1.0,
+                        packed.view().block(0, j, m, w));
+      blas::gemm(Trans::NoTrans, Trans::NoTrans, -1.0, l, u.block(0, j, b, w),
+                 1.0, plain.view().block(0, j, m, w));
+    }
+    EXPECT_EQ(camult::test::max_diff(packed.view(), plain.view()), 0.0)
         << GetParam() << " " << c.name;
   }
 }

@@ -19,6 +19,7 @@
 #include "runtime/chrome_trace.hpp"
 #include "runtime/task_graph.hpp"
 #include "runtime/trace.hpp"
+#include "runtime/worker_pool.hpp"
 
 namespace camult {
 namespace {
@@ -48,6 +49,28 @@ TEST(SchedulerStats, SingleWorkerCentralExactCounts) {
   EXPECT_GT(t.inbox_drains, 0);
   // record_trace is on, so busy time is accumulated from the trace stamps.
   EXPECT_GT(t.busy_ns, 0);
+}
+
+TEST(SchedulerStats, SharedPoolSingleWorkerExactCounts) {
+  // Graphs run one after another on a caller's one-worker pool: each
+  // graph's counters start from zero and count only its own tasks.
+  constexpr int kTasks = 37;
+  rt::WorkerPool pool(rt::WorkerPoolConfig{1, false});
+  for (int run = 0; run < 2; ++run) {
+    rt::TaskGraph::Config cfg;
+    cfg.pool = &pool;
+    rt::TaskGraph g(cfg);
+    std::atomic<int> ran{0};
+    for (int i = 0; i < kTasks; ++i) g.submit({}, {}, [&] { ++ran; });
+    g.wait();
+    const rt::SchedulerStats s = g.stats();
+    ASSERT_EQ(s.workers.size(), 1u);
+    const rt::WorkerStats t = s.totals();
+    EXPECT_EQ(ran.load(), kTasks) << "run " << run;
+    EXPECT_EQ(t.tasks_executed, kTasks) << "run " << run;
+    EXPECT_EQ(t.tasks_skipped, 0) << "run " << run;
+    EXPECT_EQ(t.local_pops, kTasks) << "run " << run;
+  }
 }
 
 TEST(SchedulerStats, InlineModeAccountsToWorkerZero) {

@@ -1,9 +1,10 @@
 // Scheduler stress tests: thousands of tiny tasks through randomized DAGs
-// with submission racing execution, on 1–8 worker threads. Asserts the core scheduler contract: every task runs exactly
-// once, dependency edges are respected (a predecessor's end never follows
-// its successor's start in the recorded trace), exceptions drain the graph
-// and rethrow from wait(), and the graph object can be destroyed cleanly
-// right after wait().
+// with submission racing execution, on 1–8 worker threads, both on the pool
+// a graph builds for itself and on a caller-supplied WorkerPool. Asserts the
+// core scheduler contract: every task runs exactly once, dependency edges
+// are respected (a predecessor's end never follows its successor's start in
+// the recorded trace), exceptions drain the graph and rethrow from wait(),
+// and the graph object can be destroyed cleanly right after wait().
 //
 // This file is the primary ThreadSanitizer target (tools/run_tsan.sh): the
 // random DAGs exercise every publication path — inbox staging, the priority
@@ -14,21 +15,50 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "runtime/task_graph.hpp"
+#include "runtime/worker_pool.hpp"
 
 namespace camult::rt {
 namespace {
 
-std::string param_name(const testing::TestParamInfo<int>& info) {
-  return std::to_string(info.param) + "T";
+// Private ("Central" instances): the central priority scheduler on the pool
+// the graph builds from num_threads. Shared: the same scheduler on a
+// WorkerPool the test owns and the graph attaches to.
+enum class PoolMode { Private, Shared };
+
+struct StressParam {
+  int threads;
+  PoolMode pool;
+};
+
+std::string param_name(const testing::TestParamInfo<StressParam>& info) {
+  const char* mode = info.param.pool == PoolMode::Shared ? "Shared" : "Central";
+  return std::string(mode) + std::to_string(info.param.threads) + "T";
 }
 
-class SchedulerStress : public testing::TestWithParam<int> {};
+class SchedulerStress : public testing::TestWithParam<StressParam> {
+ protected:
+  TaskGraph::Config config(bool record_trace) {
+    TaskGraph::Config cfg;
+    cfg.num_threads = GetParam().threads;
+    cfg.record_trace = record_trace;
+    if (GetParam().pool == PoolMode::Shared) {
+      pool_ = std::make_unique<WorkerPool>(
+          WorkerPoolConfig{GetParam().threads, false});
+      cfg.pool = pool_.get();
+    }
+    return cfg;
+  }
+
+ private:
+  std::unique_ptr<WorkerPool> pool_;  // outlives every graph in the body
+};
 
 // Busy-wait for ~n LCG steps without tripping C++20 volatile deprecation:
 // the volatile sink keeps the loop from being optimized away.
@@ -45,7 +75,7 @@ void spin(int n) {
 // (some already finished by submission time, racing the workers) and random
 // priorities. Submission deliberately overlaps execution: no barriers.
 TEST_P(SchedulerStress, RandomDagRunsEveryTaskExactlyOnce) {
-  const int threads = GetParam();
+  const int threads = GetParam().threads;
   const int n_tasks = 4000;
   std::mt19937 rng(12345u + static_cast<unsigned>(threads));
   std::uniform_int_distribution<int> n_deps_dist(0, 4);
@@ -55,7 +85,7 @@ TEST_P(SchedulerStress, RandomDagRunsEveryTaskExactlyOnce) {
   for (auto& r : runs) r.store(0, std::memory_order_relaxed);
 
   {
-    TaskGraph g({threads, false});
+    TaskGraph g(config(false));
     std::vector<TaskId> ids;
     ids.reserve(n_tasks);
     for (int i = 0; i < n_tasks; ++i) {
@@ -85,13 +115,13 @@ TEST_P(SchedulerStress, RandomDagRunsEveryTaskExactlyOnce) {
 // With tracing on, every registered edge must be witnessed by the recorded
 // timestamps: the predecessor ends before (or when) the successor starts.
 TEST_P(SchedulerStress, TraceRespectsEveryEdge) {
-  const int threads = GetParam();
+  const int threads = GetParam().threads;
   const int n_tasks = 2000;
   std::mt19937 rng(777u + static_cast<unsigned>(threads));
   std::uniform_int_distribution<int> n_deps_dist(0, 3);
   std::uniform_int_distribution<int> prio_dist(0, 10);
 
-  TaskGraph g({threads, true});
+  TaskGraph g(config(true));
   std::vector<TaskId> ids;
   ids.reserve(n_tasks);
   std::atomic<std::uint64_t> sink{0};
@@ -137,7 +167,7 @@ TEST_P(SchedulerStress, TraceRespectsEveryEdge) {
 // short-circuit in submit()). The final serial recompute also proves the
 // dependency-ordered dataflow produced the right values.
 TEST_P(SchedulerStress, PlainDataFlowsAcrossEdges) {
-  const int threads = GetParam();
+  const int threads = GetParam().threads;
   const int n_tasks = 3000;
   std::mt19937 rng(4242u + static_cast<unsigned>(threads));
   std::uniform_int_distribution<int> n_deps_dist(0, 4);
@@ -147,7 +177,7 @@ TEST_P(SchedulerStress, PlainDataFlowsAcrossEdges) {
   std::vector<std::vector<int>> preds(n_tasks);
 
   {
-    TaskGraph g({threads, false});
+    TaskGraph g(config(false));
     std::vector<TaskId> ids;
     ids.reserve(n_tasks);
     for (int i = 0; i < n_tasks; ++i) {
@@ -201,14 +231,14 @@ TEST_P(SchedulerStress, PlainDataFlowsAcrossEdges) {
 // times sweep 0..~1µs so completions land in every phase of the
 // registration window regardless of scheduler timing.
 TEST_P(SchedulerStress, SentinelDropRacesCompletion) {
-  const int threads = GetParam();
+  const int threads = GetParam().threads;
   if (threads < 2) return;  // needs a worker racing the submission thread
   const int n_pairs = 4000;
   std::mt19937 rng(99u + static_cast<unsigned>(threads));
   std::uniform_int_distribution<int> spin_dist(0, 256);
 
   std::vector<std::uint64_t> val(n_pairs, 0);  // plain memory, no atomics
-  TaskGraph g({threads, false});
+  TaskGraph g(config(false));
 
   // A pool of long-finished tasks used as padding dependencies: registering
   // them takes the lock-free fast path but still stretches the distance
@@ -243,10 +273,9 @@ TEST_P(SchedulerStress, SentinelDropRacesCompletion) {
 // Deep chains interleaved with wide fans: completion-side dispatch (chains)
 // races submission-side dispatch (fans) on the same ready structures.
 TEST_P(SchedulerStress, ChainsInterleavedWithFans) {
-  const int threads = GetParam();
   const int n_chains = 8;
   const int chain_len = 250;
-  TaskGraph g({threads, false});
+  TaskGraph g(config(false));
   std::vector<std::atomic<int>> progress(n_chains);
   for (auto& p : progress) p.store(0, std::memory_order_relaxed);
   std::atomic<int> fan_runs{0};
@@ -286,9 +315,8 @@ TEST_P(SchedulerStress, ChainsInterleavedWithFans) {
 // A throwing task must not kill its worker: the rest of the graph drains,
 // and wait() rethrows the first failure by task id.
 TEST_P(SchedulerStress, ExceptionsDrainAndRethrow) {
-  const int threads = GetParam();
   const int n_tasks = 1000;
-  TaskGraph g({threads, false});
+  TaskGraph g(config(false));
   std::atomic<int> ran{0};
   for (int i = 0; i < n_tasks; ++i) {
     g.submit({}, {}, [&ran, i] {
@@ -312,11 +340,8 @@ TEST_P(SchedulerStress, ExceptionsDrainAndRethrow) {
 TEST_P(SchedulerStress, ExceptionsRunAllWithoutAbortOnError) {
   // abort_on_error = false restores the pre-fast-abort contract: every
   // task still runs, including the ones after the failures.
-  const int threads = GetParam();
   const int n_tasks = 1000;
-  TaskGraph::Config cfg;
-  cfg.num_threads = threads;
-  cfg.record_trace = false;
+  TaskGraph::Config cfg = config(false);
   cfg.abort_on_error = false;
   TaskGraph g(cfg);
   std::atomic<int> ran{0};
@@ -331,8 +356,13 @@ TEST_P(SchedulerStress, ExceptionsRunAllWithoutAbortOnError) {
   EXPECT_EQ(g.stats().totals().tasks_skipped, 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, SchedulerStress,
-                         testing::Values(1, 2, 4, 8), param_name);
+INSTANTIATE_TEST_SUITE_P(
+    Policies, SchedulerStress,
+    testing::Values(StressParam{1, PoolMode::Private}, StressParam{2, PoolMode::Private},
+                    StressParam{4, PoolMode::Private}, StressParam{8, PoolMode::Private},
+                    StressParam{1, PoolMode::Shared}, StressParam{2, PoolMode::Shared},
+                    StressParam{4, PoolMode::Shared}, StressParam{8, PoolMode::Shared}),
+    param_name);
 
 }  // namespace
 }  // namespace camult::rt

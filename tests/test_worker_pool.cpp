@@ -339,6 +339,21 @@ TEST(PrivatePool, WidthAndStatsFollowNumThreads) {
   EXPECT_EQ(s.totals().tasks_executed, 64);
 }
 
+TEST(PrivatePool, TraceWorkerIdsStayWithinWidth) {
+  // Trace records carry the private pool's worker index, never an id from
+  // outside the graph's execution width.
+  rt::TaskGraph g({3, true});
+  std::atomic<int> count{0};
+  for (int i = 0; i < 500; ++i) g.submit({}, {}, [&count] { ++count; });
+  g.wait();
+  EXPECT_EQ(count.load(), 500);
+  ASSERT_EQ(g.trace().size(), 500u);
+  for (const auto& r : g.trace()) {
+    EXPECT_GE(r.worker, 0);
+    EXPECT_LT(r.worker, 3);
+  }
+}
+
 // Live threads of this process, from /proc (Linux); -1 elsewhere.
 int process_thread_count() {
   std::error_code ec;
@@ -385,7 +400,8 @@ TEST(PrivatePool, ThreadsReturnToBaselineAfterManyGraphs) {
   EXPECT_EQ(process_thread_count(), baseline);
 }
 
-// --- Bitwise equivalence of private-pool vs shared-pool execution --------
+// --- Bitwise equivalence: graph-owned threads (a private pool) vs a shared
+// WorkerPool ---------------------------------------------------------------
 
 bool bitwise_equal(ConstMatrixView x, ConstMatrixView y) {
   if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
@@ -399,7 +415,7 @@ bool bitwise_equal(ConstMatrixView x, ConstMatrixView y) {
   return true;
 }
 
-TEST(PrivatePool, CaluBitwiseMatchesSharedPool) {
+TEST(WorkerPool, CaluBitwiseMatchesOwnedThreads) {
   const Matrix a0 = random_matrix(180, 180, 42);
   core::CaluOptions base;
   base.b = 48;
@@ -422,7 +438,7 @@ TEST(PrivatePool, CaluBitwiseMatchesSharedPool) {
   EXPECT_TRUE(bitwise_equal(a_private.view(), a_pool.view()));
 }
 
-TEST(PrivatePool, CaqrBitwiseMatchesSharedPool) {
+TEST(WorkerPool, CaqrBitwiseMatchesOwnedThreads) {
   const Matrix a0 = random_matrix(200, 120, 43);
   core::CaqrOptions base;
   base.b = 40;
