@@ -1,9 +1,9 @@
 // Kernel microbenchmarks (google-benchmark): the sequential building blocks
-// whose relative speeds drive every result in the paper — BLAS-3 gemm/trsm,
-// the compact-WY update larfb, and the four panel kernels (BLAS2 getf2/geqr2
-// vs recursive rgetf2/geqr3). The "CA algorithms use the best sequential
-// kernel" claim (Section II) is visible here as rgetf2/geqr3 beating their
-// BLAS2 counterparts on tall panels.
+// whose relative speeds drive every result in the paper — BLAS-3
+// gemm/trsm/trmm, the compact-WY update larfb, and the four panel kernels
+// (BLAS2 getf2/geqr2 vs recursive rgetf2/geqr3). The "CA algorithms use the
+// best sequential kernel" claim (Section II) is visible here as
+// rgetf2/geqr3 beating their BLAS2 counterparts on tall panels.
 #include <benchmark/benchmark.h>
 
 #include "bench_support/flops.hpp"
@@ -65,6 +65,49 @@ void BM_trsm(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_trsm)->Arg(1000)->Arg(4000);
+
+void BM_trsm_tall_view(benchmark::State& state) {
+  // The tall CALU L task: one leaf's 250000 x 100 rows of a 1,000,000-row
+  // panel solved against U_KK in place, so B is a view with ld = 1e6 and
+  // its columns lie 8 MB apart. Rows outside the view are never touched.
+  const idx m = 1000000, rows = 250000, b = 100;
+  Matrix u = random_matrix(b, b, 6);
+  for (idx i = 0; i < b; ++i) u(i, i) += 4.0;
+  const Matrix rhs = random_matrix(rows, b, 7);
+  Matrix panel(m, b);
+  MatrixView x = panel.block(rows, 0, rows, b);
+  for (auto _ : state) {
+    state.PauseTiming();
+    copy_into(rhs.view(), x);
+    state.ResumeTiming();
+    blas::trsm(blas::Side::Right, blas::Uplo::Upper, blas::Trans::NoTrans,
+               blas::Diag::NonUnit, 1.0, u, x);
+    benchmark::DoNotOptimize(x.data());
+  }
+  state.counters["GFlop/s"] = benchmark::Counter(
+      static_cast<double>(rows) * b * b * state.iterations() * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_trsm_tall_view)->Unit(benchmark::kMillisecond);
+
+void BM_trmm_right(benchmark::State& state) {
+  // larfb's W := W * T step: W is (trailing columns) x k with k = b = 100.
+  // The 80 KB copy that resets W each iteration is inside the timed loop.
+  const idx n = state.range(0), k = 100;
+  Matrix t = random_matrix(k, k, 13);
+  const Matrix w0 = random_matrix(n, k, 14);
+  Matrix w(n, k);
+  for (auto _ : state) {
+    copy_into(w0.view(), w.view());
+    blas::trmm(blas::Side::Right, blas::Uplo::Upper, blas::Trans::NoTrans,
+               blas::Diag::NonUnit, 1.0, t, w.view());
+    benchmark::DoNotOptimize(w.data());
+  }
+  state.counters["GFlop/s"] = benchmark::Counter(
+      static_cast<double>(n) * k * k * state.iterations() * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_trmm_right)->Arg(100);
 
 void BM_larfb(benchmark::State& state) {
   // CAQR leaf update shape: block reflector (m x b) applied to (m x b).

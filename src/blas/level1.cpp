@@ -42,6 +42,34 @@ void axpy(idx n, double alpha, const double* x, idx incx, double* y,
   }
 }
 
+void axpy_columns(idx m, idx count, double alpha, const double* c, idx incc,
+                  const double* x, idx ldx, double* __restrict y) {
+  idx t = 0;
+  for (; t + 4 <= count; t += 4) {
+    const double c0 = alpha * c[t * incc];
+    const double c1 = alpha * c[(t + 1) * incc];
+    const double c2 = alpha * c[(t + 2) * incc];
+    const double c3 = alpha * c[(t + 3) * incc];
+    const double* x0 = x + t * ldx;
+    const double* x1 = x0 + ldx;
+    const double* x2 = x1 + ldx;
+    const double* x3 = x2 + ldx;
+    for (idx i = 0; i < m; ++i) {
+      double v = y[i];
+      v += c0 * x0[i];
+      v += c1 * x1[i];
+      v += c2 * x2[i];
+      v += c3 * x3[i];
+      y[i] = v;
+    }
+  }
+  for (; t < count; ++t) {
+    const double ct = alpha * c[t * incc];
+    const double* xt = x + t * ldx;
+    for (idx i = 0; i < m; ++i) y[i] += ct * xt[i];
+  }
+}
+
 double dot(idx n, const double* x, idx incx, const double* y, idx incy) {
   double s = 0.0;
   if (incx == 1 && incy == 1) {

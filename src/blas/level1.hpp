@@ -20,6 +20,14 @@ void scal(idx n, double alpha, double* x, idx incx);
 /// y += alpha * x.
 void axpy(idx n, double alpha, const double* x, idx incx, double* y, idx incy);
 
+/// y += alpha * sum_t c[t * incc] * x(:, t) over the `count` contiguous
+/// columns x(:, t) = x + t * ldx of length m; y must not overlap them. The
+/// terms are added in t order, one rounding each (the rounding of `count`
+/// separate axpys), four columns per sweep over y. No zero-skip: a NaN in a
+/// column reaches y even through a zero coefficient.
+void axpy_columns(idx m, idx count, double alpha, const double* c, idx incc,
+                  const double* x, idx ldx, double* y);
+
 /// Sum of x_i * y_i.
 double dot(idx n, const double* x, idx incx, const double* y, idx incy);
 

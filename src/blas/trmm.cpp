@@ -14,22 +14,43 @@ namespace {
 // Same register-tile-derived cutoff as trsm.cpp.
 idx base_size() { return std::max<idx>(32, 2 * active_kernel().blocking.mr); }
 
-inline Trans flip(Trans t) {
-  return t == Trans::NoTrans ? Trans::Trans : Trans::NoTrans;
+// op(A) is upper triangular exactly when (uplo == Upper) == (trans ==
+// NoTrans): column j of op(A) then reaches rows p < j, otherwise p > j.
+inline bool op_upper(Uplo uplo, Trans trans) {
+  return (uplo == Uplo::Upper) == (trans == Trans::NoTrans);
 }
 
-void trmm_base(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
-               ConstMatrixView a, MatrixView b) {
-  if (side == Side::Left) {
-    for (idx j = 0; j < b.cols(); ++j) {
-      trmv(uplo, trans, diag, a, b.col_ptr(j), 1);
-      if (alpha != 1.0) scal(b.rows(), alpha, b.col_ptr(j), 1);
-    }
-  } else {
-    // B * op(A) = (op(A)^T * B^T)^T: apply trmv to each row of B.
-    for (idx i = 0; i < b.rows(); ++i) {
-      trmv(uplo, flip(trans), diag, a, b.data() + i, b.ld());
-      if (alpha != 1.0) scal(b.cols(), alpha, b.data() + i, b.ld());
+// Left base case: one trmv per (contiguous) column of B.
+void trmm_left_base(Uplo uplo, Trans trans, Diag diag, double alpha,
+                    ConstMatrixView a, MatrixView b) {
+  for (idx j = 0; j < b.cols(); ++j) {
+    trmv(uplo, trans, diag, a, b.col_ptr(j), 1);
+    if (alpha != 1.0) scal(b.rows(), alpha, b.col_ptr(j), 1);
+  }
+}
+
+// Right base case, column-oriented: column j of alpha B op(A) is
+// alpha op(A)(j, j) B(:, j) + sum_p alpha op(A)(p, j) B(:, p), formed in
+// place in the order that leaves every B(:, p) it reads unmodified
+// (descending j when op(A) is upper, ascending when lower). Every inner
+// loop runs down a contiguous column of B.
+void trmm_right_base(Uplo uplo, Trans trans, Diag diag, double alpha,
+                     ConstMatrixView a, MatrixView b) {
+  const idx n = a.rows();
+  const idx m = b.rows();
+  const bool upper = op_upper(uplo, trans);
+  // op(A)(p0:p1, j) is column j of A (NoTrans) or row j of A (Trans).
+  const idx incc = trans == Trans::NoTrans ? 1 : a.ld();
+  for (idx s = 0; s < n; ++s) {
+    const idx j = upper ? n - 1 - s : s;
+    const idx p0 = upper ? 0 : j + 1;
+    const idx p1 = upper ? j : n;
+    double* xj = b.col_ptr(j);
+    const double d = diag == Diag::Unit ? alpha : alpha * a(j, j);
+    if (d != 1.0) scal(m, d, xj, 1);
+    if (p1 > p0) {
+      const double* c = trans == Trans::NoTrans ? &a(p0, j) : &a(j, p0);
+      axpy_columns(m, p1 - p0, alpha, c, incc, b.col_ptr(p0), b.ld(), xj);
     }
   }
 }
@@ -38,7 +59,11 @@ void trmm_rec(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
               ConstMatrixView a, MatrixView b) {
   const idx n_tri = a.rows();
   if (n_tri <= base_size()) {
-    trmm_base(side, uplo, trans, diag, alpha, a, b);
+    if (side == Side::Left) {
+      trmm_left_base(uplo, trans, diag, alpha, a, b);
+    } else {
+      trmm_right_base(uplo, trans, diag, alpha, a, b);
+    }
     return;
   }
   const idx h = n_tri / 2;

@@ -5,7 +5,9 @@
 //
 // A is triangular; only the referenced triangle is read. Recursive blocking
 // routes the bulk of the work through gemm (needed because larfb spends a
-// significant fraction of its flops here).
+// significant fraction of its flops here). Small base cases run down
+// contiguous columns of B: one trmv per column for Left, fused column axpys
+// for Right.
 #pragma once
 
 #include "blas/types.hpp"

@@ -240,11 +240,11 @@ void calu_submit_iteration(CaluJob& job, idx k) {
         // Health decision point: the tournament only READ the panel, and
         // the root's packed LU is exactly the U_KK about to be installed —
         // so a degenerate outcome (zero pivot / growth past the limit) is
-        // known while a full-panel GEPP retry is still possible. A
-        // non-finite panel is flagged but never "rescued" (GEPP on NaN is
-        // equally lost).
-        PanelScreen scr;
-        if (monitor) scr = screen_panel(panel);
+        // known while a full-panel GEPP retry is still possible. The root's
+        // screen is the leaves' screens of the untouched panel, merged up
+        // the tree. A non-finite panel is flagged but never "rescued" (GEPP
+        // on NaN is equally lost).
+        const PanelScreen& scr = root.screen;
         RootCheck rc = check_packed_lu(root.lu_top.view(), jb);
         const bool fall_back =
             monitor && !scr.nonfinite &&

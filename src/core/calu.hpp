@@ -54,8 +54,11 @@ struct CaluOptions {
   /// Numerical health monitoring with graceful degradation (see
   /// HealthReport): screen each panel before mutating it, track per-panel
   /// pivot growth, and refactor a panel with full-panel GEPP when the
-  /// tournament elects a zero pivot or exceeds growth_limit. Healthy inputs
-  /// are bit-identical with the monitor on or off (screening only reads).
+  /// tournament elects a zero pivot or exceeds growth_limit. The screen
+  /// runs inside the tournament leaf tasks, in the loop that copies each
+  /// leaf's block, and reaches the pivot task merged up the tree; nothing
+  /// scans the panel serially. Healthy inputs are bit-identical with the
+  /// monitor on or off (screening only reads).
   bool monitor = true;
   /// Growth threshold for the fallback; <= 0 disables the growth trigger
   /// (zero pivots still fall back). See TsluOptions::growth_limit.

@@ -92,9 +92,11 @@ struct CaqrJob {
   std::unique_ptr<rt::TaskGraph> graph;
   std::unique_ptr<CaqrSubmitCtx> ctx;
   // Health monitor state: the factored matrix (re-scanned for R at
-  // collect) and the input screen taken before any task mutated it.
+  // collect) and the input screen, one slot per iteration-0 leaf and leaf
+  // update task. Those tasks tile the input and each screens its block
+  // before mutating it; caqr_collect merges the slots.
   MatrixView a;
-  PanelScreen screen;
+  std::vector<PanelScreen> screens;
   bool monitor = false;
 };
 
@@ -157,6 +159,33 @@ void caqr_submit_iteration(CaqrJob& job, idx k) {
 
     MatrixView panel = a.block(row0, row0, panel_rows, jb);
 
+    // Trailing column segments: the leftover columns of the panel's own
+    // block (when jb < b), then all full blocks to the right.
+    struct ColSegment {
+      idx col0, cols, jblk;
+    };
+    std::vector<ColSegment> segments;
+    if (row0 + jb < std::min(n, (kb + 1) * b)) {
+      segments.push_back(
+          {row0 + jb, std::min(n, (kb + 1) * b) - (row0 + jb), kb});
+    }
+    for (idx jblk = kb + 1; jblk < n_blocks; ++jblk) {
+      segments.push_back({jblk * b, std::min(b, n - jblk * b), jblk});
+    }
+
+    // Input screen slots (iteration 0 only): leaf i's task screens slot i,
+    // its update of segment s screens slot (s + 1) * leaves + i.
+    const bool screen_here = k == 0 && job.monitor;
+    if (screen_here) {
+      job.screens.resize(static_cast<std::size_t>(leaves) *
+                         (segments.size() + 1));
+    }
+    auto screen_slot = [&](std::size_t seg_plus_1, idx i) -> PanelScreen* {
+      if (!screen_here) return nullptr;
+      return &job.screens[seg_plus_1 * static_cast<std::size_t>(leaves) +
+                          static_cast<std::size_t>(i)];
+    };
+
     // --- Task P (leaves): QR of each leaf block.
     for (idx i = 0; i < leaves; ++i) {
       const idx lstart = F.part.start[static_cast<std::size_t>(i)];
@@ -171,24 +200,13 @@ void caqr_submit_iteration(CaqrJob& job, idx k) {
       topts.priority = prio.panel(k);
       topts.label = "leaf" + std::to_string(i);
       CaqrIterationFactors* Fp = &F;
-      add_task(acc, std::move(topts), [Fp, panel, lstart, lrows, i]() {
-        Fp->leaves[static_cast<std::size_t>(i)] = tsqr_leaf_kernel(
-            panel.block(lstart, 0, lrows, panel.cols()), lstart);
+      PanelScreen* scr = screen_slot(0, i);
+      add_task(acc, std::move(topts), [Fp, panel, lstart, lrows, i, scr]() {
+        MatrixView leaf = panel.block(lstart, 0, lrows, panel.cols());
+        if (scr != nullptr) *scr = screen_panel(leaf);
+        Fp->leaves[static_cast<std::size_t>(i)] =
+            tsqr_leaf_kernel(leaf, lstart);
       });
-    }
-
-    // Trailing column segments: the leftover columns of the panel's own
-    // block (when jb < b), then all full blocks to the right.
-    struct ColSegment {
-      idx col0, cols, jblk;
-    };
-    std::vector<ColSegment> segments;
-    if (row0 + jb < std::min(n, (kb + 1) * b)) {
-      segments.push_back(
-          {row0 + jb, std::min(n, (kb + 1) * b) - (row0 + jb), kb});
-    }
-    for (idx jblk = kb + 1; jblk < n_blocks; ++jblk) {
-      segments.push_back({jblk * b, std::min(b, n - jblk * b), jblk});
     }
 
     // --- Leaf pack tasks: pack each leaf's V2 into microkernel layout
@@ -224,7 +242,8 @@ void caqr_submit_iteration(CaqrJob& job, idx k) {
 
     // --- Task S (leaf updates): apply each leaf's reflector to its rows of
     // every trailing column segment.
-    for (const ColSegment& seg : segments) {
+    for (std::size_t si = 0; si < segments.size(); ++si) {
+      const ColSegment& seg = segments[si];
       const idx jblk = seg.jblk;
       const idx jcol0 = seg.col0;
       const idx jcols = seg.cols;
@@ -256,18 +275,20 @@ void caqr_submit_iteration(CaqrJob& job, idx k) {
         CaqrIterationFactors* Fp = &F;
         ConstMatrixView panel_c = panel;
         MatrixView cpart = a.block(row0, jcol0, panel_rows, jcols);
-        if (packed) {
-          add_task(acc, std::move(topts), [P, Fp, panel_c, cpart, i]() {
-            tsqr_leaf_apply(blas::Trans::Trans, panel_c,
-                            Fp->leaves[static_cast<std::size_t>(i)],
+        PanelScreen* scr = screen_slot(si + 1, i);
+        add_task(acc, std::move(topts),
+                 [P, Fp, panel_c, cpart, i, lstart, lrows, packed, scr]() {
+          if (scr != nullptr) {
+            *scr = screen_panel(cpart.rows_range(lstart, lrows));
+          }
+          const TsqrLeaf& leaf = Fp->leaves[static_cast<std::size_t>(i)];
+          if (packed) {
+            tsqr_leaf_apply(blas::Trans::Trans, panel_c, leaf,
                             P->leaf[static_cast<std::size_t>(i)], cpart);
-          });
-        } else {
-          add_task(acc, std::move(topts), [Fp, panel_c, cpart, i]() {
-            tsqr_leaf_apply(blas::Trans::Trans, panel_c,
-                            Fp->leaves[static_cast<std::size_t>(i)], cpart);
-          });
-        }
+          } else {
+            tsqr_leaf_apply(blas::Trans::Trans, panel_c, leaf, cpart);
+          }
+        });
       }
     }
 
@@ -456,13 +477,12 @@ void caqr_submit(MatrixView a, const CaqrOptions& opts, CaqrJob& job) {
   result.iterations.resize(static_cast<std::size_t>(C.n_panels));
   job.packs.reserve(static_cast<std::size_t>(C.n_panels));
 
-  // Screen the input on the submission thread, before the first task can
-  // mutate it: the verdict describes the caller's matrix, not intermediate
-  // update state. (Householder QR never falls back, so unlike CALU no
-  // per-panel decision is needed — one whole-matrix scan suffices.)
+  // The input screen runs inside iteration 0's leaf and leaf-update tasks
+  // (see caqr_submit_iteration), each on its block before it mutates it,
+  // so the verdict describes the caller's matrix. Householder QR never
+  // falls back, so unlike CALU no per-panel decision is needed.
   job.a = a;
   job.monitor = opts.monitor;
-  if (opts.monitor) job.screen = screen_panel(a);
 
   rt::TaskGraph::Config graph_cfg;
   graph_cfg.num_threads = opts.num_threads;
@@ -508,8 +528,10 @@ CaqrResult caqr_collect(CaqrJob& job, bool record_trace,
     throw;
   }
   if (job.monitor) {
+    PanelScreen screen;
+    for (const PanelScreen& slot : job.screens) screen.merge(slot);
     HealthReport& health = job.result.health;
-    health.nan_detected = job.screen.nonfinite;
+    health.nan_detected = screen.nonfinite;
     // Growth of the triangular factor: max|R| over the upper trapezoid
     // against the input's absmax. For QR this is bounded by sqrt(n)·||A||
     // in exact arithmetic, so a large value means the input was already
@@ -523,8 +545,7 @@ CaqrResult caqr_collect(CaqrJob& job, bool record_trace,
         if (v > rmax) rmax = v;
       }
     }
-    health.max_growth =
-        job.screen.absmax > 0.0 ? rmax / job.screen.absmax : 0.0;
+    health.max_growth = screen.absmax > 0.0 ? rmax / screen.absmax : 0.0;
   }
   if (record_trace) {
     job.result.trace = job.graph->trace();

@@ -42,10 +42,12 @@ struct CaqrOptions {
   /// larfb-shaped V2 and always run unpacked.
   bool structured_nodes = false;
   /// Numerical health monitoring: screen the input for non-finite entries
-  /// before any task mutates it and report max|R| / max|A| as the growth
-  /// factor. Householder QR is unconditionally stable, so unlike CALU
-  /// there is no degradation path — HealthReport::fallback_panels stays 0
-  /// — but a poisoned input is flagged instead of silently propagating.
+  /// and report max|R| / max|A| as the growth factor. Iteration 0's leaf
+  /// and leaf-update tasks, which together tile the input, each screen
+  /// their block before mutating it; collect merges the per-task results.
+  /// Householder QR is unconditionally stable, so unlike CALU there is no
+  /// degradation path — HealthReport::fallback_panels stays 0 — but a
+  /// poisoned input is flagged instead of silently propagating.
   bool monitor = true;
   /// Cooperative cancellation (see CaluOptions::cancel).
   rt::CancelToken cancel{};

@@ -1,7 +1,9 @@
 #include "core/tournament.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <unordered_map>
 
 #include "lapack/getf2.hpp"
@@ -10,22 +12,48 @@
 namespace camult::core {
 namespace {
 
-// Elect pivots from a stack of candidate rows: GEPP on a scratch copy, then
-// gather the winning rows (original values) and their indices.
-Candidates elect(const Matrix& stacked_values,
-                 const std::vector<idx>& stacked_index, idx b,
-                 lapack::LuPanelKernel kernel) {
-  const idx rows = stacked_values.rows();
-  const idx cols = stacked_values.cols();
+// Fold column col[0, n) into `s`, copying it to `dst` when non-null.
+// Finite magnitudes order like their bit patterns (as signed 64-bit
+// integers once the sign bit is cleared), so the loop is a branch-free
+// integer max/compare the compiler vectorizes, not an isfinite branch.
+void screen_column(const double* col, idx n, double* dst, PanelScreen& s) {
+  constexpr std::int64_t kAbsMask = 0x7fffffffffffffff;
+  constexpr std::int64_t kInfBits = 0x7ff0000000000000;
+  std::int64_t amax = std::bit_cast<std::int64_t>(s.absmax);
+  std::int64_t bad = 0;
+  auto fold = [&](double v) {
+    const std::int64_t u = std::bit_cast<std::int64_t>(v) & kAbsMask;
+    amax = std::max(amax, u < kInfBits ? u : 0);
+    bad |= u >= kInfBits;
+  };
+  if (dst != nullptr) {
+    for (idx i = 0; i < n; ++i) {
+      dst[i] = col[i];
+      fold(col[i]);
+    }
+  } else {
+    for (idx i = 0; i < n; ++i) fold(col[i]);
+  }
+  s.absmax = std::bit_cast<double>(amax);
+  s.nonfinite = s.nonfinite || bad != 0;
+}
+
+// Elect pivots: GEPP on `scratch` (overwritten by its packed LU), then
+// gather the winners' original rows from `original` (row-aligned with the
+// unfactored scratch) and their global indices global_row(r).
+template <typename GlobalRow>
+Candidates elect(MatrixView scratch, ConstMatrixView original, idx b,
+                 lapack::LuPanelKernel kernel, GlobalRow global_row) {
+  const idx rows = scratch.rows();
+  const idx cols = scratch.cols();
   const idx k = std::min(b, rows);
 
-  Matrix scratch = stacked_values;
   PivotVector ipiv;
   // Zero pivots tolerated: the row order is still the GEPP order.
   if (kernel == lapack::LuPanelKernel::Recursive) {
-    lapack::rgetf2(scratch.view(), ipiv);
+    lapack::rgetf2(scratch, ipiv);
   } else {
-    lapack::getf2(scratch.view(), ipiv);
+    lapack::getf2(scratch, ipiv);
   }
 
   // Positions after applying the swap sequence: permuted[r] = original slot.
@@ -36,13 +64,12 @@ Candidates elect(const Matrix& stacked_values,
   out.row_index.resize(static_cast<std::size_t>(k));
   for (idx r = 0; r < k; ++r) {
     const idx src = perm[static_cast<std::size_t>(r)];
-    for (idx j = 0; j < cols; ++j) out.values(r, j) = stacked_values(src, j);
-    out.row_index[static_cast<std::size_t>(r)] =
-        stacked_index[static_cast<std::size_t>(src)];
+    for (idx j = 0; j < cols; ++j) out.values(r, j) = original(src, j);
+    out.row_index[static_cast<std::size_t>(r)] = global_row(src);
   }
   // Keep the LU factors of the winners (top k x cols of the factored stack).
   out.lu_top = Matrix(k, cols);
-  copy_into(scratch.view().rows_range(0, k), out.lu_top.view());
+  copy_into(scratch.rows_range(0, k), out.lu_top.view());
   return out;
 }
 
@@ -51,12 +78,18 @@ Candidates elect(const Matrix& stacked_values,
 Candidates tournament_leaf(ConstMatrixView block, idx row_offset, idx b,
                            lapack::LuPanelKernel kernel) {
   assert(!block.empty());
-  Matrix values = Matrix::from(block);
-  std::vector<idx> index(static_cast<std::size_t>(block.rows()));
-  for (idx i = 0; i < block.rows(); ++i) {
-    index[static_cast<std::size_t>(i)] = row_offset + i;
+  // The one copy of the block is the GEPP target; the winners' original
+  // rows come back from `block` itself.
+  Matrix scratch(block.rows(), block.cols());
+  PanelScreen screen;
+  for (idx j = 0; j < block.cols(); ++j) {
+    screen_column(block.col_ptr(j), block.rows(), scratch.view().col_ptr(j),
+                  screen);
   }
-  return elect(values, index, b, kernel);
+  Candidates out = elect(scratch.view(), block, b, kernel,
+                         [row_offset](idx r) { return row_offset + r; });
+  out.screen = screen;
+  return out;
 }
 
 Candidates tournament_combine(const std::vector<const Candidates*>& sources,
@@ -69,28 +102,28 @@ Candidates tournament_combine(const std::vector<const Candidates*>& sources,
   Matrix stacked(total, cols);
   std::vector<idx> index;
   index.reserve(static_cast<std::size_t>(total));
+  PanelScreen screen;
   idx row = 0;
   for (const Candidates* c : sources) {
     copy_into(c->values.view(),
               stacked.view().rows_range(row, c->values.rows()));
     index.insert(index.end(), c->row_index.begin(), c->row_index.end());
+    screen.merge(c->screen);
     row += c->values.rows();
   }
-  return elect(stacked, index, b, kernel);
+  Matrix scratch = stacked;
+  Candidates out = elect(scratch.view(), stacked.view(), b, kernel,
+                         [&index](idx r) {
+                           return index[static_cast<std::size_t>(r)];
+                         });
+  out.screen = screen;
+  return out;
 }
 
 PanelScreen screen_panel(ConstMatrixView panel) {
   PanelScreen s;
   for (idx j = 0; j < panel.cols(); ++j) {
-    const double* col = panel.col_ptr(j);
-    for (idx i = 0; i < panel.rows(); ++i) {
-      const double v = col[i];
-      if (!std::isfinite(v)) {
-        s.nonfinite = true;
-      } else if (std::abs(v) > s.absmax) {
-        s.absmax = std::abs(v);
-      }
-    }
+    screen_column(panel.col_ptr(j), panel.rows(), nullptr, s);
   }
   return s;
 }

@@ -8,6 +8,7 @@
 // their global row indices so the final permutation can be reconstructed.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "lapack/getrf.hpp"
@@ -15,6 +16,21 @@
 #include "matrix/permutation.hpp"
 
 namespace camult::core {
+
+/// Input screening for the health monitor: largest finite magnitude of a
+/// block of the panel and whether any entry is non-finite. Taken on the
+/// pre-mutation panel (the tournament only reads it), so the verdict
+/// describes the actual input.
+struct PanelScreen {
+  double absmax = 0.0;  ///< max |finite entry|; 0 for an all-zero panel
+  bool nonfinite = false;
+  /// Fold in the screen of another block: the result screens both.
+  void merge(const PanelScreen& other) {
+    absmax = std::max(absmax, other.absmax);
+    nonfinite = nonfinite || other.nonfinite;
+  }
+};
+PanelScreen screen_panel(ConstMatrixView panel);
 
 /// A set of <= b candidate pivot rows surviving a tournament round.
 struct Candidates {
@@ -24,16 +40,23 @@ struct Candidates {
   /// eliminated, restricted to its top r x b block. Only consumed at the
   /// root, where it provides L_KK / U_KK for free.
   Matrix lu_top;
+  /// Screen of every panel row under this node: a leaf screens its block
+  /// while copying it, a combine merges its sources. At the root this is
+  /// screen_panel of the whole (still unmodified) panel.
+  PanelScreen screen;
 };
 
-/// Leaf match: GEPP on a copy of `block` (rows of the panel starting at
-/// global row `row_offset`); elects min(b, block.rows()) pivot rows.
+/// Leaf match: GEPP on one scratch copy of `block` (rows of the panel
+/// starting at global row `row_offset`); elects min(b, block.rows()) pivot
+/// rows, whose original values are read back from `block`. The copy loop
+/// also fills Candidates::screen.
 Candidates tournament_leaf(
     ConstMatrixView block, idx row_offset, idx b,
     lapack::LuPanelKernel kernel = lapack::LuPanelKernel::Recursive);
 
 /// Internal match: stack the candidate sets and run GEPP on the stack;
-/// elects min(b, total rows) pivot rows. `sources` must be non-empty.
+/// elects min(b, total rows) pivot rows and merges the sources' screens.
+/// `sources` must be non-empty.
 Candidates tournament_combine(
     const std::vector<const Candidates*>& sources, idx b,
     lapack::LuPanelKernel kernel = lapack::LuPanelKernel::Recursive);
@@ -42,16 +65,6 @@ Candidates tournament_combine(
 /// swap step k brings winner k (global row winners[k]) to row k. The
 /// sequence accounts for earlier swaps displacing rows.
 PivotVector winners_to_pivots(const std::vector<idx>& winners, idx panel_rows);
-
-/// Input screening for the health monitor: largest finite magnitude in
-/// `panel` and whether any entry is non-finite. Runs on the pre-mutation
-/// panel (the tournament only reads it), so the verdict describes the
-/// actual input.
-struct PanelScreen {
-  double absmax = 0.0;  ///< max |finite entry|; 0 for an all-zero panel
-  bool nonfinite = false;
-};
-PanelScreen screen_panel(ConstMatrixView panel);
 
 /// Degeneracy check on a packed LU block (getf2 layout — U on and above the
 /// diagonal): max |U| over the leading `b` columns and whether any diagonal

@@ -49,12 +49,12 @@ idx tslu_factor(MatrixView panel, PivotVector& ipiv, const TsluOptions& opts,
     throw std::invalid_argument("tslu_factor: panel must be tall (m >= b)");
   }
 
-  // Screen BEFORE anything mutates the panel (phase 1 only reads it), so
-  // absmax describes the input and a NaN verdict cannot be an artifact of
-  // the factorization itself.
+  // The screen describes the panel BEFORE anything mutates it, so absmax
+  // is the input's and a NaN verdict cannot be an artifact of the
+  // factorization itself. A tournament screens its leaves while copying
+  // them (phase 1 only reads the panel); plain GEPP scans the panel first.
   const bool monitoring = opts.monitor || health != nullptr;
   PanelScreen scr;
-  if (monitoring) scr = screen_panel(panel);
   auto record = [&](double umax, bool fell_back) {
     if (health == nullptr) return;
     health->nan_detected = scr.nonfinite;
@@ -69,6 +69,7 @@ idx tslu_factor(MatrixView panel, PivotVector& ipiv, const TsluOptions& opts,
   const idx leaves = part.count();
   if (leaves == 1) {
     // Degenerate tournament: plain GEPP with the configured kernel.
+    if (monitoring) scr = screen_panel(panel);
     const idx info = gepp(panel, ipiv, opts.leaf_kernel);
     record(check_packed_lu(panel, b).umax, /*fell_back=*/false);
     return info;
@@ -95,6 +96,7 @@ idx tslu_factor(MatrixView panel, PivotVector& ipiv, const TsluOptions& opts,
   }
   const Candidates& root = slot[0];
   assert(root.values.rows() == b);
+  scr = root.screen;
 
   // Graceful degradation: the root's packed LU holds exactly the U_KK phase
   // 2 would install, so a degenerate outcome (zero pivot, or growth past

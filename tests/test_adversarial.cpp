@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "core/caqr.hpp"
 #include "lapack/lapack.hpp"
 #include "matrix/random.hpp"
+#include "runtime/worker_pool.hpp"
 
 namespace camult {
 namespace {
@@ -252,6 +254,108 @@ TEST(AdversarialHealth, CaqrReportsGrowthOnHealthyInput) {
   EXPECT_FALSE(res.health.nan_detected);
   EXPECT_EQ(res.health.fallback_panels, 0);
   EXPECT_GT(res.health.max_growth, 0.0);
+}
+
+// ---- Where the input screen runs -----------------------------------------
+//
+// CALU screens each panel in its tournament leaves and CAQR screens the
+// input in iteration 0's leaf and leaf-update tasks. Poison placed where
+// only one of those tasks (the last leaf, the last column block) can see it
+// pins that the screens together still cover every entry.
+
+TEST(AdversarialHealth, CaluFlagsPoisonInLastRowOfLastLeafOfLatePanel) {
+  // Row m-1 is zero left of panel 4, so it is never elected as a pivot
+  // and the earlier updates leave its poisoned entry in place: only panel
+  // 4's last tournament leaf ever reads it.
+  const idx m = 200, n = 96, b = 16, col = 4 * b + 6;
+  for (const double poison : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    for (const int threads : {0, 4}) {
+      Matrix a = random_matrix(m, n, 1017);
+      for (idx j = 0; j < 4 * b; ++j) a(m - 1, j) = 0.0;
+      a(m - 1, col) = poison;
+      core::CaluOptions opts;
+      opts.b = b;
+      opts.tr = 4;
+      opts.num_threads = threads;
+      core::CaluResult res = core::calu_factor(a.view(), opts);
+      EXPECT_TRUE(res.health.nan_detected)
+          << "poison=" << poison << " threads=" << threads;
+      EXPECT_EQ(res.health.fallback_panels, 0);
+    }
+  }
+}
+
+TEST(AdversarialHealth, CaqrFlagsNanOutsidePanelZero) {
+  // The only NaN sits in the last row of the last column block. m_blocks
+  // is 8, so tr = 64 caps the leaf count at 8.
+  const idx m = 120, n = 72;
+  rt::WorkerPool pool(rt::WorkerPoolConfig{2, false});
+  for (const idx window : {idx{0}, idx{1}}) {
+    for (const bool on_pool : {false, true}) {
+      for (const idx tr : {idx{3}, idx{64}}) {
+        Matrix a = random_matrix(m, n, 1019);
+        a(m - 1, n - 1) = std::numeric_limits<double>::quiet_NaN();
+        core::CaqrOptions opts;
+        opts.b = 16;
+        opts.tr = tr;
+        opts.window = window;
+        opts.num_threads = on_pool ? 2 : 0;
+        opts.pool = on_pool ? &pool : nullptr;
+        core::CaqrResult res = core::caqr_factor(a.view(), opts);
+        EXPECT_TRUE(res.health.nan_detected)
+            << "window=" << window << " pool=" << on_pool << " tr=" << tr;
+        EXPECT_EQ(res.health.fallback_panels, 0);
+      }
+    }
+  }
+}
+
+TEST(AdversarialHealth, CaqrGrowthIsMaxROverMaxA) {
+  const Matrix a = random_matrix(150, 90, 1021);
+  double amax = 0.0;
+  for (idx j = 0; j < a.cols(); ++j) {
+    for (idx i = 0; i < a.rows(); ++i) amax = std::max(amax, std::abs(a(i, j)));
+  }
+  Matrix fact = a;
+  core::CaqrOptions opts;
+  opts.b = 16;
+  opts.tr = 3;
+  opts.num_threads = 4;
+  core::CaqrResult res = core::caqr_factor(fact.view(), opts);
+  const Matrix r = core::caqr_extract_r(fact.view(), res);
+  double rmax = 0.0;
+  for (idx j = 0; j < r.cols(); ++j) {
+    for (idx i = 0; i < r.rows(); ++i) rmax = std::max(rmax, std::abs(r(i, j)));
+  }
+  EXPECT_FALSE(res.health.nan_detected);
+  EXPECT_DOUBLE_EQ(res.health.max_growth, rmax / amax);
+}
+
+TEST(AdversarialHealth, MonitorOffLeavesHealthEmpty) {
+  core::CaluOptions lopts;
+  lopts.b = 16;
+  lopts.tr = 2;
+  lopts.num_threads = 4;
+  lopts.monitor = false;
+  Matrix lu = camult::test::nan_seeded_matrix(96, 96, 1023);
+  const core::HealthReport lh = core::calu_factor(lu.view(), lopts).health;
+  EXPECT_FALSE(lh.nan_detected);
+  EXPECT_EQ(lh.fallback_panels, 0);
+  EXPECT_TRUE(lh.fallback_list.empty());
+  EXPECT_EQ(lh.max_growth, 0.0);
+
+  core::CaqrOptions qopts;
+  qopts.b = 16;
+  qopts.tr = 2;
+  qopts.num_threads = 4;
+  qopts.monitor = false;
+  Matrix qr = camult::test::nan_seeded_matrix(96, 64, 1025);
+  const core::HealthReport qh = core::caqr_factor(qr.view(), qopts).health;
+  EXPECT_FALSE(qh.nan_detected);
+  EXPECT_EQ(qh.fallback_panels, 0);
+  EXPECT_TRUE(qh.fallback_list.empty());
+  EXPECT_EQ(qh.max_growth, 0.0);
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 // trsm/trmm correctness across all side/uplo/trans/diag combinations,
-// including sizes that cross the recursive base-case threshold.
+// including sizes that cross the recursive base-case threshold and, for
+// Side::Right, tall and strided B that crosses trsm's row blocks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -140,6 +144,186 @@ TEST(Trmm, UnitDiagonalNotRead) {
   trmm(Side::Left, Uplo::Lower, Trans::NoTrans, Diag::Unit, 1.0, a, b.view());
   for (idx j = 0; j < 3; ++j) {
     for (idx i = 0; i < n; ++i) EXPECT_FALSE(std::isnan(b(i, j)));
+  }
+}
+
+// ---- Side::Right: the column-oriented base case and trsm's row blocks ----
+
+std::vector<Combo> right_combos() {
+  std::vector<Combo> v;
+  for (const Combo& c : all_combos()) {
+    if (c.side == Side::Right) v.push_back(c);
+  }
+  return v;
+}
+
+std::string describe(const Combo& c) {
+  return std::string("uplo=") + (c.uplo == Uplo::Upper ? "U" : "L") +
+         " trans=" + (c.trans == Trans::Trans ? "T" : "N") +
+         " diag=" + (c.diag == Diag::Unit ? "U" : "N");
+}
+
+// A triangle that is well conditioned for either diag: off-diagonal
+// entries of size 1/n, diagonal near 3.
+Matrix right_triangle(idx n, std::uint64_t seed) {
+  Matrix a = random_matrix(n, n, seed);
+  for (idx j = 0; j < n; ++j) {
+    for (idx i = 0; i < n; ++i) a(i, j) /= static_cast<double>(n);
+  }
+  for (idx i = 0; i < n; ++i) a(i, i) += 3.0;
+  return a;
+}
+
+constexpr double kAlpha = -0.75;
+
+// trsm (solve = true) or trmm of B against `a` on the right, in place.
+void apply_right(bool solve, const Combo& c, ConstMatrixView a,
+                 MatrixView b) {
+  if (solve) {
+    trsm(Side::Right, c.uplo, c.trans, c.diag, kAlpha, a, b);
+  } else {
+    trmm(Side::Right, c.uplo, c.trans, c.diag, kAlpha, a, b);
+  }
+}
+
+// What apply_right should produce, from the explicit triangle.
+Matrix reference_right(bool solve, const Combo& c, ConstMatrixView a,
+                       ConstMatrixView b) {
+  if (solve) {
+    return reference_trsm(Side::Right, c.uplo, c.trans, c.diag, kAlpha, a, b);
+  }
+  Matrix x = Matrix::zeros(b.rows(), b.cols());
+  reference_gemm(Trans::NoTrans, c.trans, kAlpha, b,
+                 reference_triangle(a, c.uplo, c.diag), 0.0, x.view());
+  return x;
+}
+
+double right_tol(ConstMatrixView x_ref) {
+  return 1e-13 * std::max(1.0, norm_max(x_ref)) *
+         static_cast<double>(x_ref.cols());
+}
+
+bool row_has_nan(ConstMatrixView x, idx i) {
+  for (idx j = 0; j < x.cols(); ++j) {
+    if (std::isnan(x(i, j))) return true;
+  }
+  return false;
+}
+
+class RightTall : public ::testing::TestWithParam<idx> {};
+
+// Tall B: one row short of trsm's row block, exactly one block, one row
+// into the next block, and many blocks with a ragged tail.
+TEST_P(RightTall, MatchesReferenceAcrossRowBlocks) {
+  const idx n = GetParam();
+  const idx block = trsm_right_row_block(n);
+  ASSERT_LT(block + 1, 5000);
+  std::uint64_t seed = 700;
+  for (const idx m : {block - 1, block, block + 1, idx{5000}}) {
+    for (const Combo& c : right_combos()) {
+      for (const bool solve : {true, false}) {
+        const Matrix a = right_triangle(n, ++seed);
+        const Matrix b = random_matrix(m, n, ++seed);
+        Matrix x = b;
+        apply_right(solve, c, a, x.view());
+        const Matrix x_ref = reference_right(solve, c, a, b);
+        EXPECT_TRUE(matrices_near(x, x_ref, right_tol(x_ref)))
+            << (solve ? "trsm " : "trmm ") << describe(c) << " m=" << m
+            << " n=" << n << " block=" << block;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, RightTall,
+                         ::testing::Values(idx{33}, idx{100}, idx{130}));
+
+TEST(TrsmTrmmRight, SubViewWithLargerLd) {
+  // B is an interior block of a larger matrix (ld > rows) whose other
+  // entries are NaN: they must be neither read (the result would turn NaN)
+  // nor written. The view spans more than one trsm row block.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const idx n = 40;
+  const idx m = trsm_right_row_block(n) + 37;
+  const idx i0 = 7, j0 = 2;
+  std::uint64_t seed = 900;
+  for (const Combo& c : right_combos()) {
+    for (const bool solve : {true, false}) {
+      const Matrix a = right_triangle(n, ++seed);
+      const Matrix b = random_matrix(m, n, ++seed);
+      Matrix outer(m + 19, n + 5);
+      fill(outer.view(), nan);
+      MatrixView x = outer.block(i0, j0, m, n);
+      copy_into(b.view(), x);
+      apply_right(solve, c, a, x);
+      const Matrix x_ref = reference_right(solve, c, a, b);
+      EXPECT_TRUE(matrices_near(x, x_ref, right_tol(x_ref)))
+          << (solve ? "trsm " : "trmm ") << describe(c);
+      idx overwritten = 0;
+      for (idx j = 0; j < outer.cols(); ++j) {
+        for (idx i = 0; i < outer.rows(); ++i) {
+          const bool inside =
+              i >= i0 && i < i0 + m && j >= j0 && j < j0 + n;
+          if (!inside && !std::isnan(outer(i, j))) ++overwritten;
+        }
+      }
+      EXPECT_EQ(overwritten, 0) << (solve ? "trsm " : "trmm ") << describe(c);
+    }
+  }
+}
+
+TEST(TrsmTrmmRight, OppositeTriangleAndUnitDiagonalNotRead) {
+  // NaN in the unreferenced triangle, and on the diagonal when it is
+  // implicitly one: neither the base case (n = 24) nor the recursion
+  // (n = 100) may read them.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::uint64_t seed = 1100;
+  for (const idx n : {idx{24}, idx{100}}) {
+    for (const Combo& c : right_combos()) {
+      for (const bool solve : {true, false}) {
+        Matrix a = right_triangle(n, ++seed);
+        for (idx j = 0; j < n; ++j) {
+          for (idx i = 0; i < n; ++i) {
+            const bool opposite = c.uplo == Uplo::Upper ? i > j : i < j;
+            if (opposite || (i == j && c.diag == Diag::Unit)) a(i, j) = nan;
+          }
+        }
+        const Matrix b = random_matrix(50, n, ++seed);
+        Matrix x = b;
+        apply_right(solve, c, a, x.view());
+        const Matrix x_ref = reference_right(solve, c, a, b);
+        EXPECT_TRUE(matrices_near(x, x_ref, right_tol(x_ref)))
+            << (solve ? "trsm " : "trmm ") << describe(c) << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(TrsmTrmmRight, NanInRowStaysInRow) {
+  // The rows of X are independent: a NaN in row i of B reaches row i of
+  // the result and no other row, wherever row i sits in the row blocks.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const idx n = 100;
+  const idx block = trsm_right_row_block(n);
+  const idx m = 2 * block + 5;
+  std::uint64_t seed = 1300;
+  for (const idx row : {idx{0}, block - 1, block, m - 1}) {
+    for (const Combo& c : right_combos()) {
+      for (const bool solve : {true, false}) {
+        const Matrix a = right_triangle(n, ++seed);
+        Matrix x = random_matrix(m, n, ++seed);
+        x(row, 37) = nan;
+        apply_right(solve, c, a, x.view());
+        EXPECT_TRUE(row_has_nan(x, row))
+            << (solve ? "trsm " : "trmm ") << describe(c) << " row=" << row;
+        idx poisoned = 0;
+        for (idx i = 0; i < m; ++i) {
+          if (i != row && row_has_nan(x, i)) ++poisoned;
+        }
+        EXPECT_EQ(poisoned, 0)
+            << (solve ? "trsm " : "trmm ") << describe(c) << " row=" << row;
+      }
+    }
   }
 }
 

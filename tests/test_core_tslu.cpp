@@ -141,6 +141,54 @@ TEST(Tournament, CombinePicksFromBothSides) {
   }
 }
 
+void expect_same_screen(const PanelScreen& got, const PanelScreen& want,
+                        const char* what) {
+  EXPECT_EQ(got.absmax, want.absmax) << what;
+  EXPECT_EQ(got.nonfinite, want.nonfinite) << what;
+}
+
+TEST(Tournament, LeafAndCombineScreensMatchScreenPanel) {
+  // A leaf screens its block while copying it and a combine merges its
+  // sources, so every node's screen is screen_panel over the union of the
+  // blocks under it.
+  const idx b = 6;
+  Matrix panel = random_matrix(90, b, 29);
+  // The extremes sit in the last row of their blocks.
+  panel(29, 3) = -42.0;  // largest magnitude, first block
+  panel(89, 4) = std::numeric_limits<double>::infinity();  // third block
+  ConstMatrixView p = panel.view();
+  const Candidates l0 = tournament_leaf(p.rows_range(0, 30), 0, b);
+  const Candidates l1 = tournament_leaf(p.rows_range(30, 30), 30, b);
+  const Candidates l2 = tournament_leaf(p.rows_range(60, 30), 60, b);
+  expect_same_screen(l0.screen, screen_panel(p.rows_range(0, 30)), "l0");
+  expect_same_screen(l1.screen, screen_panel(p.rows_range(30, 30)), "l1");
+  expect_same_screen(l2.screen, screen_panel(p.rows_range(60, 30)), "l2");
+  const Candidates c01 = tournament_combine({&l0, &l1}, b);
+  expect_same_screen(c01.screen, screen_panel(p.rows_range(0, 60)), "c01");
+  const Candidates root = tournament_combine({&c01, &l2}, b);
+  expect_same_screen(root.screen, screen_panel(p), "root");
+  EXPECT_EQ(root.screen.absmax, 42.0);
+  EXPECT_TRUE(root.screen.nonfinite);
+  EXPECT_FALSE(c01.screen.nonfinite);
+}
+
+TEST(Tournament, ScreenSkipsNonFiniteMagnitudes) {
+  Matrix col(6, 1);
+  col(0, 0) = -0.0;
+  col(1, 0) = 4.9e-324;  // subnormal
+  col(2, 0) = -3.5;
+  col(3, 0) = std::numeric_limits<double>::quiet_NaN();
+  col(4, 0) = -std::numeric_limits<double>::infinity();
+  col(5, 0) = 2.0;
+  const PanelScreen s = screen_panel(col.view());
+  EXPECT_EQ(s.absmax, 3.5);
+  EXPECT_TRUE(s.nonfinite);
+  const PanelScreen tiny = screen_panel(col.view().rows_range(0, 2));
+  EXPECT_EQ(tiny.absmax, 4.9e-324);
+  EXPECT_FALSE(tiny.nonfinite);
+  EXPECT_EQ(screen_panel(col.view().rows_range(0, 1)).absmax, 0.0);
+}
+
 TEST(Tournament, WinnersToPivotsRoundTrip) {
   // Applying the generated swap sequence must place the winners on top, in
   // order.
@@ -321,6 +369,32 @@ TEST(Tslu, NanPanelFlaggedWithoutFallback) {
   (void)tslu_factor(a.view(), ipiv, opts, &health);
   EXPECT_TRUE(health.nan_detected);
   EXPECT_EQ(health.fallback_panels, 0);
+}
+
+TEST(Tslu, TournamentVerdictCoversWholePanel) {
+  // With several leaves the verdict comes from the tournament root's
+  // screen. Poison in the last row of the last leaf is flagged, and the
+  // growth divides by the whole panel's largest entry, which sits in the
+  // last leaf here.
+  TsluOptions opts;
+  opts.tr = 4;
+  Matrix poisoned = random_matrix(96, 8, 31);
+  poisoned(95, 5) = std::numeric_limits<double>::quiet_NaN();
+  PivotVector ipiv;
+  HealthReport nan_health;
+  (void)tslu_factor(poisoned.view(), ipiv, opts, &nan_health);
+  EXPECT_TRUE(nan_health.nan_detected);
+
+  Matrix a = random_matrix(96, 8, 33);
+  a(90, 2) = 50.0;
+  Matrix lu = a;
+  HealthReport health;
+  ASSERT_EQ(tslu_factor(lu.view(), ipiv, opts, &health), 0);
+  EXPECT_FALSE(health.nan_detected);
+  EXPECT_EQ(health.fallback_panels, 0);
+  EXPECT_DOUBLE_EQ(health.max_growth,
+                   check_packed_lu(lu.view().rows_range(0, 8), 8).umax /
+                       screen_panel(a.view()).absmax);
 }
 
 TEST(Tslu, HealthyPanelRecordsGrowthAndNoFallback) {

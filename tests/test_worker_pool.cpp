@@ -300,6 +300,28 @@ TEST(WorkerPool, SlabPoolPersistsAcrossRuns) {
   EXPECT_EQ(s4.allocs, s3.allocs + 1);  // trimmed, so this re-allocates
 }
 
+// Factor `a` on `pool` with the whole DAG submitted before the pool's
+// (single) worker may start on it: the worker is parked in a gate task of
+// another graph until CaluAsync's constructor returned. The execution order
+// (and with it how many pack slabs are live at once) then depends only on
+// the DAG and its priorities, not on how far submission got before the
+// worker caught up.
+void calu_fully_submitted(rt::WorkerPool& pool, MatrixView a,
+                          const core::CaluOptions& o) {
+  std::atomic<bool> parked{false};
+  std::atomic<bool> go{false};
+  rt::TaskGraph gate(attached(pool));
+  gate.submit({}, {}, [&parked, &go] {
+    parked = true;
+    while (!go.load()) std::this_thread::yield();
+  });
+  while (!parked.load()) std::this_thread::yield();
+  core::CaluAsync job(a, o);
+  go = true;
+  gate.wait();
+  (void)job.collect();
+}
+
 TEST(WorkerPool, CaluSlabReuseAcrossCalls) {
   rt::WorkerPool pool(rt::WorkerPoolConfig{1, false});
   core::CaluOptions o;
@@ -310,9 +332,9 @@ TEST(WorkerPool, CaluSlabReuseAcrossCalls) {
   o.record_trace = false;
   Matrix a1 = random_matrix(160, 160, 11);
   Matrix a2 = random_matrix(160, 160, 12);
-  (void)core::calu_factor(a1.view(), o);
+  calu_fully_submitted(pool, a1.view(), o);
   const blas::BufferPoolStats s1 = core::pool_buffer_stats(pool);
-  (void)core::calu_factor(a2.view(), o);
+  calu_fully_submitted(pool, a2.view(), o);
   const blas::BufferPoolStats s2 = core::pool_buffer_stats(pool);
   // The second call's packs are served from slabs the first call cached:
   // under the persistent pool no steady-state acquire hits operator new.

@@ -26,7 +26,13 @@
 # test_window (sliding-window DAG
 # submission: the submission thread recycling task-store slabs and
 # harvesting trace records of retired iterations while workers are
-# still completing newer ones). Any reported race fails the run.
+# still completing newer ones), test_blas_trsm_trmm (the Right-side
+# trsm/trmm base cases and trsm's row blocks: ragged row-block tails and
+# strided sub-views of B, where an off-by-one reads or writes past the
+# view) and test_adversarial (the health monitor's input screens: CALU's
+# tournament leaves and CAQR's iteration-0 leaf and leaf-update tasks each
+# fill their own screen slot on a worker, merged after the graph drains).
+# Any reported race fails the run.
 #
 # Usage: tools/run_tsan.sh [build-dir]        (default: build-tsan)
 # Other sanitizers via: SAN=address tools/run_tsan.sh
@@ -45,7 +51,7 @@ cmake -B "$build_dir" -S "$repo_root" \
   -DCAMULT_BUILD_EXAMPLES=OFF
 cmake --build "$build_dir" -j --target test_runtime test_scheduler_stress \
   test_observability test_pack_concurrency test_worker_pool test_blas_pack \
-  test_fault_inject test_svc test_window
+  test_fault_inject test_svc test_window test_blas_trsm_trmm test_adversarial
 
 case "$san" in
   thread)
@@ -68,4 +74,6 @@ esac
 "$build_dir/tests/test_fault_inject"
 "$build_dir/tests/test_svc"
 "$build_dir/tests/test_window"
+"$build_dir/tests/test_blas_trsm_trmm"
+"$build_dir/tests/test_adversarial"
 echo "[$san sanitizer] all scheduler tests passed"
