@@ -1,22 +1,23 @@
-// service.cpp — camult::svc implementation. Lock discipline: the service
-// mutex (mu_) and a job's record mutex are never held together; every
-// terminal transition first folds the outcome into the service aggregates
-// under mu_, then publishes status + outcome under the record mutex and
-// wakes waiters — so by the time JobHandle::wait() returns, stats() already
-// reflects the job. The watchdog's heap mutex is a leaf: firing paths copy
-// what they need (a CancelToken, a record shared_ptr) and act outside it.
+// service.cpp — camult::svc implementation.
 //
-// Self-healing model (docs/runtime.md § Self-healing):
-//  * Every attempt of a job runs under its own CancelToken (rec->token,
-//    guarded by rec->mu and replaced per retry), so a token fired by last
-//    attempt's stall cannot abort the next attempt, and the token's id()
-//    doubles as the heartbeat tag matching pool workers to this attempt.
-//  * Stall detection, retry timers and deadlines share the one watchdog
-//    thread: deadlines and retry re-enqueues are heap timers, stall checks
-//    are a periodic poll over the watched running jobs.
-//  * A retry never holds a runner slot: the failed attempt's runner
-//    schedules a timer and returns; the timer requeues the job through the
-//    normal QoS queue, so backoff capacity is free for other tenants.
+// Lock discipline: one service mutex (mu_) guards the queues, the timer
+// queue, the stats, the breakers and every job's lifecycle fields. A job's
+// record mutex (rec.mu) guards only what its JobHandles read — status,
+// outcome and the current CancelToken — because a handle may outlive the
+// service and so never takes mu_. Lock order is mu_, then rec.mu; the
+// service writes those fields with both held, so it may read them under
+// mu_ alone.
+//
+// Job lifecycle (docs/runtime.md § Factorization service has the table):
+// Queued -> Running -> terminal, with Running -> Queued (+ a Retry timer)
+// for a transient failure that still has attempts left. Every terminal
+// transition goes through finish_locked, the only code that folds an
+// outcome into QosStats and the breakers.
+//
+// One timer thread serves one ordered queue of (due, job, kind) timers:
+// Deadline (fire the job's token), Retry (requeue after backoff) and Stall
+// (check the pool heartbeats). A job's timers are erased as soon as they
+// stop mattering, so the queue holds live entries only.
 
 #include "svc/service.hpp"
 
@@ -89,64 +90,55 @@ struct JobRecord {
   Clock::time_point deadline_tp;
   std::uint64_t seq = 0;  ///< admission order; the retry-jitter stream key
   std::chrono::nanoseconds stall_timeout{0};  ///< effective; 0 = off
-  RetryPolicy retry;                          ///< effective; max_attempts >= 1
   rt::FaultInjector* fault = nullptr;         ///< effective; may be null
   bool probe = false;  ///< admitted as a half-open breaker probe
 
-  /// The *current attempt's* cancellation token, guarded by mu: replaced
-  /// with a fresh token on every retry so last attempt's cancel (stall,
-  /// deadline racing terminality) cannot poison the next attempt. Fire it
-  /// only through a copy taken under mu (see fire_cancel).
-  rt::CancelToken token;
-
-  /// Set by the watchdog before it fires the token, so a CancelledError can
-  /// be attributed to the deadline rather than a client cancel.
-  std::atomic<bool> deadline_fired{false};
-  /// Client asked for cancellation (JobHandle::cancel). Checked by the
-  /// retry machinery: a client cancel is never retried.
+  /// Set by JobHandle::cancel before it fires the token; a client cancel is
+  /// never retried. The one field a handle writes, hence atomic.
   std::atomic<bool> client_cancel{false};
-  /// Set (with release order) when the job reaches any terminal state, just
-  /// before the watchdog is told its entry went stale; the watchdog reads it
-  /// to skip firing and to identify prunable heap entries.
-  std::atomic<bool> terminal{false};
-  /// Set by the dispatcher at first dispatch; read after terminal.
-  Clock::time_point dispatch_tp;
-  std::atomic<bool> dispatched{false};
-  /// This attempt was cancelled by the stall watchdog (reset per attempt).
-  std::atomic<bool> stall_fired{false};
-  /// A DAG for this job is attached to the pool right now — the stall
-  /// poller only examines live attempts.
-  std::atomic<bool> attempt_live{false};
-  std::atomic<int> attempts{0};  ///< attempts started (runner writes)
-  std::atomic<int> stalls{0};    ///< stall cancels across all attempts
 
-  // Between-attempt bookkeeping owned by "the current runner": attempt N's
-  // runner writes, the queue mutex hands ownership to attempt N+1's.
+  // Lifecycle, guarded by the service mutex. A runner reads `attempts` and
+  // `token` without it during the attempt it owns: only that runner writes
+  // them, at the attempt's start.
+  int attempts = 0;             ///< attempts started
+  int stalls = 0;               ///< stall cancels across all attempts
+  bool deadline_fired = false;  ///< the Deadline timer fired the token
+  bool stall_fired = false;     ///< this attempt was stall-cancelled
+  Clock::time_point dispatch_tp;  ///< first attempt's start
   std::vector<double> attempt_run_ms;
   double backoff_ms = 0.0;
+  StallReport stall;  ///< last stall detected
+  /// This job's entries in the timer queue, timers_.end() when not armed.
+  /// The attempt slot holds the Stall check while an attempt runs and the
+  /// Retry timer while the job is in backoff.
+  TimerQueue::iterator deadline_timer;
+  TimerQueue::iterator attempt_timer;
 
-  /// Pristine copy of the input, captured before the first attempt when the
-  /// job is retryable (max_attempts > 1). An aborted attempt leaves `a`
+  /// Pristine copy of the input, captured before the first attempt when
+  /// retries are on (max_attempts > 1). An aborted attempt leaves `a`
   /// partially factored in place, so every retry must first restore the
-  /// original contents or it would "successfully" factor garbage. Same
-  /// runner-handoff ownership as attempt_run_ms; empty when retries are off,
-  /// so the zero-retry configuration pays no extra memory.
+  /// original contents or it would "successfully" factor garbage. Owned by
+  /// the runner running the job; dropped at the terminal transition.
   Matrix pristine;
 
   mutable std::mutex mu;
   mutable std::condition_variable cv;
-  JobStatus status = JobStatus::Queued;  ///< guarded by mu
-  JobOutcome outcome;                    ///< guarded by mu, set once
-  /// Last attempt's outcome while the job is parked in retry backoff; used
-  /// to finalize the job if the service shuts down before the timer fires.
-  JobOutcome pending_outcome;  ///< guarded by mu
-  StallReport stall_latest;    ///< guarded by mu (watchdog writes)
+  /// The current attempt's token: replaced on every retry so last attempt's
+  /// cancel cannot poison the next one. Its id() is the heartbeat tag that
+  /// matches pool workers to this attempt.
+  rt::CancelToken token;
+  JobStatus status = JobStatus::Queued;
+  /// The terminal outcome, read by handles once status is terminal. While
+  /// the job is in retry backoff it holds the last attempt's outcome, which
+  /// shutdown(false) reports if it drops the job.
+  JobOutcome outcome;
 };
 
 }  // namespace detail
 
 using detail::Clock;
 using detail::JobRecord;
+using detail::TimerKind;
 
 namespace {
 
@@ -154,32 +146,15 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-/// Fill the latency fields of `out` for a job turning terminal now.
-/// run_ms spans first dispatch -> terminal, so for a retried job it
-/// includes backoff parking; JobOutcome::attempt_run_ms has the per-attempt
-/// run times and backoff_ms the parked total.
-void stamp_latency(const JobRecord& rec, JobOutcome* out) {
-  const Clock::time_point now = Clock::now();
-  out->total_ms = ms_between(rec.submit_tp, now);
-  if (rec.dispatched.load(std::memory_order_acquire)) {
-    out->queue_ms = ms_between(rec.submit_tp, rec.dispatch_tp);
-    out->run_ms = ms_between(rec.dispatch_tp, now);
-  } else {
-    out->queue_ms = out->total_ms;
-    out->run_ms = 0.0;
-  }
+JobOutcome outcome_of(JobStatus s) {
+  JobOutcome out;
+  out.status = s;
+  return out;
 }
 
-/// Fire the job's *current* token without holding rec.mu across the
-/// request_cancel (waiters on the token are none, but the discipline keeps
-/// every rec.mu section tiny and leaf-like).
-void fire_cancel(JobRecord& rec) {
-  rt::CancelToken tok;
-  {
-    std::lock_guard<std::mutex> lk(rec.mu);
-    tok = rec.token;
-  }
-  tok.request_cancel();
+/// The record's queue slot for a timer of `kind`.
+detail::TimerQueue::iterator& timer_slot(JobRecord& rec, TimerKind kind) {
+  return kind == TimerKind::Deadline ? rec.deadline_timer : rec.attempt_timer;
 }
 
 // Uniform in [0, 1) from the top 53 bits (exactly representable in double).
@@ -203,6 +178,28 @@ std::chrono::nanoseconds backoff_delay(const RetryPolicy& rp,
       (static_cast<std::uint64_t>(attempt) * 0xC2B2AE3D27D4EB4Full)));
   return std::chrono::nanoseconds(
       static_cast<std::int64_t>(d * 0.5 + u * d * 0.5));
+}
+
+/// Driver options for one attempt of `rec` (CaluOptions or CaqrOptions).
+/// Jobs run untraced with the drivers' default health monitor on.
+template <class Options>
+Options attempt_options(const JobRecord& rec, rt::WorkerPool* pool,
+                        rt::SchedulerStats* sched) {
+  Options o;
+  o.b = rec.b;
+  o.tr = rec.tr;
+  o.window = rec.window;
+  o.pool = pool;
+  o.num_threads = pool->size();
+  o.record_trace = false;
+  o.cancel = rec.token;
+  o.sched_out = sched;
+  o.fault = rec.fault;
+  // Attempt 1 runs salt 0 (the unsalted stream: fault-free configs are
+  // bitwise PR 7); each retry draws an independent fault stream.
+  o.fault_salt = static_cast<std::uint64_t>(rec.attempts - 1);
+  o.priority_bias = qos_priority_bias(rec.qos);
+  return o;
 }
 
 }  // namespace
@@ -251,229 +248,9 @@ void JobHandle::cancel() const {
   // CancelledError surfaces, or it could schedule a retry for a job the
   // client just killed.
   rec_->client_cancel.store(true, std::memory_order_release);
-  fire_cancel(*rec_);
+  std::lock_guard<std::mutex> lk(rec_->mu);
+  rec_->token.request_cancel();
 }
-
-// ---------------------------------------------------------------------------
-// Watchdog: one thread, three duties.
-//
-//  1. Deadlines — a min-heap of (due, job) timers; firing sets
-//     deadline_fired and cancels the job's current attempt.
-//  2. Retry timers — same heap, Kind::Retry; firing hands the job to
-//     Service::retry_due, which requeues it through the QoS queue.
-//  3. Stall polling — a watch list of running jobs with stall_timeout
-//     armed; every poll tick the pool's worker heartbeats are scanned for
-//     a worker stuck inside one of the watched jobs' tasks.
-//
-// Entries for jobs that turn terminal before their deadline are not removed
-// eagerly (a heap has no efficient random erase); instead finish()/shed
-// paths bump retired_hint via on_terminal(), and once stale entries
-// dominate a non-trivial heap it is compacted in one O(n) sweep. Long-lived
-// services hammering short jobs with long deadlines therefore hold O(live
-// armed jobs) entries, where the old lazy-deletion-only scheme accumulated
-// every armed job until its deadline passed — hours of garbage for an
-// hour-long deadline.
-
-struct Service::Watchdog {
-  enum class Kind : std::uint8_t { Deadline, Retry };
-  struct Entry {
-    Clock::time_point due;
-    std::weak_ptr<JobRecord> job;
-    Kind kind = Kind::Deadline;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      return a.due > b.due;  // std::*_heap max-heap order -> min-heap on due
-    }
-  };
-  /// Compaction threshold: below this size the O(n) sweep isn't worth it.
-  static constexpr std::size_t kCompactMin = 64;
-
-  Service* svc = nullptr;
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<Entry> heap;        ///< std::push_heap/pop_heap with Later
-  std::size_t retired_hint = 0;   ///< armed jobs gone terminal since the
-                                  ///< last compaction (may overcount ones
-                                  ///< already popped — benign, resets to 0)
-  std::vector<std::weak_ptr<JobRecord>> stall_watch;  ///< guarded by mu
-  std::chrono::nanoseconds poll_interval{0};  ///< 0 until first watch
-  Clock::time_point next_poll = Clock::time_point::min();
-  bool expedite = false;  ///< shutdown: new/old retry timers fire now
-  bool stop = false;
-  std::thread thread;
-
-  void arm(const std::shared_ptr<JobRecord>& rec) {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      heap.push_back(Entry{rec->deadline_tp, rec, Kind::Deadline});
-      std::push_heap(heap.begin(), heap.end(), Later{});
-    }
-    cv.notify_one();
-  }
-
-  void arm_retry(const std::shared_ptr<JobRecord>& rec,
-                 Clock::time_point due) {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      if (expedite) due = Clock::now();
-      heap.push_back(Entry{due, rec, Kind::Retry});
-      std::push_heap(heap.begin(), heap.end(), Later{});
-    }
-    cv.notify_one();
-  }
-
-  /// Register a running attempt for stall polling. The poll cadence is a
-  /// quarter of the smallest watched timeout, clamped to [1, 50] ms —
-  /// fine-grained enough that detection latency is a small multiple of the
-  /// timeout, coarse enough that an idle-ish service stays quiet.
-  void watch_stall(const std::shared_ptr<JobRecord>& rec) {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      stall_watch.push_back(rec);
-      std::chrono::nanoseconds want = rec->stall_timeout / 4;
-      want = std::clamp(want,
-                        std::chrono::nanoseconds(std::chrono::milliseconds(1)),
-                        std::chrono::nanoseconds(std::chrono::milliseconds(50)));
-      if (poll_interval.count() == 0 || want < poll_interval) {
-        poll_interval = want;
-      }
-      const Clock::time_point first = Clock::now() + poll_interval;
-      if (next_poll == Clock::time_point::min() || first < next_poll) {
-        next_poll = first;
-      }
-    }
-    cv.notify_one();
-  }
-
-  /// Shutdown assist: make every pending (and future) retry timer due
-  /// immediately, so joining runners never waits out a backoff.
-  void expedite_retries() {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      expedite = true;
-      const Clock::time_point now = Clock::now();
-      for (Entry& e : heap) {
-        if (e.kind == Kind::Retry) e.due = now;
-      }
-      std::make_heap(heap.begin(), heap.end(), Later{});
-    }
-    cv.notify_one();
-  }
-
-  /// A deadline-armed job reached a terminal state; its heap entry is now
-  /// dead weight. Called by every terminal transition (finish, queue-full
-  /// shed, shutdown drop) after the record's terminal flag is set.
-  void on_terminal() {
-    std::lock_guard<std::mutex> lk(mu);
-    ++retired_hint;
-    maybe_compact_locked();
-  }
-
-  void maybe_compact_locked() {
-    if (heap.size() < kCompactMin || retired_hint * 2 < heap.size()) return;
-    auto dead = [](const Entry& e) {
-      if (e.kind == Kind::Retry) return e.job.expired();
-      const std::shared_ptr<JobRecord> rec = e.job.lock();
-      return rec == nullptr || rec->terminal.load(std::memory_order_acquire);
-    };
-    heap.erase(std::remove_if(heap.begin(), heap.end(), dead), heap.end());
-    std::make_heap(heap.begin(), heap.end(), Later{});
-    retired_hint = 0;
-  }
-
-  std::size_t entries() {
-    std::lock_guard<std::mutex> lk(mu);
-    return heap.size();
-  }
-
-  void main() {
-    std::unique_lock<std::mutex> lk(mu);
-    for (;;) {
-      // stop must be re-checked on every wake, not only when the heap is
-      // empty: leftover stale entries with far-future deadlines would
-      // otherwise park join() behind wait_until() for hours.
-      if (stop) return;
-      // 1. Fire every due timer.
-      while (!heap.empty() && Clock::now() >= heap.front().due) {
-        std::pop_heap(heap.begin(), heap.end(), Later{});
-        const Entry e = std::move(heap.back());
-        heap.pop_back();
-        std::shared_ptr<JobRecord> rec = e.job.lock();
-        if (e.kind == Kind::Deadline) {
-          if (rec == nullptr ||
-              rec->terminal.load(std::memory_order_acquire)) {
-            // Stale entry drained the natural way; needs no sweep.
-            if (retired_hint > 0) --retired_hint;
-            continue;
-          }
-          lk.unlock();
-          rec->deadline_fired.store(true, std::memory_order_release);
-          fire_cancel(*rec);
-          rec.reset();
-          lk.lock();
-        } else {
-          if (rec == nullptr) continue;
-          lk.unlock();
-          svc->retry_due(rec);
-          rec.reset();
-          lk.lock();
-        }
-        if (stop) return;
-      }
-      // 2. Stall poll: prune the watch list, then scan the survivors'
-      //    heartbeats outside the heap lock (check_stall takes rec->mu).
-      if (!stall_watch.empty() && Clock::now() >= next_poll) {
-        std::vector<std::shared_ptr<JobRecord>> live;
-        auto gone = [&](const std::weak_ptr<JobRecord>& w) {
-          const std::shared_ptr<JobRecord> rec = w.lock();
-          if (rec == nullptr ||
-              rec->terminal.load(std::memory_order_acquire)) {
-            return true;
-          }
-          if (!rec->attempt_live.load(std::memory_order_acquire)) {
-            return true;  // between attempts; re-registered on redispatch
-          }
-          live.push_back(rec);
-          return false;
-        };
-        stall_watch.erase(
-            std::remove_if(stall_watch.begin(), stall_watch.end(), gone),
-            stall_watch.end());
-        next_poll = Clock::now() + poll_interval;
-        lk.unlock();
-        for (const std::shared_ptr<JobRecord>& rec : live) {
-          svc->check_stall(rec);
-        }
-        live.clear();
-        lk.lock();
-        if (stop) return;
-      }
-      // 3. Sleep until the next timer or poll tick.
-      Clock::time_point wake = Clock::time_point::max();
-      if (!heap.empty()) wake = heap.front().due;
-      if (!stall_watch.empty() && next_poll < wake) wake = next_poll;
-      if (wake == Clock::time_point::max()) {
-        cv.wait(lk);
-      } else {
-        cv.wait_until(lk, wake);
-      }
-    }
-  }
-
-  void start() {
-    thread = std::thread([this] { main(); });
-  }
-
-  void join() {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      stop = true;
-    }
-    cv.notify_one();
-    if (thread.joinable()) thread.join();
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Service
@@ -498,9 +275,7 @@ Service::Service(const ServiceConfig& cfg) : cfg_(cfg) {
     owned_pool_ = std::make_unique<rt::WorkerPool>(pc);
     pool_ = owned_pool_.get();
   }
-  watchdog_ = std::make_unique<Watchdog>();
-  watchdog_->svc = this;
-  watchdog_->start();
+  timer_thread_ = std::thread([this] { timer_main(); });
   runners_.reserve(static_cast<std::size_t>(cfg_.max_inflight));
   for (int i = 0; i < cfg_.max_inflight; ++i) {
     runners_.emplace_back([this] { runner_main(); });
@@ -526,111 +301,73 @@ Service::Admission Service::submit(const JobRequest& req) {
   // Per-job overrides fall back to the service defaults.
   rec->stall_timeout =
       req.stall_timeout.count() > 0 ? req.stall_timeout : cfg_.stall_timeout;
-  rec->retry = req.retry.max_attempts > 0 ? req.retry : cfg_.retry;
-  if (rec->retry.max_attempts < 1) rec->retry.max_attempts = 1;
   rec->fault = req.fault != nullptr ? req.fault : cfg_.fault;
 
   Admission adm;
   adm.handle = JobHandle(rec);
-  std::shared_ptr<JobRecord> victim;
-  JobOutcome victim_out;
-  bool breaker_shed = false;
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    rec->seq = next_seq_++;
-    bool probe = false;
-    if (stopping_) {
-      QosStats& cs = stats_.per_class[static_cast<std::size_t>(req.qos)];
-      ++cs.rejected;
-      ++stats_.per_tenant[req.tenant].rejected;
-      adm.queue_depth = total_queued_;
-    } else if (cfg_.breaker.enabled &&
-               !breaker_admit_locked(req.tenant, &probe,
-                                     &adm.retry_after_ms)) {
-      QosStats& cs = stats_.per_class[static_cast<std::size_t>(req.qos)];
-      ++cs.shed_breaker;
-      ++stats_.per_tenant[req.tenant].shed_breaker;
-      adm.queue_depth = total_queued_;
-      breaker_shed = true;
-    } else if (total_queued_ >= cfg_.max_queue) {
-      // Full. Shed the oldest job of the lowest class strictly below the
-      // arrival; if every queued job is at or above the arrival's class,
-      // the arrival itself is the lowest-value work and is rejected.
-      for (int c = 0; c < static_cast<int>(req.qos); ++c) {
-        auto& q = queue_[static_cast<std::size_t>(c)];
-        if (!q.empty()) {
-          victim = std::move(q.front());
-          q.pop_front();
-          --total_queued_;
-          break;
-        }
-      }
-      if (victim != nullptr) {
-        victim_out.status = JobStatus::ShedQueueFull;
-        stamp_latency(*victim, &victim_out);
-        account_locked(*victim, victim_out);
-        adm.accepted = true;
-        rec->probe = probe;
-        queue_[static_cast<std::size_t>(req.qos)].push_back(rec);
-        ++total_queued_;
-        QosStats& cs = stats_.per_class[static_cast<std::size_t>(req.qos)];
-        ++cs.submitted;
-        ++stats_.per_tenant[req.tenant].submitted;
-        stats_.peak_queue_depth =
-            std::max(stats_.peak_queue_depth, total_queued_);
-        adm.queue_depth = total_queued_;
-      } else {
-        QosStats& cs = stats_.per_class[static_cast<std::size_t>(req.qos)];
-        ++cs.rejected;
-        ++stats_.per_tenant[req.tenant].rejected;
-        adm.queue_depth = total_queued_;
-        // The breaker probe slot must not leak on a rejected probe.
-        if (probe) breakers_[req.tenant].probe_inflight = false;
-      }
-    } else {
-      adm.accepted = true;
-      rec->probe = probe;
-      queue_[static_cast<std::size_t>(req.qos)].push_back(rec);
-      ++total_queued_;
-      QosStats& cs = stats_.per_class[static_cast<std::size_t>(req.qos)];
-      ++cs.submitted;
-      ++stats_.per_tenant[req.tenant].submitted;
-      stats_.peak_queue_depth =
-          std::max(stats_.peak_queue_depth, total_queued_);
-      adm.queue_depth = total_queued_;
+  std::unique_lock<std::mutex> lk(mu_);
+  rec->seq = next_seq_++;
+  rec->deadline_timer = rec->attempt_timer = timers_.end();
+  JobStatus refused = JobStatus::Queued;  // Queued = admitted
+  if (stopping_) {
+    refused = JobStatus::Rejected;
+  } else if (cfg_.breaker.enabled &&
+             !breaker_admit_locked(req.tenant, &rec->probe,
+                                   &adm.retry_after_ms)) {
+    refused = JobStatus::ShedBreaker;
+  } else if (total_queued_ >= cfg_.max_queue) {
+    // Full. Shed the oldest job of the lowest class strictly below the
+    // arrival; if every queued job is at or above the arrival's class,
+    // the arrival itself is the lowest-value work and is rejected.
+    refused = JobStatus::Rejected;
+    for (int c = 0; c < static_cast<int>(req.qos); ++c) {
+      auto& q = queue_[static_cast<std::size_t>(c)];
+      if (q.empty()) continue;
+      const JobPtr victim = std::move(q.front());
+      q.pop_front();
+      --total_queued_;
+      finish_locked(*victim, outcome_of(JobStatus::ShedQueueFull));
+      refused = JobStatus::Queued;
+      break;
     }
   }
-  if (victim != nullptr) {
-    // The victim is off the queue; no dispatcher can reach it anymore, so
-    // publishing its terminal state outside mu_ races with nobody.
-    {
-      std::lock_guard<std::mutex> vlk(victim->mu);
-      victim->outcome = std::move(victim_out);
-      victim->status = JobStatus::ShedQueueFull;
-    }
-    victim->cv.notify_all();
-    victim->terminal.store(true, std::memory_order_release);
-    if (victim->has_deadline) watchdog_->on_terminal();
-  }
-  if (!adm.accepted) {
-    const JobStatus s =
-        breaker_shed ? JobStatus::ShedBreaker : JobStatus::Rejected;
-    std::lock_guard<std::mutex> lk(rec->mu);
-    rec->status = s;
-    rec->outcome.status = s;
-    rec->outcome.retry_after_ms = adm.retry_after_ms;
-    stamp_latency(*rec, &rec->outcome);
-    // No waiters can exist yet (the handle is only returned below), but
-    // keep the transition uniform.
-    rec->cv.notify_all();
-    rec->terminal.store(true, std::memory_order_release);
+  if (refused != JobStatus::Queued) {
+    JobOutcome out = outcome_of(refused);
+    out.retry_after_ms = adm.retry_after_ms;
+    finish_locked(*rec, std::move(out));
+    adm.queue_depth = total_queued_;
     return adm;
   }
+  adm.accepted = true;
+  ++stats_.per_class[static_cast<std::size_t>(req.qos)].submitted;
+  ++stats_.per_tenant[req.tenant].submitted;
+  enqueue_locked(rec);
+  adm.queue_depth = total_queued_;
   if (rec->has_deadline) {
-    watchdog_->arm(rec);
+    arm_locked(rec, TimerKind::Deadline, rec->deadline_tp);
   }
+  lk.unlock();
   queue_cv_.notify_one();
   return adm;
+}
+
+void Service::enqueue_locked(const JobPtr& rec) {
+  queue_[static_cast<std::size_t>(rec->qos)].push_back(rec);
+  ++total_queued_;
+  stats_.peak_queue_depth = std::max(stats_.peak_queue_depth, total_queued_);
+}
+
+Service::JobPtr Service::pop_next_locked() {
+  for (int c = kQosClasses - 1; c >= 0; --c) {
+    auto& q = queue_[static_cast<std::size_t>(c)];
+    if (!q.empty()) {
+      JobPtr rec = std::move(q.front());
+      q.pop_front();
+      --total_queued_;
+      return rec;
+    }
+  }
+  return nullptr;
 }
 
 bool Service::breaker_admit_locked(const std::string& tenant, bool* probe,
@@ -674,6 +411,7 @@ void Service::breaker_note_locked(const JobRecord& rec,
        !out.deadline_hit &&
        !rec.client_cancel.load(std::memory_order_acquire));
   const bool success = out.status == JobStatus::Completed;
+  if (!rec.probe && !success && !failure) return;
   Breaker& br = breakers_[rec.tenant];
   if (rec.probe) {
     br.probe_inflight = false;
@@ -686,11 +424,10 @@ void Service::breaker_note_locked(const JobRecord& rec,
       br.open_until = Clock::now() + cfg_.breaker.open_for;
       ++br.opens;
     }
-    // A neutral probe outcome keeps the breaker half-open; the next
-    // submission becomes the new probe.
+    // A neutral probe outcome (shed, rejected, cancelled) keeps the
+    // breaker half-open; the next submission becomes the new probe.
     return;
   }
-  if (!success && !failure) return;
   if (br.state != BreakerState::Closed) return;  // pre-open stragglers
   br.window.push_back(failure);
   if (failure) ++br.failures;
@@ -710,332 +447,287 @@ void Service::breaker_note_locked(const JobRecord& rec,
   }
 }
 
-std::shared_ptr<JobRecord> Service::pop_next_locked() {
-  for (int c = kQosClasses - 1; c >= 0; --c) {
-    auto& q = queue_[static_cast<std::size_t>(c)];
-    if (!q.empty()) {
-      std::shared_ptr<JobRecord> rec = std::move(q.front());
-      q.pop_front();
-      --total_queued_;
-      return rec;
-    }
-  }
-  return nullptr;
-}
-
 void Service::runner_main() {
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    std::shared_ptr<JobRecord> rec = pop_next_locked();
+    JobPtr rec = pop_next_locked();
     if (rec == nullptr) {
-      // Retry timers still pending are future queue entries: a stopping
-      // runner must outlive them or the requeued job would never run.
-      if (stopping_ && retry_pending_ == 0) return;
+      // Backoff-parked jobs need no runner to wait for them: shutdown()
+      // requeues or finishes them, and no job parks once stopping_ is set.
+      if (stopping_) return;
       queue_cv_.wait(lk);
       continue;
     }
-    ++inflight_;
-    lk.unlock();
-    run_job(rec);
-    rec.reset();
-    lk.lock();
-    --inflight_;
+    if (start_attempt_locked(rec)) {
+      ++inflight_;
+      lk.unlock();
+      bool transient = false;
+      JobOutcome out = run_attempt(*rec, &transient);
+      lk.lock();
+      --inflight_;
+      end_attempt_locked(rec, std::move(out), transient);
+    }
     if (total_queued_ == 0 && inflight_ == 0 && retry_pending_ == 0) {
       drained_cv_.notify_all();
     }
   }
 }
 
-void Service::run_job(const std::shared_ptr<JobRecord>& rec) {
-  // Pre-dispatch gates, re-evaluated on every (re)dispatch. A deadline that
-  // expired while queued sheds a never-ran job (ShedDeadline) but finalizes
-  // a retried one as Cancelled — it did run, the deadline just ran out
-  // during backoff. A client cancel wins over everything.
-  const int prior_attempts = rec->attempts.load(std::memory_order_relaxed);
-  if (rec->has_deadline && Clock::now() >= rec->deadline_tp) {
-    JobOutcome out;
-    out.status = prior_attempts == 0 ? JobStatus::ShedDeadline
-                                     : JobStatus::Cancelled;
+bool Service::start_attempt_locked(const JobPtr& rec) {
+  // The gate is re-evaluated on every (re)dispatch. A deadline that expired
+  // while queued sheds a never-ran job (ShedDeadline) but finishes a
+  // retried one as Cancelled — it did run, the deadline just ran out
+  // during backoff.
+  JobRecord& r = *rec;
+  const Clock::time_point now = Clock::now();
+  if (r.has_deadline && now >= r.deadline_tp) {
+    JobOutcome out = outcome_of(r.attempts == 0 ? JobStatus::ShedDeadline
+                                                : JobStatus::Cancelled);
     out.deadline_hit = true;
-    finish(rec, std::move(out));
-    return;
+    finish_locked(r, std::move(out));
+    return false;
   }
-  bool cancelled_before_run =
-      rec->client_cancel.load(std::memory_order_acquire);
-  if (!cancelled_before_run && prior_attempts == 0) {
-    // First attempt: honor a token fired through any out-of-band copy.
-    // (Retries must NOT consult the token here — it is last attempt's and
-    // was fired by the very stall/fault that triggered the retry.)
-    std::lock_guard<std::mutex> lk(rec->mu);
-    cancelled_before_run = rec->token.cancelled();
+  if (r.client_cancel.load(std::memory_order_acquire)) {
+    finish_locked(r, outcome_of(JobStatus::Cancelled));
+    return false;
   }
-  if (cancelled_before_run) {
-    JobOutcome out;
-    out.status = JobStatus::Cancelled;
-    out.deadline_hit = rec->deadline_fired.load(std::memory_order_acquire);
-    finish(rec, std::move(out));
-    return;
+  if (++r.attempts == 1) r.dispatch_tp = now;
+  r.stall_fired = false;
+  {
+    std::lock_guard<std::mutex> lk(r.mu);
+    if (r.attempts > 1) {
+      // A fresh token per retry: last attempt's was fired by the very
+      // stall or fault being retried. A cancel() that fired the old token
+      // after the gate read client_cancel must still reach this attempt.
+      r.token = rt::CancelToken{};
+      if (r.client_cancel.load(std::memory_order_acquire)) {
+        r.token.request_cancel();
+      }
+    }
+    r.status = JobStatus::Running;
   }
+  if (r.stall_timeout.count() > 0) {
+    arm_locked(rec, TimerKind::Stall, now + r.stall_timeout);
+  }
+  return true;
+}
 
+JobOutcome Service::run_attempt(JobRecord& rec, bool* transient) {
   // Retryable jobs snapshot the input before attempt 1 and restore it before
   // every retry: the aborted attempt factored part of `a` in place, and
   // attempt N+1 must see the caller's original matrix, not attempt N's
   // wreckage. Non-retryable jobs skip both copies entirely.
-  if (rec->retry.max_attempts > 1) {
-    if (prior_attempts == 0) {
-      rec->pristine = Matrix::from(ConstMatrixView(rec->a));
+  if (cfg_.retry.max_attempts > 1) {
+    if (rec.attempts == 1) {
+      rec.pristine = Matrix::from(ConstMatrixView(rec.a));
     } else {
-      const idx rows = rec->a.rows();
-      for (idx j = 0; j < rec->a.cols(); ++j) {
-        std::copy_n(rec->pristine.data() + j * rec->pristine.ld(), rows,
-                    rec->a.data() + j * rec->a.ld());
+      const idx rows = rec.a.rows();
+      for (idx j = 0; j < rec.a.cols(); ++j) {
+        std::copy_n(rec.pristine.data() + j * rec.pristine.ld(), rows,
+                    rec.a.data() + j * rec.a.ld());
       }
     }
   }
-
-  // Attempt setup: a fresh token per retry (so last attempt's cancel and
-  // heartbeat tag cannot leak into this one), stall flag reset, and the
-  // attempt registered with the stall poller.
-  rt::CancelToken attempt_token;
-  {
-    std::lock_guard<std::mutex> lk(rec->mu);
-    if (prior_attempts > 0) rec->token = rt::CancelToken{};
-    attempt_token = rec->token;
-    rec->status = JobStatus::Running;
-  }
-  rec->stall_fired.store(false, std::memory_order_release);
-  rec->attempts.store(prior_attempts + 1, std::memory_order_release);
-  if (!rec->dispatched.load(std::memory_order_relaxed)) {
-    rec->dispatch_tp = Clock::now();
-    rec->dispatched.store(true, std::memory_order_release);
-  }
-  rec->attempt_live.store(true, std::memory_order_release);
-  if (rec->stall_timeout.count() > 0) watchdog_->watch_stall(rec);
-  const Clock::time_point attempt_tp = Clock::now();
-
+  const Clock::time_point start = Clock::now();
   // sched counters survive a throwing run via the options' sched_out hook.
   rt::SchedulerStats sched;
   JobOutcome out;
-  bool transient = false;
   try {
-    if (rec->kind == JobKind::CaluFactor) {
-      core::CaluOptions o;
-      o.b = rec->b;
-      o.tr = rec->tr;
-      o.window = rec->window;
-      o.pool = pool_;
-      o.num_threads = pool_->size();
-      o.record_trace = cfg_.record_trace;
-      o.monitor = cfg_.monitor;
-      o.cancel = attempt_token;
-      o.sched_out = &sched;
-      o.fault = rec->fault;
-      // Attempt 1 runs salt 0 (the unsalted stream: fault-free configs are
-      // bitwise PR 7); each retry draws an independent fault stream.
-      o.fault_salt = static_cast<std::uint64_t>(prior_attempts);
-      o.priority_bias = qos_priority_bias(rec->qos);
-      core::CaluAsync async(rec->a, o);
-      auto res = std::make_shared<core::CaluResult>(async.collect());
-      out.status = JobStatus::Completed;
-      out.info = res->info;
-      out.health = res->health;
-      out.sched = res->sched;
-      out.lu = std::move(res);
+    if (rec.kind == JobKind::CaluFactor) {
+      out.lu = std::make_shared<core::CaluResult>(core::calu_factor(
+          rec.a, attempt_options<core::CaluOptions>(rec, pool_, &sched)));
+      out.info = out.lu->info;
+      out.health = out.lu->health;
     } else {
-      core::CaqrOptions o;
-      o.b = rec->b;
-      o.tr = rec->tr;
-      o.window = rec->window;
-      o.pool = pool_;
-      o.num_threads = pool_->size();
-      o.record_trace = cfg_.record_trace;
-      o.monitor = cfg_.monitor;
-      o.cancel = attempt_token;
-      o.sched_out = &sched;
-      o.fault = rec->fault;
-      o.fault_salt = static_cast<std::uint64_t>(prior_attempts);
-      o.priority_bias = qos_priority_bias(rec->qos);
-      core::CaqrAsync async(rec->a, o);
-      auto res = std::make_shared<core::CaqrResult>(async.collect());
-      out.status = JobStatus::Completed;
-      out.health = res->health;
-      out.sched = res->sched;
-      out.qr = std::move(res);
+      out.qr = std::make_shared<core::CaqrResult>(core::caqr_factor(
+          rec.a, attempt_options<core::CaqrOptions>(rec, pool_, &sched)));
+      out.health = out.qr->health;
     }
+    out.status = JobStatus::Completed;
   } catch (const rt::InjectedFault& e) {
     out.status = JobStatus::Failed;
     out.error = e.what();
-    out.sched = sched;
-    transient = true;  // injected/transient by definition
+    *transient = true;  // injected/transient by definition
   } catch (const rt::CancelledError&) {
     out.status = JobStatus::Cancelled;
-    out.deadline_hit = rec->deadline_fired.load(std::memory_order_acquire);
-    out.sched = sched;
-    // A stall-watchdog cancel is transient (the retry gets a fresh fault
-    // stream); a client or deadline cancel is final.
-    transient = rec->stall_fired.load(std::memory_order_acquire) &&
-                !out.deadline_hit &&
-                !rec->client_cancel.load(std::memory_order_acquire);
   } catch (const std::exception& e) {
     out.status = JobStatus::Failed;
     out.error = e.what();
-    out.sched = sched;
   }
-  rec->attempt_live.store(false, std::memory_order_release);
-
-  // Attempt bookkeeping (runner-owned fields; see JobRecord).
-  rec->attempt_run_ms.push_back(ms_between(attempt_tp, Clock::now()));
-  out.attempts = rec->attempts.load(std::memory_order_relaxed);
-  out.attempt_run_ms = rec->attempt_run_ms;
-  out.backoff_ms = rec->backoff_ms;
-  {
-    std::lock_guard<std::mutex> lk(rec->mu);
-    out.stall = rec->stall_latest;
-  }
-
-  // Retry decision: transient failure, attempts left, nobody cancelled it,
-  // the deadline (if any) still has road, and the service is not stopping.
-  if (transient && out.attempts < rec->retry.max_attempts &&
-      !rec->client_cancel.load(std::memory_order_acquire) &&
-      !(rec->has_deadline && Clock::now() >= rec->deadline_tp)) {
-    const std::chrono::nanoseconds delay =
-        backoff_delay(rec->retry, rec->seq, out.attempts);
-    bool scheduled = false;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!stopping_) {
-        ++retry_pending_;
-        ++stats_.per_class[static_cast<std::size_t>(rec->qos)].retries;
-        ++stats_.per_tenant[rec->tenant].retries;
-        scheduled = true;
-      }
-    }
-    if (scheduled) {
-      {
-        std::lock_guard<std::mutex> lk(rec->mu);
-        rec->status = JobStatus::Queued;
-        rec->pending_outcome = std::move(out);
-      }
-      rec->backoff_ms +=
-          std::chrono::duration<double, std::milli>(delay).count();
-      watchdog_->arm_retry(rec, Clock::now() + delay);
-      return;  // the runner slot frees; the timer requeues the job
-    }
-  }
-  finish(rec, std::move(out));
+  out.sched = sched;
+  rec.attempt_run_ms.push_back(ms_between(start, Clock::now()));
+  return out;
 }
 
-void Service::check_stall(const std::shared_ptr<JobRecord>& rec) {
-  if (rec->terminal.load(std::memory_order_acquire) ||
-      !rec->attempt_live.load(std::memory_order_acquire) ||
-      rec->stall_fired.load(std::memory_order_acquire)) {
+void Service::end_attempt_locked(const JobPtr& rec, JobOutcome out,
+                                 bool transient) {
+  JobRecord& r = *rec;
+  disarm_locked(r.attempt_timer);  // the stall check ends with the attempt
+  if (out.status == JobStatus::Cancelled) {
+    out.deadline_hit = r.deadline_fired;
+    // A stall cancel is transient (the retry gets a fresh fault stream); a
+    // client or deadline cancel is final.
+    transient = r.stall_fired && !out.deadline_hit;
+  }
+  // Retry: transient failure, attempts left, nobody cancelled it, the
+  // deadline (if any) still has road, and the service is not stopping.
+  const Clock::time_point now = Clock::now();
+  if (transient && r.attempts < cfg_.retry.max_attempts && !stopping_ &&
+      !r.client_cancel.load(std::memory_order_acquire) &&
+      !(r.has_deadline && now >= r.deadline_tp)) {
+    const std::chrono::nanoseconds delay =
+        backoff_delay(cfg_.retry, r.seq, r.attempts);
+    r.backoff_ms += std::chrono::duration<double, std::milli>(delay).count();
+    ++stats_.per_class[static_cast<std::size_t>(r.qos)].retries;
+    ++stats_.per_tenant[r.tenant].retries;
+    r.outcome = std::move(out);
+    {
+      std::lock_guard<std::mutex> lk(r.mu);
+      r.status = JobStatus::Queued;
+    }
+    // The runner slot frees; the Retry timer requeues the job.
+    arm_locked(rec, TimerKind::Retry, now + delay);
     return;
   }
-  rt::CancelToken tok;
-  {
-    std::lock_guard<std::mutex> lk(rec->mu);
-    tok = rec->token;
+  finish_locked(r, std::move(out));
+}
+
+void Service::finish_locked(JobRecord& rec, JobOutcome out) {
+  // Latency: run_ms spans first dispatch -> terminal, so for a retried job
+  // it includes backoff; attempt_run_ms has the per-attempt run times.
+  const Clock::time_point now = Clock::now();
+  out.total_ms = ms_between(rec.submit_tp, now);
+  out.queue_ms = out.total_ms;
+  if (rec.attempts > 0) {
+    out.queue_ms = ms_between(rec.submit_tp, rec.dispatch_tp);
+    out.run_ms = ms_between(rec.dispatch_tp, now);
   }
-  const std::uint64_t tag = tok.id();
+  out.attempts = rec.attempts;
+  out.attempt_run_ms = std::move(rec.attempt_run_ms);
+  out.backoff_ms = rec.backoff_ms;
+  out.stall = rec.stall;
+
+  for (QosStats* s : {&stats_.per_class[static_cast<std::size_t>(rec.qos)],
+                      &stats_.per_tenant[rec.tenant]}) {
+    switch (out.status) {
+      case JobStatus::Completed: ++s->completed; break;
+      case JobStatus::Failed: ++s->failed; break;
+      case JobStatus::Cancelled: ++s->cancelled; break;
+      case JobStatus::ShedDeadline: ++s->shed_deadline; break;
+      case JobStatus::ShedQueueFull: ++s->shed_queue_full; break;
+      case JobStatus::ShedBreaker: ++s->shed_breaker; break;
+      case JobStatus::Rejected: ++s->rejected; break;
+      case JobStatus::Queued:
+      case JobStatus::Running: break;  // not terminal; never reaches here
+    }
+    const rt::WorkerStats t = out.sched.totals();
+    s->tasks_executed += t.tasks_executed;
+    s->tasks_skipped += t.tasks_skipped;
+    s->fallback_panels += out.health.fallback_panels;
+    s->stalls_detected += rec.stalls;
+    s->queue_ms_sum += out.queue_ms;
+    s->run_ms_sum += out.run_ms;
+  }
+  breaker_note_locked(rec, out);
+  disarm_locked(rec.deadline_timer);
+  disarm_locked(rec.attempt_timer);
+  rec.pristine = Matrix();
+  {
+    std::lock_guard<std::mutex> lk(rec.mu);
+    rec.outcome = std::move(out);
+    rec.status = rec.outcome.status;
+  }
+  rec.cv.notify_all();
+}
+
+// ---------------------------------------------------------------------------
+// Timers
+
+void Service::arm_locked(const JobPtr& rec, TimerKind kind,
+                         Clock::time_point due) {
+  detail::TimerQueue::iterator& slot = timer_slot(*rec, kind);
+  disarm_locked(slot);
+  slot = timers_.emplace(due, detail::Timer{rec, kind});
+  if (kind == TimerKind::Retry) ++retry_pending_;
+  if (slot == timers_.begin()) timer_cv_.notify_one();
+}
+
+void Service::disarm_locked(detail::TimerQueue::iterator& slot) {
+  if (slot == timers_.end()) return;
+  if (slot->second.kind == TimerKind::Retry) --retry_pending_;
+  timers_.erase(slot);
+  slot = timers_.end();
+}
+
+void Service::timer_main() {
+  std::unique_lock<std::mutex> lk(mu_);
+  while (!timers_stop_) {
+    if (timers_.empty()) {
+      timer_cv_.wait(lk);
+      continue;
+    }
+    // A copy, not a reference: another thread may erase the front entry
+    // while this one sleeps in wait_until.
+    const Clock::time_point due = timers_.begin()->first;
+    if (Clock::now() < due) {
+      timer_cv_.wait_until(lk, due);
+      continue;
+    }
+    const detail::Timer t = timers_.begin()->second;
+    disarm_locked(timer_slot(*t.job, t.kind));
+    switch (t.kind) {
+      case TimerKind::Deadline:
+        // Only cancel: a queued job stays Queued until a runner's gate
+        // sheds it, a running one drains through its token.
+        t.job->deadline_fired = true;
+        t.job->token.request_cancel();
+        break;
+      case TimerKind::Retry:
+        enqueue_locked(t.job);
+        queue_cv_.notify_one();
+        break;
+      case TimerKind::Stall:
+        check_stall_locked(t.job);
+        break;
+    }
+  }
+}
+
+void Service::check_stall_locked(const JobPtr& rec) {
+  const std::uint64_t tag = rec->token.id();
+  const std::int64_t timeout = rec->stall_timeout.count();
   const std::int64_t now_ns = pool_->now_ns();
+  // With no busy worker, no stall can be declared for a full timeout.
+  std::int64_t next_ns = now_ns + timeout;
   for (int w = 0; w < pool_->size(); ++w) {
     rt::HeartbeatSnapshot hb;
     if (!pool_->read_heartbeat(w, &hb) || !hb.busy || hb.tag != tag) continue;
     const std::int64_t stuck_ns = now_ns - hb.since_ns;
-    if (stuck_ns < rec->stall_timeout.count()) continue;
+    if (stuck_ns < timeout) {
+      next_ns = std::min(next_ns, hb.since_ns + timeout);
+      continue;
+    }
     // Worker w has been inside one task of this attempt for the whole
     // timeout: declare a stall, record it, cancel the attempt. The hung
     // body keeps its core until it returns (cancellation is cooperative),
     // but every other task skips, the DAG drains, and the runner slot —
     // the scarce resource — comes back.
-    {
-      std::lock_guard<std::mutex> lk(rec->mu);
-      rec->stall_latest.detected = true;
-      rec->stall_latest.worker = w;
-      rec->stall_latest.task = static_cast<rt::TaskId>(hb.task);
-      rec->stall_latest.stuck_ms = static_cast<double>(stuck_ns) / 1e6;
-      rec->stall_latest.attempt = rec->attempts.load(std::memory_order_relaxed);
-    }
-    rec->stalls.fetch_add(1, std::memory_order_relaxed);
-    rec->stall_fired.store(true, std::memory_order_release);
-    tok.request_cancel();
+    rec->stall.detected = true;
+    rec->stall.worker = w;
+    rec->stall.task = static_cast<rt::TaskId>(hb.task);
+    rec->stall.stuck_ms = static_cast<double>(stuck_ns) / 1e6;
+    rec->stall.attempt = rec->attempts;
+    ++rec->stalls;
+    rec->stall_fired = true;
+    rec->token.request_cancel();
     return;
   }
+  arm_locked(rec, TimerKind::Stall,
+             Clock::now() + std::chrono::nanoseconds(next_ns - now_ns));
 }
 
-void Service::retry_due(const std::shared_ptr<JobRecord>& rec) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!(stopping_ && drop_queued_)) {
-      --retry_pending_;
-      queue_[static_cast<std::size_t>(rec->qos)].push_back(rec);
-      ++total_queued_;
-      stats_.peak_queue_depth =
-          std::max(stats_.peak_queue_depth, total_queued_);
-      queue_cv_.notify_one();
-      return;
-    }
-  }
-  // shutdown(false): the retry is dropped; finalize with the last attempt's
-  // outcome so waiters see how far the job actually got.
-  JobOutcome out;
-  {
-    std::lock_guard<std::mutex> lk(rec->mu);
-    out = std::move(rec->pending_outcome);
-  }
-  finish(rec, std::move(out));
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    --retry_pending_;
-    if (total_queued_ == 0 && inflight_ == 0 && retry_pending_ == 0) {
-      drained_cv_.notify_all();
-    }
-    queue_cv_.notify_all();  // stopping runners re-check their exit gate
-  }
-}
-
-void Service::finish(const std::shared_ptr<JobRecord>& rec, JobOutcome out) {
-  stamp_latency(*rec, &out);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    account_locked(*rec, out);
-    breaker_note_locked(*rec, out);
-  }
-  rec->pristine = Matrix();  // drop the retry snapshot as soon as terminal
-  {
-    std::lock_guard<std::mutex> lk(rec->mu);
-    rec->outcome = std::move(out);
-    rec->status = rec->outcome.status;
-  }
-  rec->cv.notify_all();
-  rec->terminal.store(true, std::memory_order_release);
-  if (rec->has_deadline) watchdog_->on_terminal();
-}
-
-void Service::account_locked(const JobRecord& rec, const JobOutcome& out) {
-  auto fold = [&](QosStats& s) {
-    switch (out.status) {
-      case JobStatus::Completed: ++s.completed; break;
-      case JobStatus::Failed: ++s.failed; break;
-      case JobStatus::Cancelled: ++s.cancelled; break;
-      case JobStatus::ShedDeadline: ++s.shed_deadline; break;
-      case JobStatus::ShedQueueFull: ++s.shed_queue_full; break;
-      case JobStatus::ShedBreaker: ++s.shed_breaker; break;
-      case JobStatus::Rejected: ++s.rejected; break;
-      case JobStatus::Queued:
-      case JobStatus::Running: break;  // not terminal; never reaches here
-    }
-    const rt::WorkerStats t = out.sched.totals();
-    s.tasks_executed += t.tasks_executed;
-    s.tasks_skipped += t.tasks_skipped;
-    s.fallback_panels += out.health.fallback_panels;
-    s.stalls_detected += rec.stalls.load(std::memory_order_relaxed);
-    s.queue_ms_sum += out.queue_ms;
-    s.run_ms_sum += out.run_ms;
-  };
-  fold(stats_.per_class[static_cast<std::size_t>(rec.qos)]);
-  fold(stats_.per_tenant[rec.tenant]);
-}
+// ---------------------------------------------------------------------------
+// Drain, shutdown, stats
 
 void Service::drain() {
   std::unique_lock<std::mutex> lk(mu_);
@@ -1045,78 +737,63 @@ void Service::drain() {
 }
 
 void Service::shutdown(bool run_queued) {
-  std::vector<std::pair<std::shared_ptr<JobRecord>, JobOutcome>> dropped;
   {
-    std::unique_lock<std::mutex> lk(mu_);
+    std::lock_guard<std::mutex> lk(mu_);
     if (stopping_ && runners_.empty()) return;  // already shut down
     stopping_ = true;
+    // No runner waits out a backoff: parked jobs requeue now, or finish
+    // with their last attempt's outcome when the backlog is dropped.
+    std::vector<JobPtr> parked;
+    for (const auto& [due, timer] : timers_) {
+      if (timer.kind == TimerKind::Retry) parked.push_back(timer.job);
+    }
+    for (const JobPtr& rec : parked) {
+      disarm_locked(rec->attempt_timer);
+      if (run_queued) {
+        enqueue_locked(rec);
+      } else {
+        finish_locked(*rec, std::move(rec->outcome));
+      }
+    }
     if (!run_queued) {
-      drop_queued_ = true;
       for (auto& q : queue_) {
-        for (auto& rec : q) {
-          JobOutcome out;
-          out.status = JobStatus::Cancelled;
-          out.attempts = rec->attempts.load(std::memory_order_relaxed);
-          stamp_latency(*rec, &out);
-          account_locked(*rec, out);
-          dropped.emplace_back(std::move(rec), std::move(out));
+        for (const JobPtr& rec : q) {
+          finish_locked(*rec, outcome_of(JobStatus::Cancelled));
         }
         q.clear();
       }
       total_queued_ = 0;
     }
   }
-  for (auto& [rec, out] : dropped) {
-    {
-      std::lock_guard<std::mutex> rlk(rec->mu);
-      rec->outcome = std::move(out);
-      rec->status = JobStatus::Cancelled;
-    }
-    rec->cv.notify_all();
-    rec->terminal.store(true, std::memory_order_release);
-    if (rec->has_deadline) watchdog_->on_terminal();
-  }
-  // Jobs parked in retry backoff would otherwise stall the runner join for
-  // up to a full backoff cap; fire their timers now. With run_queued they
-  // requeue immediately (skipping the remaining backoff); with
-  // drop_queued_ they finalize with their last attempt's outcome.
-  watchdog_->expedite_retries();
   queue_cv_.notify_all();
   for (auto& t : runners_) {
     if (t.joinable()) t.join();
   }
   runners_.clear();
-  // Joined AFTER the runners: the watchdog is what fires the retry timers
-  // the runners' exit gate (retry_pending_ == 0) waits on.
-  if (watchdog_ != nullptr) {
-    watchdog_->join();
-  }
   {
-    // Late drain() callers must still wake even though no runner remains.
     std::lock_guard<std::mutex> lk(mu_);
+    timers_stop_ = true;
   }
+  timer_cv_.notify_one();
+  if (timer_thread_.joinable()) timer_thread_.join();
+  // Late drain() callers must still wake even though no runner remains.
   drained_cv_.notify_all();
 }
 
 ServiceStats Service::stats() const {
-  ServiceStats s;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    s = stats_;
-    s.queued = total_queued_;
-    s.inflight = inflight_;
-    s.retry_pending = retry_pending_;
-    for (const auto& [tenant, br] : breakers_) {
-      BreakerStat bs;
-      bs.state = br.state;
-      bs.opens = br.opens;
-      bs.probes = br.probes;
-      s.breakers[tenant] = bs;
-    }
+  std::lock_guard<std::mutex> lk(mu_);
+  ServiceStats s = stats_;
+  s.queued = total_queued_;
+  s.inflight = inflight_;
+  s.watchdog_entries = timers_.size();
+  s.retry_pending = retry_pending_;
+  for (const auto& [tenant, br] : breakers_) {
+    BreakerStat bs;
+    bs.state = br.state;
+    bs.opens = br.opens;
+    bs.probes = br.probes;
+    s.breakers[tenant] = bs;
   }
-  // The watchdog lock is a leaf (the watchdog never takes mu_), but taking
-  // it outside mu_ keeps the ordering trivially acyclic.
-  s.watchdog_entries = watchdog_->entries();
   return s;
 }
 

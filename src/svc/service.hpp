@@ -19,15 +19,15 @@
 //    (shed-lowest-first); if no lower class is queued the arrival itself is
 //    rejected. Overload therefore starves Batch before Normal before
 //    Interactive, never the other way around.
-//  * Deadlines via CancelToken. A job may carry a relative deadline; a
-//    watchdog fires the job's CancelToken when it expires, so a running
-//    job's remaining tasks are skipped (the run drains, the pool is never
-//    wedged) and a still-queued job is shed without running at all.
+//  * Deadlines via CancelToken. A job may carry a relative deadline; when
+//    it expires the job's CancelToken fires, so a running job's remaining
+//    tasks are skipped (the run drains, the pool is never wedged) and a
+//    still-queued job is shed without running when a dispatcher reaches it.
 //  * Per-tenant accounting. Every terminal job carries its SchedulerStats
 //    and HealthReport in the JobOutcome, and the service folds them into
 //    per-class and per-tenant aggregates (ServiceStats) — overload behavior
 //    is measured, not anecdotal (bench/service_load.cpp).
-//  * Self-healing (docs/runtime.md § Self-healing). A stall watchdog reads
+//  * Self-healing (docs/runtime.md § Self-healing). A stall check reads
 //    the pool's worker heartbeats and cancels any job whose running task
 //    made no progress past stall_timeout, reclaiming the runner slot a
 //    wedged kernel would otherwise hold forever; transiently failed jobs
@@ -38,11 +38,12 @@
 //    (bench/service_resilience.cpp).
 //
 // Threading model: submit() and JobHandle methods are thread-safe.
-// max_inflight dispatcher ("runner") threads each pop one job, submit its
-// DAG to the shared pool (core::CaluAsync / core::CaqrAsync) and block
-// collecting it, so at most max_inflight graphs are attached at once. The
-// matrix referenced by a JobRequest must stay alive and untouched until the
-// job's terminal state is observed.
+// max_inflight dispatcher ("runner") threads each pop one job, run its DAG
+// on the shared pool (core::calu_factor / core::caqr_factor) and block
+// until it finishes, so at most max_inflight graphs are attached at once.
+// One timer thread serves deadlines, retry backoff and stall checks from a
+// single ordered timer queue. The matrix referenced by a JobRequest must
+// stay alive and untouched until the job's terminal state is observed.
 #pragma once
 
 #include <array>
@@ -92,13 +93,13 @@ enum class JobKind {
 };
 
 enum class JobStatus {
-  Queued,        ///< admitted, waiting for a dispatcher (or a retry slot)
+  Queued,        ///< admitted, waiting for a dispatcher (or in retry backoff)
   Running,       ///< DAG submitted to the pool
   Completed,     ///< factorization finished (info may still be nonzero)
   Failed,        ///< a task threw; JobOutcome::error has the diagnosis
   Cancelled,     ///< CancelToken fired (client cancel, mid-run deadline,
-                 ///< stall-watchdog cancel with retries exhausted, or
-                 ///< service shutdown before dispatch)
+                 ///< stall cancel with retries exhausted, or service
+                 ///< shutdown before dispatch)
   ShedDeadline,  ///< deadline expired while still queued; never ran
   ShedQueueFull, ///< evicted from the full queue by a higher-class arrival
   ShedBreaker,   ///< refused: the tenant's circuit breaker is open
@@ -110,7 +111,7 @@ const char* job_status_name(JobStatus s);
 bool job_status_terminal(JobStatus s);
 
 /// Retry discipline for transiently failed jobs (injected faults and
-/// stall-watchdog cancels — never numerical failures or client cancels).
+/// stall cancels — never numerical failures or client cancels).
 /// Attempt k's re-enqueue is delayed by a deterministic draw from
 /// [d/2, d) where d = min(cap, base * 2^(k-1)); the draw mixes
 /// (jitter_seed, job admission sequence, attempt) through splitmix64, so a
@@ -118,8 +119,7 @@ bool job_status_terminal(JobStatus s);
 /// schedule, every run.
 struct RetryPolicy {
   /// Total attempts a job may consume, first run included. <= 1 disables
-  /// retry entirely (the PR 7 behaviour); JobRequest-level 0 means
-  /// "inherit ServiceConfig::retry".
+  /// retry entirely (the PR 7 behaviour).
   int max_attempts = 1;
   std::chrono::nanoseconds base{std::chrono::milliseconds(10)};
   std::chrono::nanoseconds cap{std::chrono::seconds(1)};
@@ -145,7 +145,7 @@ struct BreakerConfig {
 enum class BreakerState { Closed, Open, HalfOpen };
 const char* breaker_state_name(BreakerState s);
 
-/// Diagnosis of a stall the watchdog detected and cancelled: which pool
+/// Diagnosis of a stall the service detected and cancelled: which pool
 /// worker sat inside which task for how long. `attempt` is the (1-based)
 /// attempt that stalled; when a retried job stalls more than once the
 /// report describes the last stall.
@@ -176,13 +176,11 @@ struct JobRequest {
   /// tall-skinny factorizations without one tenant's DAG consuming the
   /// machine. 0 = full-DAG submission (the default).
   idx window = 0;
-  /// Stall watchdog: if a running task of this job makes no progress for
-  /// this long, the watchdog fires the job's CancelToken (reclaiming the
+  /// Stall detection: if a running task of this job makes no progress for
+  /// this long, the service fires the job's CancelToken (reclaiming the
   /// runner slot) and records a StallReport; the job retries per policy.
   /// Zero inherits ServiceConfig::stall_timeout (zero there = disabled).
   std::chrono::nanoseconds stall_timeout{0};
-  /// Retry override; max_attempts == 0 inherits ServiceConfig::retry.
-  RetryPolicy retry{0};
   /// Fault injector for this job only (chaos drills targeting one tenant);
   /// nullptr inherits ServiceConfig::fault.
   rt::FaultInjector* fault = nullptr;
@@ -201,11 +199,16 @@ struct JobOutcome {
   double run_ms = 0.0;
   double total_ms = 0.0;
   /// Attempts consumed (1 for a job that never retried; 0 for one that
-  /// never ran). status/info/health/sched describe the final attempt.
+  /// never ran). status/info/health/sched describe the final attempt;
+  /// attempts, attempt_run_ms, backoff_ms and stall cover the whole job,
+  /// whichever way it ended.
   int attempts = 0;
   std::vector<double> attempt_run_ms;  ///< per-attempt run latency, in order
-  double backoff_ms = 0.0;  ///< total time parked between attempts
-  StallReport stall;        ///< last stall the watchdog cancelled (if any)
+  /// Sum of the backoff delays drawn for this job's retries (RetryPolicy),
+  /// not a measured wall time: bit-reproducible for a given jitter_seed,
+  /// and a backoff cut short by shutdown() counts in full.
+  double backoff_ms = 0.0;
+  StallReport stall;  ///< last stall the service cancelled (if any)
   /// ShedBreaker only: suggested client wait before resubmitting.
   double retry_after_ms = 0.0;
   /// Full factorization results (Completed jobs only; null otherwise).
@@ -215,7 +218,17 @@ struct JobOutcome {
 
 namespace detail {
 struct JobRecord;
-}
+/// What a timer does when it comes due (see Service's timer queue).
+enum class TimerKind : std::uint8_t { Deadline, Retry, Stall };
+struct Timer {
+  std::shared_ptr<JobRecord> job;
+  TimerKind kind = TimerKind::Deadline;
+};
+/// The service's one timer queue, ordered by due time. Each JobRecord keeps
+/// iterators to its own entries, so a timer is erased in O(log n) the
+/// moment it stops mattering.
+using TimerQueue = std::multimap<std::chrono::steady_clock::time_point, Timer>;
+}  // namespace detail
 
 /// Copyable handle to one submitted job. All methods are thread-safe; a
 /// default-constructed handle is invalid.
@@ -254,18 +267,16 @@ struct ServiceConfig {
   /// overlap.
   int max_inflight = 2;
   std::size_t max_queue = 64;  ///< admission bound across all classes
-  bool record_trace = false;   ///< per-job task traces (debugging only)
-  bool monitor = true;         ///< numerical health monitoring per job
   /// Deterministic fault injection applied to every job's run (tests /
   /// chaos drills); a task throw turns that job Failed, never the service.
   rt::FaultInjector* fault = nullptr;
-  /// Default retry policy for transient failures; max_attempts <= 1 keeps
-  /// the PR 7 fail-fast behaviour.
+  /// Retry policy for transient failures; max_attempts <= 1 keeps the PR 7
+  /// fail-fast behaviour.
   RetryPolicy retry;
   /// Per-tenant circuit breakers; disabled by default.
   BreakerConfig breaker;
-  /// Default stall watchdog timeout (see JobRequest::stall_timeout);
-  /// zero = stall detection off.
+  /// Default stall timeout (see JobRequest::stall_timeout); zero = stall
+  /// detection off.
   std::chrono::nanoseconds stall_timeout{0};
 };
 
@@ -282,7 +293,7 @@ struct QosStats {
                                   ///< submitted)
   std::int64_t rejected = 0;   ///< refused at admission (not in submitted)
   std::int64_t retries = 0;    ///< re-enqueues after transient failures
-  std::int64_t stalls_detected = 0;  ///< stall-watchdog cancels
+  std::int64_t stalls_detected = 0;  ///< stall cancels
   std::int64_t tasks_executed = 0;  ///< folded from each job's sched stats
   std::int64_t tasks_skipped = 0;
   std::int64_t fallback_panels = 0;  ///< folded from each job's health
@@ -306,13 +317,13 @@ struct ServiceStats {
   std::size_t queued = 0;           ///< jobs waiting right now
   int inflight = 0;                 ///< jobs running right now
   std::size_t peak_queue_depth = 0;
-  /// Deadline-watchdog heap entries right now (live + not-yet-pruned
-  /// stale). Bounded by compaction: stale entries for terminal jobs are
-  /// swept once they dominate the heap, so this gauge stays O(armed live
-  /// jobs) under sustained submit/complete churn instead of growing
-  /// without bound.
+  /// Timers armed right now (deadlines, retry backoffs, stall checks). A
+  /// timer is erased as soon as it stops mattering — at the job's terminal
+  /// transition, or at the end of the attempt for a stall check — so this
+  /// counts live jobs' timers only and is 0 on an idle service.
   std::size_t watchdog_entries = 0;
-  /// Jobs parked in retry backoff right now (neither queued nor inflight).
+  /// Jobs in retry backoff right now (status Queued, but neither on the
+  /// queue nor inflight).
   std::size_t retry_pending = 0;
   /// Per-tenant breaker snapshots (tenants that ever had a decisive
   /// outcome while breakers were enabled).
@@ -355,7 +366,7 @@ class Service {
   rt::WorkerPool& pool() { return *pool_; }
 
  private:
-  struct Watchdog;
+  using JobPtr = std::shared_ptr<detail::JobRecord>;
 
   /// One tenant's breaker state (guarded by mu_). `window` holds the last
   /// decisive outcomes, newest at the back; `failures` counts the true
@@ -370,26 +381,35 @@ class Service {
     std::int64_t probes = 0;
   };
 
+  // Every *_locked member runs under mu_.
   void runner_main();
-  std::shared_ptr<detail::JobRecord> pop_next_locked();
-  void run_job(const std::shared_ptr<detail::JobRecord>& rec);
-  void finish(const std::shared_ptr<detail::JobRecord>& rec, JobOutcome out);
-  void account_locked(const detail::JobRecord& rec, const JobOutcome& out);
-  /// Breaker admission check for `tenant` (under mu_). Returns true to
-  /// admit; false sets *retry_after_ms and the caller sheds ShedBreaker.
+  void timer_main();
+  JobPtr pop_next_locked();
+  void enqueue_locked(const JobPtr& rec);
+  /// Dispatch gate, then the attempt's start. Returns false when the gate
+  /// finished the job instead (deadline passed, client cancel).
+  bool start_attempt_locked(const JobPtr& rec);
+  /// One attempt on the pool, outside mu_ (the calling runner owns the
+  /// job). *transient is set when an injected fault failed the attempt.
+  JobOutcome run_attempt(detail::JobRecord& rec, bool* transient);
+  /// End of an attempt: park the job in retry backoff, or finish it.
+  void end_attempt_locked(const JobPtr& rec, JobOutcome out, bool transient);
+  /// The one terminal transition (see service.cpp).
+  void finish_locked(detail::JobRecord& rec, JobOutcome out);
+  void arm_locked(const JobPtr& rec, detail::TimerKind kind,
+                  std::chrono::steady_clock::time_point due);
+  void disarm_locked(detail::TimerQueue::iterator& slot);
+  /// Stall timer: scan the pool heartbeats for a worker stuck in one of the
+  /// attempt's tasks past stall_timeout; cancel the attempt on a stall,
+  /// else re-arm for the earliest moment one could be declared.
+  void check_stall_locked(const JobPtr& rec);
+  /// Breaker admission check for `tenant`. Returns true to admit; false
+  /// sets *retry_after_ms and the caller sheds ShedBreaker.
   bool breaker_admit_locked(const std::string& tenant, bool* probe,
                             double* retry_after_ms);
-  /// Fold a decisive terminal outcome into the tenant's breaker (under mu_).
+  /// Fold a terminal outcome into the tenant's breaker.
   void breaker_note_locked(const detail::JobRecord& rec,
                            const JobOutcome& out);
-  /// Watchdog callback: a retry-backoff timer expired; requeue the job (or
-  /// finalize it with its stashed last-attempt outcome if the service is
-  /// dropping queued work).
-  void retry_due(const std::shared_ptr<detail::JobRecord>& rec);
-  /// Watchdog callback: scan the pool heartbeats for a worker stuck inside
-  /// one of this job's tasks past its stall_timeout; on detection record a
-  /// StallReport and fire the attempt's CancelToken.
-  void check_stall(const std::shared_ptr<detail::JobRecord>& rec);
 
   ServiceConfig cfg_;
   std::unique_ptr<rt::WorkerPool> owned_pool_;
@@ -398,18 +418,19 @@ class Service {
   mutable std::mutex mu_;
   std::condition_variable queue_cv_;    ///< runners: work or stop
   std::condition_variable drained_cv_;  ///< drain(): queue+inflight empty
-  std::array<std::deque<std::shared_ptr<detail::JobRecord>>, kQosClasses>
-      queue_;                       ///< guarded by mu_
+  std::condition_variable timer_cv_;    ///< timer thread: new front or stop
+  std::array<std::deque<JobPtr>, kQosClasses> queue_;  ///< guarded by mu_
   std::size_t total_queued_ = 0;    ///< guarded by mu_
   int inflight_ = 0;                ///< guarded by mu_
-  std::size_t retry_pending_ = 0;   ///< guarded by mu_
+  detail::TimerQueue timers_;       ///< guarded by mu_
+  std::size_t retry_pending_ = 0;   ///< guarded by mu_: Retry timers armed
   bool stopping_ = false;           ///< guarded by mu_
-  bool drop_queued_ = false;        ///< guarded by mu_: shutdown(false)
+  bool timers_stop_ = false;        ///< guarded by mu_: timer thread exits
   std::uint64_t next_seq_ = 0;      ///< guarded by mu_: admission order
   ServiceStats stats_;              ///< guarded by mu_ (gauges recomputed)
   std::map<std::string, Breaker> breakers_;  ///< guarded by mu_
 
-  std::unique_ptr<Watchdog> watchdog_;
+  std::thread timer_thread_;
   std::vector<std::thread> runners_;
 };
 

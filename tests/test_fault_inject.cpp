@@ -890,7 +890,6 @@ StormResult run_storm(rt::WorkerPool& pool, std::uint64_t seed,
   svc::ServiceConfig cfg;
   cfg.pool = &pool;
   cfg.max_inflight = max_inflight;
-  cfg.record_trace = false;
   cfg.fault = &inj;
   cfg.retry.max_attempts = 2;
   cfg.retry.base = std::chrono::milliseconds(1);

@@ -566,14 +566,14 @@ TEST(SvcService, DestructorRunsQueuedJobsAndPoolSurvives) {
   EXPECT_EQ(core::calu_factor(again.view(), opts).info, 0);
 }
 
-// ---- Deadline watchdog heap bound ----------------------------------------
+// ---- Timer queue bound ---------------------------------------------------
 
 TEST(SvcService, WatchdogHeapStaysBoundedUnderChurn) {
-  // Hammer the submit/complete cycle with deadline-armed jobs whose
-  // deadlines never fire (1 hour out). Lazy deletion alone would leave one
-  // stale heap entry per finished job — 300 here, unbounded for a
-  // long-running service; compaction must sweep terminal entries once they
-  // dominate, keeping the gauge O(live armed jobs).
+  // Hammer the submit/complete cycle with jobs whose deadline and stall
+  // timers never fire (1 hour out). Leaving a finished job's timers behind
+  // would grow the timer queue by two entries per job — unbounded for a
+  // long-running service. A job's timers must go with the job: once the
+  // service is drained, none is left.
   svc::ServiceConfig cfg;
   cfg.num_threads = 2;
   svc::Service service(cfg);
@@ -583,16 +583,20 @@ TEST(SvcService, WatchdogHeapStaysBoundedUnderChurn) {
     Matrix work = a;
     svc::JobRequest req = lu_request(work.view(), svc::QosClass::Normal);
     req.deadline = 1h;
+    req.stall_timeout = 1h;
     const auto adm = service.submit(req);
     ASSERT_TRUE(adm.accepted) << "job " << i;
     const svc::JobOutcome& out = adm.handle.wait();
     ASSERT_EQ(out.status, svc::JobStatus::Completed) << "job " << i;
     EXPECT_FALSE(out.deadline_hit);
   }
+  service.drain();
   const svc::ServiceStats stats = service.stats();
   EXPECT_EQ(stats.per_class[1].completed, n_jobs);
   EXPECT_LT(stats.watchdog_entries, 128u)
       << "stale deadline entries are accumulating; compaction regressed";
+  EXPECT_EQ(stats.watchdog_entries, 0u)
+      << "a finished job left timers behind";
 }
 
 // ---- QoS priority bands --------------------------------------------------
@@ -803,6 +807,80 @@ TEST(SvcSelfHealing, RetryBudgetExhaustsDeterministically) {
   const svc::ServiceStats stats = service.stats();
   EXPECT_EQ(stats.per_tenant.at("t0").retries, 2);
   EXPECT_EQ(stats.per_tenant.at("t0").failed, 1);
+}
+
+// A deadline that runs out while the job waits in retry backoff finishes it
+// as Cancelled at the dispatch gate — and the outcome must still report the
+// attempt that ran and the backoff it drew, not a never-ran job's zeros.
+TEST(SvcSelfHealing, DeadlineDuringBackoffKeepsAttemptHistory) {
+  rt::FaultConfig fc;
+  fc.throw_on_task = 0;
+  rt::FaultInjector inj(fc);
+
+  svc::ServiceConfig cfg;
+  cfg.num_threads = 2;
+  cfg.retry.max_attempts = 3;
+  cfg.retry.base = 600ms;
+  cfg.retry.cap = 600ms;
+  svc::Service service(cfg);
+  Matrix a = random_matrix(48, 48, 7450);
+  svc::JobRequest req = lu_request(a.view(), svc::QosClass::Normal);
+  req.fault = &inj;
+  req.deadline = 100ms;
+  const auto adm = service.submit(req);
+  ASSERT_TRUE(adm.accepted);
+  const svc::JobOutcome& out = adm.handle.wait();
+  EXPECT_EQ(out.status, svc::JobStatus::Cancelled);
+  EXPECT_TRUE(out.deadline_hit);
+  EXPECT_EQ(out.attempts, 1);
+  EXPECT_EQ(out.attempt_run_ms.size(), 1u);
+  EXPECT_GT(out.backoff_ms, 0.0);
+  EXPECT_EQ(inj.injected_throws(), 1);
+  service.drain();
+  EXPECT_EQ(service.stats().per_class[1].cancelled, 1);
+}
+
+// shutdown() must not wait out a job's retry backoff (30 s here). Dropping
+// the backlog finishes the parked job with its last attempt's outcome;
+// running the backlog requeues it at once for its next attempt. Either way
+// backoff_ms reports the delay that was drawn, in full.
+TEST(SvcSelfHealing, ShutdownDuringBackoffDoesNotWaitItOut) {
+  double backoff_ms[2] = {-1.0, -2.0};
+  for (const bool run_queued : {false, true}) {
+    rt::FaultConfig fc;
+    fc.throw_on_task = 0;
+    rt::FaultInjector inj(fc);
+    svc::ServiceConfig cfg;
+    cfg.num_threads = 2;
+    cfg.retry.max_attempts = 3;
+    cfg.retry.base = 30s;
+    cfg.retry.cap = 30s;
+    svc::Service service(cfg);
+    Matrix a = random_matrix(48, 48, 7460);
+    svc::JobRequest req = lu_request(a.view(), svc::QosClass::Normal);
+    req.fault = &inj;
+    const auto adm = service.submit(req);
+    ASSERT_TRUE(adm.accepted);
+    const auto parked_by = std::chrono::steady_clock::now() + 10s;
+    while (service.stats().retry_pending != 1u) {
+      ASSERT_LT(std::chrono::steady_clock::now(), parked_by)
+          << "the job never entered retry backoff";
+      std::this_thread::sleep_for(1ms);
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    service.shutdown(run_queued);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, 5s)
+        << "run_queued=" << run_queued;
+
+    const svc::JobOutcome& out = adm.handle.wait();
+    EXPECT_EQ(out.status, svc::JobStatus::Failed) << "run_queued=" << run_queued;
+    EXPECT_EQ(out.attempts, run_queued ? 2 : 1);
+    EXPECT_EQ(out.attempt_run_ms.size(), run_queued ? 2u : 1u);
+    EXPECT_EQ(service.stats().retry_pending, 0u);
+    backoff_ms[run_queued ? 1 : 0] = out.backoff_ms;
+  }
+  EXPECT_GT(backoff_ms[0], 0.0);
+  EXPECT_EQ(backoff_ms[0], backoff_ms[1]);
 }
 
 // Backoff is a pure function of (jitter_seed, admission seq, attempt): two

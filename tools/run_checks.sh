@@ -11,7 +11,9 @@
 #   tsan    the ThreadSanitizer concurrency suite (tools/run_tsan.sh):
 #           scheduler stress, fault injection + the shared-PackedPanel
 #           pipeline
-#   svc     the factorization job-service slice: ctest -L svc plus a
+#   svc     the factorization job-service slice: ctest -L svc repeated
+#           up to 10 times per test (--repeat until-fail:10, ~10 s; a
+#           flake gate for the runner/timer/shutdown handshakes) plus a
 #           short bench/service_load run whose BENCH_service_load.json
 #           must pass tools/check_bench_json
 #   resilience  self-healing smoke: a short bench/service_resilience fault
@@ -59,8 +61,9 @@ for tier in $tiers; do
       "$repo_root/tools/run_tsan.sh"
       ;;
     svc)
-      say "job-service slice (ctest -L svc + service_load smoke)"
-      ctest --test-dir "$build_dir" --output-on-failure -L svc
+      say "job-service slice (ctest -L svc x10 + service_load smoke)"
+      ctest --test-dir "$build_dir" --output-on-failure -L svc \
+        --repeat until-fail:10
       out_dir="$build_dir/checks_svc"
       rm -rf "$out_dir"
       mkdir -p "$out_dir"

@@ -16,13 +16,14 @@
 # failure-aware surface: seeded fault injection — throws, delays and
 # cancel-oblivious hangs — into hundreds of CALU/CAQR runs, cancellation,
 # the fast-abort drain accounting, and the 200-seed service fault storm
-# with retry + stall watchdog + breakers armed — exactly the error paths
+# with retry + stall detection + breakers armed — exactly the error paths
 # production never exercises until it hurts),
 # test_svc (the multi-tenant job service: dispatcher threads racing
-# submit/shed/cancel/shutdown over one shared pool, the watchdog firing
-# deadlines AND stall-cancels against running jobs while its seqlock
-# heartbeat reads race the workers' writes, retry re-enqueues racing
-# shutdown, breaker state shared across submitters) and
+# submit/shed/cancel/shutdown over one shared pool, the timer thread
+# firing deadlines, retry requeues and heartbeat stall checks against
+# running jobs under the service mutex while JobHandles wait and cancel
+# under the job's own lock, shutdown finishing or requeueing jobs parked
+# in retry backoff, breaker state shared across submitters) and
 # test_window (sliding-window DAG
 # submission: the submission thread recycling task-store slabs and
 # harvesting trace records of retired iterations while workers are
