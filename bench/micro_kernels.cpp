@@ -8,6 +8,7 @@
 
 #include "bench_support/flops.hpp"
 #include "blas/blas.hpp"
+#include "core/tournament.hpp"
 #include "core/tslu.hpp"
 #include "lapack/lapack.hpp"
 #include "matrix/random.hpp"
@@ -89,6 +90,24 @@ void BM_trsm_tall_view(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_trsm_tall_view)->Unit(benchmark::kMillisecond);
+
+void BM_tournament_leaf(benchmark::State& state) {
+  // The tall CALU leaf task: tournament pivoting over one leaf's 250000 x 100
+  // rows of a 1,000,000-row panel, read in place, so the block is a view
+  // with ld = 1e6. The leaf only reads the panel. GFlop/s counts one GEPP
+  // of the block, whatever the chunking does.
+  const idx m = 1000000, rows = 250000, b = 100;
+  Matrix panel = random_matrix(m, b, 15);
+  const ConstMatrixView block = panel.view().block(rows, 0, rows, b);
+  for (auto _ : state) {
+    core::Candidates c = core::tournament_leaf(block, rows, b);
+    benchmark::DoNotOptimize(c.values.data());
+  }
+  state.counters["GFlop/s"] = benchmark::Counter(
+      camult::bench::lu_flops(rows, b) * state.iterations() * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_tournament_leaf)->Unit(benchmark::kMillisecond);
 
 void BM_trmm_right(benchmark::State& state) {
   // larfb's W := W * T step: W is (trailing columns) x k with k = b = 100.

@@ -25,7 +25,11 @@ namespace camult::core {
 
 struct CaluOptions {
   idx b = 100;         ///< panel width (block size)
-  idx tr = 4;          ///< panel task count T_r
+  /// Panel task count T_r: the tournament's leaf count. T_r = 1 gives one
+  /// leaf per panel, which picks GEPP's pivots (blocked getrf's) while the
+  /// panel fits one tournament chunk (core::tournament_chunk_rows); a
+  /// taller panel's leaf runs a sequential flat tournament over its chunks.
+  idx tr = 4;
   /// Constant added to every task priority (saturating). The service layer
   /// (svc::Service) uses it to layer a job's whole look-ahead band structure
   /// into the QoS band of its client class; 0 keeps the plain lookahead.hpp

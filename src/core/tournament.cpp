@@ -38,22 +38,23 @@ void screen_column(const double* col, idx n, double* dst, PanelScreen& s) {
   s.nonfinite = s.nonfinite || bad != 0;
 }
 
-// Elect pivots: GEPP on `scratch` (overwritten by its packed LU), then
-// gather the winners' original rows from `original` (row-aligned with the
-// unfactored scratch) and their global indices global_row(r).
-template <typename GlobalRow>
-Candidates elect(MatrixView scratch, ConstMatrixView original, idx b,
-                 lapack::LuPanelKernel kernel, GlobalRow global_row) {
-  const idx rows = scratch.rows();
-  const idx cols = scratch.cols();
+// Elect pivots: GEPP on `stack` (overwritten by its packed LU) elects
+// min(b, rows) rows, gathering each winner's original values original(r, j)
+// and global index global_row(r) by its stack row r. The winners' packed LU
+// stays on top of the factored stack (see keep_lu_top).
+template <typename Original, typename GlobalRow>
+Candidates elect(MatrixView stack, idx b, lapack::LuPanelKernel kernel,
+                 Original original, GlobalRow global_row) {
+  const idx rows = stack.rows();
+  const idx cols = stack.cols();
   const idx k = std::min(b, rows);
 
   PivotVector ipiv;
   // Zero pivots tolerated: the row order is still the GEPP order.
   if (kernel == lapack::LuPanelKernel::Recursive) {
-    lapack::rgetf2(scratch, ipiv);
+    lapack::rgetf2(stack, ipiv);
   } else {
-    lapack::getf2(scratch, ipiv);
+    lapack::getf2(stack, ipiv);
   }
 
   // Positions after applying the swap sequence: permuted[r] = original slot.
@@ -67,27 +68,60 @@ Candidates elect(MatrixView scratch, ConstMatrixView original, idx b,
     for (idx j = 0; j < cols; ++j) out.values(r, j) = original(src, j);
     out.row_index[static_cast<std::size_t>(r)] = global_row(src);
   }
-  // Keep the LU factors of the winners (top k x cols of the factored stack).
-  out.lu_top = Matrix(k, cols);
-  copy_into(scratch.rows_range(0, k), out.lu_top.view());
   return out;
+}
+
+// Keep the winners' packed LU: the top rows of the last factored stack.
+void keep_lu_top(ConstMatrixView stack, Candidates& out) {
+  out.lu_top = Matrix(out.values.rows(), stack.cols());
+  copy_into(stack.rows_range(0, out.values.rows()), out.lu_top.view());
 }
 
 }  // namespace
 
+idx tournament_chunk_rows(idx cols, idx b) {
+  constexpr idx kChunkBytes = 1536 * 1024;
+  const idx rows = kChunkBytes / (static_cast<idx>(sizeof(double)) *
+                                  std::max<idx>(cols, 1));
+  return std::max(2 * b, rows);
+}
+
 Candidates tournament_leaf(ConstMatrixView block, idx row_offset, idx b,
                            lapack::LuPanelKernel kernel) {
   assert(!block.empty());
-  // The one copy of the block is the GEPP target; the winners' original
-  // rows come back from `block` itself.
-  Matrix scratch(block.rows(), block.cols());
+  const idx rows = block.rows();
+  const idx cols = block.cols();
+  // A sequential flat tournament over the block's chunks, top to bottom.
+  // Each pass stacks the running winners' original rows on the chunk's
+  // rows in one reused scratch (screening the chunk in that copy loop) and
+  // runs GEPP on the stack, so every row of the block is read once. A block
+  // of one chunk is a single GEPP on its copy, with no winners carried.
+  const idx chunk = std::min(rows, tournament_chunk_rows(cols, b));
+  Matrix scratch(rows > chunk ? b + chunk : chunk, cols);
+  Candidates out;  // the running winners; none before the first pass
   PanelScreen screen;
-  for (idx j = 0; j < block.cols(); ++j) {
-    screen_column(block.col_ptr(j), block.rows(), scratch.view().col_ptr(j),
-                  screen);
+  MatrixView stack;
+  for (idx top = 0; top < rows; top += chunk) {
+    const idx c = std::min(chunk, rows - top);
+    const idx w = out.values.rows();
+    stack = MatrixView(scratch.data(), w + c, cols, w + c);
+    for (idx j = 0; j < cols; ++j) {
+      double* dst = stack.col_ptr(j);
+      for (idx i = 0; i < w; ++i) dst[i] = out.values(i, j);
+      screen_column(block.col_ptr(j) + top, c, dst + w, screen);
+    }
+    Candidates next = elect(
+        stack, b, kernel,
+        [&](idx r, idx j) {
+          return r < w ? out.values(r, j) : block(top + r - w, j);
+        },
+        [&](idx r) {
+          return r < w ? out.row_index[static_cast<std::size_t>(r)]
+                       : row_offset + top + r - w;
+        });
+    out = std::move(next);
   }
-  Candidates out = elect(scratch.view(), block, b, kernel,
-                         [row_offset](idx r) { return row_offset + r; });
+  keep_lu_top(stack, out);
   out.screen = screen;
   return out;
 }
@@ -112,10 +146,11 @@ Candidates tournament_combine(const std::vector<const Candidates*>& sources,
     row += c->values.rows();
   }
   Matrix scratch = stacked;
-  Candidates out = elect(scratch.view(), stacked.view(), b, kernel,
-                         [&index](idx r) {
-                           return index[static_cast<std::size_t>(r)];
-                         });
+  Candidates out = elect(
+      scratch.view(), b, kernel,
+      [&stacked](idx r, idx j) { return stacked(r, j); },
+      [&index](idx r) { return index[static_cast<std::size_t>(r)]; });
+  keep_lu_top(scratch.view(), out);
   out.screen = screen;
   return out;
 }

@@ -6,6 +6,11 @@
 // rows, which advance to the next round. Candidates carry the ORIGINAL row
 // values (the arrow notation's f(A) returns permuted rows of A, not U) plus
 // their global row indices so the final permutation can be reconstructed.
+//
+// A leaf taller than tournament_chunk_rows plays its own sequential flat
+// tournament over L2-sized chunks (the sequential TSLU of Demmel, Grigori,
+// Hoemmen and Langou), so a T_r = 1 panel is exact GEPP only up to one
+// chunk's height.
 #pragma once
 
 #include <algorithm>
@@ -37,8 +42,9 @@ struct Candidates {
   Matrix values;               ///< r x b candidate rows (original values)
   std::vector<idx> row_index;  ///< global row index of each candidate row
   /// Packed LU factors (getf2 layout) of the stacked rows this node
-  /// eliminated, restricted to its top r x b block. Only consumed at the
-  /// root, where it provides L_KK / U_KK for free.
+  /// eliminated (a chunked leaf: its last stack), restricted to its top
+  /// r x b block. Only consumed at the root, where it provides L_KK / U_KK
+  /// for free.
   Matrix lu_top;
   /// Screen of every panel row under this node: a leaf screens its block
   /// while copying it, a combine merges its sources. At the root this is
@@ -46,10 +52,23 @@ struct Candidates {
   PanelScreen screen;
 };
 
-/// Leaf match: GEPP on one scratch copy of `block` (rows of the panel
-/// starting at global row `row_offset`); elects min(b, block.rows()) pivot
-/// rows, whose original values are read back from `block`. The copy loop
-/// also fills Candidates::screen.
+/// Rows of a tournament leaf's block that one pass of tournament_leaf
+/// reads: about 1.5 MiB of a `cols`-column block, and at least 2b. The
+/// pass's stack (the chunk under <= b carried winners) and rgetf2's gemm
+/// packing buffers then stay in a 2 MiB L2 through the whole GEPP. Depends
+/// on (cols, b) only, so the chunking (and the bits of the winners) never
+/// depend on the caller.
+idx tournament_chunk_rows(idx cols, idx b);
+
+/// Leaf match over `block` (rows of the panel starting at global row
+/// `row_offset`); elects min(b, block.rows()) pivot rows. The block is read
+/// once, as a sequential flat tournament over chunks of
+/// tournament_chunk_rows(cols, b) rows: each pass runs GEPP on one reused
+/// scratch that stacks the running winners' original rows on the next
+/// chunk's rows, and its winners advance to the next pass. A block of one
+/// chunk is one GEPP on its copy; a taller block's winners equal GEPP's
+/// only within each chunk. The copy loop also fills Candidates::screen,
+/// and lu_top is the top of the last pass's factored stack.
 Candidates tournament_leaf(
     ConstMatrixView block, idx row_offset, idx b,
     lapack::LuPanelKernel kernel = lapack::LuPanelKernel::Recursive);

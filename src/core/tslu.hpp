@@ -6,8 +6,10 @@
 //  2. the pivots are swapped to the top and the whole panel is factored
 //     against the b x b LU of the winners (no further pivoting needed).
 //
-// With tr == 1 or b == panel columns the result is bitwise the GEPP
-// factorization (same pivot choices on distinct-magnitude inputs).
+// With tr == 1 (or a panel too short for two leaves) the panel is factored
+// by GEPP in place, bitwise. With more leaves each leaf is a sequential flat
+// tournament over chunks of tournament_chunk_rows rows, so a leaf's winners
+// are its GEPP pivot rows only when it fits one chunk.
 #pragma once
 
 #include "core/options.hpp"

@@ -11,6 +11,7 @@
 #include "blas/blas.hpp"
 #include "core/calu.hpp"
 #include "core/lookahead.hpp"
+#include "core/tournament.hpp"
 #include "core/tslu.hpp"
 #include "lapack/lapack.hpp"
 #include "matrix/norms.hpp"
@@ -73,8 +74,10 @@ INSTANTIATE_TEST_SUITE_P(
         CaluParam{600, 50, 25, 4, 0, ReductionTree::Binary}));
 
 TEST(Calu, Tr1MatchesGetrfPivots) {
-  // With a single panel task CALU is plain GEPP-based blocked LU: identical
-  // pivot choices on distinct-magnitude inputs.
+  // With a single panel task CALU is plain GEPP-based blocked LU while each
+  // panel fits one tournament chunk (every panel here does): identical pivot
+  // choices on distinct-magnitude inputs. A taller panel's one leaf plays a
+  // flat tournament over its chunks instead.
   Matrix a = random_distinct_magnitude_matrix(96, 96, 73);
   Matrix lu1 = a, lu2 = a;
   CaluOptions opts;
@@ -329,6 +332,54 @@ TEST(Calu, MatchesSequentialTsluFactorsOnOnePanel) {
   tslu_factor(lu2.view(), ipiv2, topts);
   EXPECT_EQ(r.ipiv, ipiv2);
   EXPECT_EQ(test::max_diff(lu1, lu2), 0.0);
+}
+
+TEST(Calu, ChunkedLeavesAreBitwiseReproducible) {
+  // Both panels' leaves (about 4,200 rows) span three tournament chunks, the
+  // last one ragged. Execution knobs never change the bits, and the first
+  // panel is sequential TSLU's with the second panel's swaps applied.
+  const idx b = 100, m = 17000, n = 2 * b;
+  ASSERT_GT((m - b) / 4, 2 * tournament_chunk_rows(b, b));
+  const Matrix a = random_matrix(m, n, 151);
+  CaluOptions o;
+  o.b = b;
+  o.tr = 4;
+  o.num_threads = 0;
+  o.record_trace = false;
+  Matrix want = a;
+  const CaluResult ref = calu_factor(want.view(), o);
+  EXPECT_EQ(ref.info, 0);
+  EXPECT_LT(lapack::lu_residual(a, want, ref.ipiv), kResidualThreshold);
+
+  rt::WorkerPool shared(rt::WorkerPoolConfig{4});
+  struct Knobs {
+    const char* what;
+    int threads;
+    rt::WorkerPool* pool;
+    idx window;
+  };
+  for (const Knobs& k : {Knobs{"1 thread", 1, nullptr, 0},
+                         Knobs{"4 threads", 4, nullptr, 0},
+                         Knobs{"shared pool", 4, &shared, 0},
+                         Knobs{"window 1", 4, nullptr, 1}}) {
+    o.num_threads = k.threads;
+    o.pool = k.pool;
+    o.window = k.window;
+    Matrix lu = a;
+    const CaluResult got = calu_factor(lu.view(), o);
+    EXPECT_EQ(got.ipiv, ref.ipiv) << k.what;
+    EXPECT_EQ(test::max_diff(lu, want), 0.0) << k.what;
+  }
+
+  Matrix panel(m, b);
+  copy_into(a.view().cols_range(0, b), panel.view());
+  PivotVector ipiv;
+  TsluOptions topts;
+  topts.tr = 4;
+  EXPECT_EQ(tslu_factor(panel.view(), ipiv, topts), 0);
+  EXPECT_EQ(ipiv, PivotVector(ref.ipiv.begin(), ref.ipiv.begin() + b));
+  lapack::laswp(panel.view(), b, n, ref.ipiv);
+  EXPECT_EQ(test::max_diff(panel, want.view().cols_range(0, b)), 0.0);
 }
 
 TEST(Calu, UpdateColumnBlockingMatchesBase) {

@@ -3,8 +3,12 @@
 // tournament, equivalence with GEPP for Tr=1, residual smallness).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -94,6 +98,90 @@ TEST(ReductionSchedule, SingleLeafNoSteps) {
   EXPECT_TRUE(reduction_schedule(1, ReductionTree::Flat).empty());
 }
 
+void expect_same_screen(const PanelScreen& got, const PanelScreen& want,
+                        const char* what) {
+  EXPECT_EQ(got.absmax, want.absmax) << what;
+  EXPECT_EQ(got.nonfinite, want.nonfinite) << what;
+}
+
+void expect_same_bits(ConstMatrixView got, ConstMatrixView want,
+                      const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  idx differ = 0;
+  for (idx j = 0; j < got.cols(); ++j) {
+    for (idx i = 0; i < got.rows(); ++i) {
+      if (std::bit_cast<std::uint64_t>(got(i, j)) !=
+          std::bit_cast<std::uint64_t>(want(i, j))) {
+        ++differ;
+      }
+    }
+  }
+  EXPECT_EQ(differ, 0) << what;
+}
+
+void expect_same_candidates(const Candidates& got, const Candidates& want,
+                            const std::string& what) {
+  EXPECT_EQ(got.row_index, want.row_index) << what;
+  expect_same_bits(got.values, want.values, what + " values");
+  expect_same_bits(got.lu_top, want.lu_top, what + " lu_top");
+}
+
+// The sequential flat tournament spelled out: GEPP on a fresh
+// [winners; chunk] stack per chunk of tournament_chunk_rows rows. A block of
+// one chunk is one GEPP on its copy.
+Candidates flat_tournament_reference(
+    ConstMatrixView block, idx row_offset, idx b,
+    lapack::LuPanelKernel kernel = lapack::LuPanelKernel::Recursive) {
+  const idx cols = block.cols();
+  const idx chunk = tournament_chunk_rows(cols, b);
+  Candidates ref;
+  for (idx top = 0; top < block.rows(); top += chunk) {
+    const idx c = std::min(chunk, block.rows() - top);
+    const idx w = ref.values.rows();
+    Matrix stack(w + c, cols);
+    for (idx j = 0; j < cols; ++j) {
+      for (idx i = 0; i < w; ++i) stack(i, j) = ref.values(i, j);
+      for (idx i = 0; i < c; ++i) stack(w + i, j) = block(top + i, j);
+    }
+    std::vector<idx> index = ref.row_index;
+    for (idx i = 0; i < c; ++i) index.push_back(row_offset + top + i);
+    Matrix lu = stack;
+    PivotVector ipiv;
+    if (kernel == lapack::LuPanelKernel::Recursive) {
+      lapack::rgetf2(lu.view(), ipiv);
+    } else {
+      lapack::getf2(lu.view(), ipiv);
+    }
+    const Permutation perm = ipiv_to_permutation(ipiv, w + c);
+    const idx k = std::min(b, w + c);
+    ref.values = Matrix(k, cols);
+    ref.row_index.clear();
+    for (idx r = 0; r < k; ++r) {
+      const idx src = perm[static_cast<std::size_t>(r)];
+      for (idx j = 0; j < cols; ++j) ref.values(r, j) = stack(src, j);
+      ref.row_index.push_back(index[static_cast<std::size_t>(src)]);
+    }
+    ref.lu_top = Matrix(k, cols);
+    copy_into(lu.view().rows_range(0, k), ref.lu_top.view());
+  }
+  return ref;
+}
+
+TEST(Tournament, ChunkRowsHoldAbout1536KiBAndAtLeast2b) {
+  constexpr idx kBytes = 1536 * 1024;
+  constexpr idx kDouble = sizeof(double);
+  for (const idx cols : {idx{1}, idx{8}, idx{33}, idx{100}, idx{130}}) {
+    const idx rows = tournament_chunk_rows(cols, 4);
+    EXPECT_LE(rows * cols * kDouble, kBytes) << "cols=" << cols;
+    EXPECT_GT((rows + 1) * cols * kDouble, kBytes) << "cols=" << cols;
+  }
+  EXPECT_EQ(tournament_chunk_rows(100, 100), 1966);  // a tall CALU leaf
+  // Wide blocks keep at least 2b rows per chunk.
+  EXPECT_EQ(tournament_chunk_rows(1000, 1000), 2000);
+  EXPECT_EQ(tournament_chunk_rows(1000, 100), 200);
+}
+
 TEST(Tournament, LeafElectsGeppPivotRows) {
   const idx rows = 20, b = 4;
   Matrix block = random_distinct_magnitude_matrix(rows, b, 3);
@@ -113,6 +201,65 @@ TEST(Tournament, LeafElectsGeppPivotRows) {
       EXPECT_EQ(c.values(r, j), block(perm[static_cast<std::size_t>(r)], j));
     }
   }
+
+  // A block of exactly one chunk is still one GEPP with the configured
+  // kernel, bit for bit: winners, their indices, and the winners' packed LU.
+  const idx cols = 100, wide_b = 100;
+  const Matrix one =
+      random_matrix(tournament_chunk_rows(cols, wide_b), cols, 21);
+  for (const lapack::LuPanelKernel kernel :
+       {lapack::LuPanelKernel::Recursive, lapack::LuPanelKernel::Getf2}) {
+    expect_same_candidates(
+        tournament_leaf(one, 7, wide_b, kernel),
+        flat_tournament_reference(one, 7, wide_b, kernel),
+        kernel == lapack::LuPanelKernel::Recursive ? "one chunk, rgetf2"
+                                                   : "one chunk, getf2");
+  }
+}
+
+TEST(Tournament, ChunkedLeafIsAFlatTournamentOverChunks) {
+  // One chunk + 1 row (the last stack is the b winners over that row), and
+  // three chunks whose ragged tail is shorter than b, once with cols = b and
+  // once narrower than b (CALU's last panel). The block is a view inside a
+  // taller matrix, so its ld exceeds its rows.
+  struct Case {
+    idx cols, b, extra_chunks, tail;
+  };
+  std::uint64_t seed = 60;
+  for (const Case& cs : {Case{100, 100, 0, 1}, Case{100, 100, 1, 37},
+                         Case{30, 40, 1, 13}}) {
+    const idx chunk = tournament_chunk_rows(cs.cols, cs.b);
+    const idx rows = (1 + cs.extra_chunks) * chunk + cs.tail;
+    ASSERT_LT(cs.tail, cs.b);
+    const Matrix outer = random_matrix(rows + 9, cs.cols, ++seed);
+    const ConstMatrixView block = outer.view().rows_range(4, rows);
+    const std::string what = "cols=" + std::to_string(cs.cols) +
+                             " b=" + std::to_string(cs.b) +
+                             " rows=" + std::to_string(rows);
+    const Candidates got = tournament_leaf(block, 1000, cs.b);
+    expect_same_candidates(got, flat_tournament_reference(block, 1000, cs.b),
+                           what);
+    expect_same_screen(got.screen, screen_panel(block), what.c_str());
+  }
+}
+
+TEST(Tournament, ChunkedLeafScreensEveryChunk) {
+  // The largest magnitude sits in the second chunk and an Inf in the last
+  // row of the last chunk: the leaf's screen is screen_panel of the block.
+  const idx cols = 100, b = 100;
+  const idx chunk = tournament_chunk_rows(cols, b);
+  const idx rows = 2 * chunk + 37;
+  Matrix block = random_matrix(rows, cols, 41);
+  block(chunk + 5, 17) = -42.0;
+  const Candidates finite = tournament_leaf(block, 0, b);
+  expect_same_screen(finite.screen, screen_panel(block), "finite");
+  EXPECT_EQ(finite.screen.absmax, 42.0);
+  EXPECT_FALSE(finite.screen.nonfinite);
+  block(rows - 1, cols - 1) = std::numeric_limits<double>::infinity();
+  const Candidates poisoned = tournament_leaf(block, 0, b);
+  expect_same_screen(poisoned.screen, screen_panel(block), "inf");
+  EXPECT_EQ(poisoned.screen.absmax, 42.0);
+  EXPECT_TRUE(poisoned.screen.nonfinite);
 }
 
 TEST(Tournament, ShortLeafContributesAllRows) {
@@ -139,12 +286,6 @@ TEST(Tournament, CombinePicksFromBothSides) {
     EXPECT_GE(root.row_index[static_cast<std::size_t>(r)], 10)
         << "winner " << r << " should come from the large block";
   }
-}
-
-void expect_same_screen(const PanelScreen& got, const PanelScreen& want,
-                        const char* what) {
-  EXPECT_EQ(got.absmax, want.absmax) << what;
-  EXPECT_EQ(got.nonfinite, want.nonfinite) << what;
 }
 
 TEST(Tournament, LeafAndCombineScreensMatchScreenPanel) {

@@ -138,11 +138,17 @@ TEST(TaskGraph, PriorityOrderWithSingleThread) {
   TaskGraph g1({1, true});
   std::vector<int> order;
   std::mutex mu;
-  // Block the worker with a gate task so the queue fills up.
+  // Block the worker with a gate task so the queue fills up. The three
+  // tasks go in only once the gate body runs: a worker whose first fill
+  // came later would take the gate (priority 0) in the same batch, after
+  // the tasks already submitted, and order the rest around it.
   std::atomic<bool> gate{false};
+  std::atomic<bool> gate_running{false};
   g1.submit({}, {}, [&] {
+    gate_running = true;
     while (!gate) std::this_thread::yield();
   });
+  while (!gate_running) std::this_thread::yield();
   auto log = [&](int v) {
     std::lock_guard<std::mutex> lock(mu);
     order.push_back(v);

@@ -32,7 +32,10 @@
 # strided sub-views of B, where an off-by-one reads or writes past the
 # view) and test_adversarial (the health monitor's input screens: CALU's
 # tournament leaves and CAQR's iteration-0 leaf and leaf-update tasks each
-# fill their own screen slot on a worker, merged after the graph drains).
+# fill their own screen slot on a worker, merged after the graph drains)
+# and test_core_tslu (the tournament leaf's chunk loop: ragged last chunks,
+# blocks viewed inside a taller panel, and winners read back from earlier
+# chunks, where an index slip reads past the block).
 # Any reported race fails the run.
 #
 # Usage: tools/run_tsan.sh [build-dir]        (default: build-tsan)
@@ -52,7 +55,8 @@ cmake -B "$build_dir" -S "$repo_root" \
   -DCAMULT_BUILD_EXAMPLES=OFF
 cmake --build "$build_dir" -j --target test_runtime test_scheduler_stress \
   test_observability test_pack_concurrency test_worker_pool test_blas_pack \
-  test_fault_inject test_svc test_window test_blas_trsm_trmm test_adversarial
+  test_fault_inject test_svc test_window test_blas_trsm_trmm test_adversarial \
+  test_core_tslu
 
 case "$san" in
   thread)
@@ -77,4 +81,5 @@ esac
 "$build_dir/tests/test_window"
 "$build_dir/tests/test_blas_trsm_trmm"
 "$build_dir/tests/test_adversarial"
+"$build_dir/tests/test_core_tslu"
 echo "[$san sanitizer] all scheduler tests passed"
