@@ -1,25 +1,36 @@
 // Observability surface: scheduler counters (SchedulerStats), the chrome
-// trace-event exporter, and the machine-readable bench report writer.
+// trace-event exporter, the machine-readable bench report writer, and the
+// recorded DAGs of every factorization driver (DagFingerprint).
 //
 // The counter tests pin the exact values a deterministic single-worker (or
 // inline) run must produce.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_support/json.hpp"
 #include "bench_support/json_report.hpp"
+#include "baseline/blocked.hpp"
 #include "bench_support/runner.hpp"
+#include "core/calu.hpp"
+#include "core/caqr.hpp"
+#include "matrix/random.hpp"
 #include "runtime/chrome_trace.hpp"
 #include "runtime/task_graph.hpp"
 #include "runtime/trace.hpp"
 #include "runtime/worker_pool.hpp"
+#include "tiled/tile_cholesky.hpp"
+#include "tiled/tile_lu.hpp"
+#include "tiled/tile_qr.hpp"
 
 namespace camult {
 namespace {
@@ -279,6 +290,184 @@ TEST(JsonReport, FillMeasurementSetsSchedulerFields) {
   EXPECT_EQ(row.find("idle_fraction")->number, 0.25);
   EXPECT_EQ(row.find("tasks")->number, 11.0);
   EXPECT_EQ(row.find("steals"), nullptr);
+}
+
+// --- DAG fingerprints -------------------------------------------------------
+//
+// Each case records its DAG in inline mode and hashes every task's (id,
+// label, kind, iteration, priority) in id order plus the sorted edge list.
+// The constants pin the DAGs the drivers submit: a change to how tasks and
+// their block accesses reach the graph must leave every one unchanged. DAG
+// shape depends on neither the kernel nor the matrix values.
+
+std::uint64_t dag_fingerprint(const std::vector<rt::TaskRecord>& trace,
+                              std::vector<rt::TaskGraph::Edge> edges) {
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a, byte by byte
+  auto mix = [&h](std::int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const rt::TaskRecord& r : trace) {
+    mix(r.id);
+    mix(static_cast<std::int64_t>(r.label.size()));
+    for (char c : r.label) mix(static_cast<unsigned char>(c));
+    mix(static_cast<std::int64_t>(r.kind));
+    mix(r.iteration);
+    mix(r.priority);
+  }
+  std::sort(edges.begin(), edges.end(), [](const auto& x, const auto& y) {
+    return x.from != y.from ? x.from < y.from : x.to < y.to;
+  });
+  for (const rt::TaskGraph::Edge& e : edges) {
+    mix(e.from);
+    mix(e.to);
+  }
+  return h;
+}
+
+struct DagCase {
+  const char* name;
+  std::uint64_t expected;
+  std::function<std::uint64_t()> run;
+};
+
+void expect_fingerprints(const std::vector<DagCase>& cases) {
+  for (const DagCase& c : cases) {
+    const std::uint64_t fp = c.run();
+    EXPECT_EQ(fp, c.expected) << c.name << ": 0x" << std::hex << fp;
+  }
+}
+
+core::CaluOptions fp_calu(core::ReductionTree tree, idx tr, idx window) {
+  core::CaluOptions o;
+  o.b = 16;
+  o.tr = tr;
+  o.tree = tree;
+  o.window = window;
+  o.num_threads = 0;
+  o.record_trace = true;
+  return o;
+}
+
+std::uint64_t calu_fp(idx m, idx n, const core::CaluOptions& o) {
+  Matrix a = random_matrix(m, n, 1601);
+  const core::CaluResult r = core::calu_factor(a.view(), o);
+  return dag_fingerprint(r.trace, r.edges);
+}
+
+std::uint64_t caqr_fp(core::ReductionTree tree, idx window, bool structured) {
+  core::CaqrOptions o;
+  o.b = 16;
+  o.tr = 4;
+  o.tree = tree;
+  o.window = window;
+  o.structured_nodes = structured;
+  o.num_threads = 0;
+  o.record_trace = true;
+  Matrix a = random_matrix(170, 100, 1602);
+  const core::CaqrResult r = core::caqr_factor(a.view(), o);
+  return dag_fingerprint(r.trace, r.edges);
+}
+
+// CALU and CAQR run 170 x 100 at b = 16: 7 panels, the last 4 columns
+// wide, over 11 row blocks, the last ragged.
+TEST(DagFingerprint, Calu) {
+  using core::ReductionTree;
+  expect_fingerprints({
+      {"binary tr4", 0x2e9c3d4d1e1364ceull,
+       [] { return calu_fp(170, 100, fp_calu(ReductionTree::Binary, 4, 0)); }},
+      {"flat tr4", 0x976f1bf5258becb4ull,
+       [] { return calu_fp(170, 100, fp_calu(ReductionTree::Flat, 4, 0)); }},
+      // Hybrid groups 4 leaves flat, so tr = 8 is the smallest that differs
+      // from the flat tree.
+      {"hybrid tr8", 0xaf703e2e469cac94ull,
+       [] { return calu_fp(170, 100, fp_calu(ReductionTree::Hybrid, 8, 0)); }},
+      {"binary tr1", 0x5c823a50dfb2925dull,
+       [] { return calu_fp(170, 100, fp_calu(ReductionTree::Binary, 1, 0)); }},
+      {"binary tr4 window2", 0x8906651c3fb8d434ull,
+       [] { return calu_fp(170, 100, fp_calu(ReductionTree::Binary, 4, 2)); }},
+      {"flat tr1 window2", 0x7e42694623bc00a2ull,
+       [] { return calu_fp(170, 100, fp_calu(ReductionTree::Flat, 1, 2)); }},
+      {"update_cols_per_task 2", 0x4136106a43fe086aull,
+       [] {
+         core::CaluOptions o = fp_calu(ReductionTree::Binary, 4, 0);
+         o.update_cols_per_task = 2;
+         return calu_fp(170, 100, o);
+       }},
+      {"wide 200x330 b32", 0x87c8c3055ccf3ba0ull,
+       [] {
+         core::CaluOptions o = fp_calu(ReductionTree::Binary, 4, 0);
+         o.b = 32;
+         return calu_fp(200, 330, o);
+       }},
+  });
+}
+
+TEST(DagFingerprint, Caqr) {
+  using core::ReductionTree;
+  expect_fingerprints({
+      {"flat window0", 0x6bf14673fa69507dull,
+       [] { return caqr_fp(ReductionTree::Flat, 0, false); }},
+      {"flat window3", 0x594ad05922ac00dull,
+       [] { return caqr_fp(ReductionTree::Flat, 3, false); }},
+      {"binary structured", 0x2f673f653c2262eull,
+       [] { return caqr_fp(ReductionTree::Binary, 0, true); }},
+  });
+}
+
+TEST(DagFingerprint, TiledAndBlockedBaselines) {
+  expect_fingerprints({
+      {"tile_lu", 0xd18d2040ba49442eull,
+       [] {
+         Matrix a = random_matrix(170, 100, 1603);
+         tiled::TileLuOptions o;
+         o.b = 16;
+         o.num_threads = 0;
+         const tiled::TileLuResult r = tiled::tile_lu_factor(a.view(), o);
+         return dag_fingerprint(r.trace, r.edges);
+       }},
+      {"tile_qr", 0xe932c8b4e8873349ull,
+       [] {
+         Matrix a = random_matrix(170, 100, 1604);
+         tiled::TileQrOptions o;
+         o.b = 16;
+         o.num_threads = 0;
+         const tiled::TileQrResult r = tiled::tile_qr_factor(a.view(), o);
+         return dag_fingerprint(r.trace, r.edges);
+       }},
+      {"tile_cholesky", 0xa37d3ce7593cde26ull,
+       [] {
+         Matrix a = random_diagonally_dominant_matrix(100, 1605);
+         tiled::TileCholeskyOptions o;
+         o.b = 16;
+         o.num_threads = 0;
+         const tiled::TileCholeskyResult r =
+             tiled::tile_cholesky_factor(a.view(), o);
+         return dag_fingerprint(r.trace, r.edges);
+       }},
+      {"blocked_getrf", 0xbf46066f0de0906aull,
+       [] {
+         Matrix a = random_matrix(170, 100, 1606);
+         baseline::BlockedOptions o;
+         o.nb = 16;
+         o.num_threads = 0;
+         const baseline::BlockedLuResult r =
+             baseline::blocked_getrf(a.view(), o);
+         return dag_fingerprint(r.trace, r.edges);
+       }},
+      {"blocked_geqrf", 0xe568d649f7605564ull,
+       [] {
+         Matrix a = random_matrix(170, 100, 1607);
+         baseline::BlockedOptions o;
+         o.nb = 16;
+         o.num_threads = 0;
+         const baseline::BlockedQrResult r =
+             baseline::blocked_geqrf(a.view(), o);
+         return dag_fingerprint(r.trace, r.edges);
+       }},
+  });
 }
 
 }  // namespace
