@@ -1,7 +1,5 @@
 #include "baseline/blocked.hpp"
 
-#include <cassert>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -10,43 +8,12 @@
 #include "lapack/getrf.hpp"
 #include "lapack/laswp.hpp"
 #include "matrix/matrix.hpp"
-#include "runtime/dep_tracker.hpp"
 
 namespace camult::baseline {
-namespace {
 
 using rt::AccessMode;
 using rt::BlockAccess;
-using rt::TaskId;
 using rt::TaskKind;
-
-rt::BlockKey tile_key(idx i, idx j) { return rt::block_key(i, j); }
-rt::BlockKey piv_key(idx k) { return (idx{1} << 61) + k; }
-
-void add_tile_range(std::vector<BlockAccess>& acc, idx i0, idx i1, idx j,
-                    AccessMode mode) {
-  for (idx i = i0; i < i1; ++i) acc.push_back({tile_key(i, j), mode});
-}
-
-struct ColSegment {
-  idx col0, cols, jblk;
-};
-
-std::vector<ColSegment> trailing_segments(idx col0, idx jb, idx b, idx n,
-                                          idx kb) {
-  std::vector<ColSegment> segments;
-  if (col0 + jb < std::min(n, (kb + 1) * b)) {
-    segments.push_back(
-        {col0 + jb, std::min(n, (kb + 1) * b) - (col0 + jb), kb});
-  }
-  const idx n_blocks = (n + b - 1) / b;
-  for (idx jblk = kb + 1; jblk < n_blocks; ++jblk) {
-    segments.push_back({jblk * b, std::min(b, n - jblk * b), jblk});
-  }
-  return segments;
-}
-
-}  // namespace
 
 BlockedLuResult blocked_getrf(MatrixView a, const BlockedOptions& opts) {
   const idx m = a.rows();
@@ -66,17 +33,7 @@ BlockedLuResult blocked_getrf(MatrixView a, const BlockedOptions& opts) {
   std::vector<idx> panel_jb(static_cast<std::size_t>(n_panels), 0);
 
   rt::TaskGraph graph({opts.num_threads, opts.record_trace});
-  rt::DepTracker tracker;
-  TaskId next_id = 0;
-  auto add_task = [&](const std::vector<BlockAccess>& acc,
-                      rt::TaskOptions topts,
-                      std::function<void()> fn) -> TaskId {
-    const std::vector<TaskId> deps = tracker.depends(next_id, acc);
-    const TaskId id = graph.submit(deps, std::move(topts), std::move(fn));
-    assert(id == next_id);
-    ++next_id;
-    return id;
-  };
+  const rt::KeySpace piv_keys = graph.key_space(1);  // panel k's pivots
   auto base_prio = [&](idx k) {
     return static_cast<int>((n_panels - k) * 1000);
   };
@@ -90,8 +47,8 @@ BlockedLuResult blocked_getrf(MatrixView a, const BlockedOptions& opts) {
     // Serial panel task (the vendor bottleneck).
     {
       std::vector<BlockAccess> acc;
-      add_tile_range(acc, k, m_blocks, k, AccessMode::ReadWrite);
-      acc.push_back({piv_key(k), AccessMode::Write});
+      rt::add_tile_range(acc, k, m_blocks, k, AccessMode::ReadWrite);
+      acc.push_back({piv_keys.key(k), AccessMode::Write});
       rt::TaskOptions topts;
       topts.kind = TaskKind::Panel;
       topts.iteration = static_cast<int>(k);
@@ -101,20 +58,20 @@ BlockedLuResult blocked_getrf(MatrixView a, const BlockedOptions& opts) {
       PivotVector* piv = &(*panel_piv)[static_cast<std::size_t>(k)];
       PivotVector* gipiv = &result.ipiv;
       idx* info_slot = &infos[static_cast<std::size_t>(k)];
-      add_task(acc, std::move(topts), [panel, piv, gipiv, info_slot, row0,
-                                       jb]() {
-        const idx info = lapack::rgetf2(panel, *piv);
-        if (info != 0) *info_slot = info;
-        for (idx j = 0; j < jb; ++j) {
-          (*gipiv)[static_cast<std::size_t>(row0 + j)] =
-              row0 + (*piv)[static_cast<std::size_t>(j)];
-        }
-      });
+      graph.submit_accessing(
+          acc, std::move(topts), [panel, piv, gipiv, info_slot, row0, jb]() {
+            const idx info = lapack::rgetf2(panel, *piv);
+            if (info != 0) *info_slot = info;
+            for (idx j = 0; j < jb; ++j) {
+              (*gipiv)[static_cast<std::size_t>(row0 + j)] =
+                  row0 + (*piv)[static_cast<std::size_t>(j)];
+            }
+          });
     }
 
     // Trailing update: per column segment, a swap+trsm task, then gemm
     // tasks over row strips.
-    const auto segments = trailing_segments(row0, jb, b, n, k);
+    const auto segments = rt::trailing_segments(row0, jb, b, n);
     const idx below_rows = panel_rows - jb;
     const idx strip = [&] {
       if (below_rows <= 0 || opts.strips <= 0) return below_rows;
@@ -123,12 +80,12 @@ BlockedLuResult blocked_getrf(MatrixView a, const BlockedOptions& opts) {
       return per * b;
     }();
 
-    for (const ColSegment& seg : segments) {
+    for (const rt::ColSegment& seg : segments) {
       {
         std::vector<BlockAccess> acc;
-        acc.push_back({piv_key(k), AccessMode::Read});
-        acc.push_back({tile_key(k, k), AccessMode::Read});
-        add_tile_range(acc, k, m_blocks, seg.jblk, AccessMode::ReadWrite);
+        acc.push_back({piv_keys.key(k), AccessMode::Read});
+        acc.push_back({rt::block_key(k, k), AccessMode::Read});
+        rt::add_tile_range(acc, k, m_blocks, seg.jblk, AccessMode::ReadWrite);
         rt::TaskOptions topts;
         topts.kind = TaskKind::UFactor;
         topts.iteration = static_cast<int>(k);
@@ -138,7 +95,7 @@ BlockedLuResult blocked_getrf(MatrixView a, const BlockedOptions& opts) {
         MatrixView col = a.block(row0, seg.col0, panel_rows, seg.cols);
         MatrixView lkk = a.block(row0, row0, jb, jb);
         PivotVector* piv = &(*panel_piv)[static_cast<std::size_t>(k)];
-        add_task(acc, std::move(topts), [col, lkk, piv, jb]() {
+        graph.submit_accessing(acc, std::move(topts), [col, lkk, piv, jb]() {
           lapack::laswp(col, 0, jb, *piv);
           blas::trsm(blas::Side::Left, blas::Uplo::Lower,
                      blas::Trans::NoTrans, blas::Diag::Unit, 1.0, lkk,
@@ -150,9 +107,9 @@ BlockedLuResult blocked_getrf(MatrixView a, const BlockedOptions& opts) {
         std::vector<BlockAccess> acc;
         const idx tile0 = k + (jb + s0) / b;
         const idx tile1 = k + (jb + s0 + srows + b - 1) / b;
-        add_tile_range(acc, tile0, tile1, k, AccessMode::Read);
-        acc.push_back({tile_key(k, seg.jblk), AccessMode::Read});
-        add_tile_range(acc, tile0, tile1, seg.jblk, AccessMode::ReadWrite);
+        rt::add_tile_range(acc, tile0, tile1, k, AccessMode::Read);
+        acc.push_back({rt::block_key(k, seg.jblk), AccessMode::Read});
+        rt::add_tile_range(acc, tile0, tile1, seg.jblk, AccessMode::ReadWrite);
         rt::TaskOptions topts;
         topts.kind = TaskKind::Update;
         topts.iteration = static_cast<int>(k);
@@ -162,7 +119,7 @@ BlockedLuResult blocked_getrf(MatrixView a, const BlockedOptions& opts) {
         MatrixView lblk = a.block(row0 + jb + s0, row0, srows, jb);
         MatrixView ublk = a.block(row0, seg.col0, jb, seg.cols);
         MatrixView cblk = a.block(row0 + jb + s0, seg.col0, srows, seg.cols);
-        add_task(acc, std::move(topts), [lblk, ublk, cblk]() {
+        graph.submit_accessing(acc, std::move(topts), [lblk, ublk, cblk]() {
           blas::gemm(blas::Trans::NoTrans, blas::Trans::NoTrans, -1.0, lblk,
                      ublk, 1.0, cblk);
         });
@@ -177,10 +134,10 @@ BlockedLuResult blocked_getrf(MatrixView a, const BlockedOptions& opts) {
     const idx jcols = std::min(b, n - jcol0);
     std::vector<BlockAccess> acc;
     for (idx kk = jblk + 1; kk < n_panels; ++kk) {
-      acc.push_back({piv_key(kk), AccessMode::Read});
+      acc.push_back({piv_keys.key(kk), AccessMode::Read});
     }
     if (acc.empty()) continue;
-    add_tile_range(acc, jblk + 1, m_blocks, jblk, AccessMode::ReadWrite);
+    rt::add_tile_range(acc, jblk + 1, m_blocks, jblk, AccessMode::ReadWrite);
     rt::TaskOptions topts;
     topts.kind = TaskKind::Generic;
     topts.label = "lswap j" + std::to_string(jblk);
@@ -188,13 +145,14 @@ BlockedLuResult blocked_getrf(MatrixView a, const BlockedOptions& opts) {
     std::vector<PivotVector>* pivs = panel_piv.get();
     std::vector<idx>* jbs = &panel_jb;
     const idx j_here = jblk;
-    add_task(acc, std::move(topts), [colv, pivs, jbs, j_here, b, n_panels]() {
-      for (idx kk = j_here + 1; kk < n_panels; ++kk) {
-        MatrixView below = colv.trailing(kk * b, 0);
-        lapack::laswp(below, 0, (*jbs)[static_cast<std::size_t>(kk)],
-                      (*pivs)[static_cast<std::size_t>(kk)]);
-      }
-    });
+    graph.submit_accessing(
+        acc, std::move(topts), [colv, pivs, jbs, j_here, b, n_panels]() {
+          for (idx kk = j_here + 1; kk < n_panels; ++kk) {
+            MatrixView below = colv.trailing(kk * b, 0);
+            lapack::laswp(below, 0, (*jbs)[static_cast<std::size_t>(kk)],
+                          (*pivs)[static_cast<std::size_t>(kk)]);
+          }
+        });
   }
 
   graph.wait();
@@ -227,17 +185,6 @@ BlockedQrResult blocked_geqrf(MatrixView a, const BlockedOptions& opts) {
   std::vector<std::unique_ptr<Matrix>> ts(static_cast<std::size_t>(n_panels));
 
   rt::TaskGraph graph({opts.num_threads, opts.record_trace});
-  rt::DepTracker tracker;
-  TaskId next_id = 0;
-  auto add_task = [&](const std::vector<BlockAccess>& acc,
-                      rt::TaskOptions topts,
-                      std::function<void()> fn) -> TaskId {
-    const std::vector<TaskId> deps = tracker.depends(next_id, acc);
-    const TaskId id = graph.submit(deps, std::move(topts), std::move(fn));
-    assert(id == next_id);
-    ++next_id;
-    return id;
-  };
   auto base_prio = [&](idx k) {
     return static_cast<int>((n_panels - k) * 1000);
   };
@@ -252,7 +199,7 @@ BlockedQrResult blocked_geqrf(MatrixView a, const BlockedOptions& opts) {
 
     {
       std::vector<BlockAccess> acc;
-      add_tile_range(acc, k, m_blocks, k, AccessMode::ReadWrite);
+      rt::add_tile_range(acc, k, m_blocks, k, AccessMode::ReadWrite);
       rt::TaskOptions topts;
       topts.kind = TaskKind::Panel;
       topts.iteration = static_cast<int>(k);
@@ -260,20 +207,21 @@ BlockedQrResult blocked_geqrf(MatrixView a, const BlockedOptions& opts) {
       topts.label = "panel";
       MatrixView panel = a.block(row0, row0, panel_rows, jb);
       std::vector<double>* gtau = &result.tau;
-      add_task(acc, std::move(topts), [panel, tmat, gtau, row0, jb]() {
-        std::vector<double> tau;
-        lapack::geqr3(panel, tau, tmat->view());
-        for (idx j = 0; j < jb; ++j) {
-          (*gtau)[static_cast<std::size_t>(row0 + j)] =
-              tau[static_cast<std::size_t>(j)];
-        }
-      });
+      graph.submit_accessing(
+          acc, std::move(topts), [panel, tmat, gtau, row0, jb]() {
+            std::vector<double> tau;
+            lapack::geqr3(panel, tau, tmat->view());
+            for (idx j = 0; j < jb; ++j) {
+              (*gtau)[static_cast<std::size_t>(row0 + j)] =
+                  tau[static_cast<std::size_t>(j)];
+            }
+          });
     }
 
-    for (const ColSegment& seg : trailing_segments(row0, jb, b, n, k)) {
+    for (const rt::ColSegment& seg : rt::trailing_segments(row0, jb, b, n)) {
       std::vector<BlockAccess> acc;
-      add_tile_range(acc, k, m_blocks, k, AccessMode::Read);
-      add_tile_range(acc, k, m_blocks, seg.jblk, AccessMode::ReadWrite);
+      rt::add_tile_range(acc, k, m_blocks, k, AccessMode::Read);
+      rt::add_tile_range(acc, k, m_blocks, seg.jblk, AccessMode::ReadWrite);
       rt::TaskOptions topts;
       topts.kind = TaskKind::Update;
       topts.iteration = static_cast<int>(k);
@@ -282,7 +230,7 @@ BlockedQrResult blocked_geqrf(MatrixView a, const BlockedOptions& opts) {
       topts.label = "larfb j" + std::to_string(seg.jblk);
       ConstMatrixView panel = a.block(row0, row0, panel_rows, jb);
       MatrixView c = a.block(row0, seg.col0, panel_rows, seg.cols);
-      add_task(acc, std::move(topts), [panel, tmat, c]() {
+      graph.submit_accessing(acc, std::move(topts), [panel, tmat, c]() {
         lapack::larfb_left(blas::Trans::Trans, panel, tmat->view(), c);
       });
     }

@@ -23,8 +23,6 @@
 
 #include <cassert>
 #include <limits>
-#include <stdexcept>
-#include <string>
 
 #include "matrix/view.hpp"
 
@@ -64,26 +62,6 @@ inline long long sat_band_add(long long a, long long b) {
   constexpr long long kMax = std::numeric_limits<long long>::max();
   if (a > kMax - b) return kMax;
   return a + b;
-}
-
-/// Checked offset into the per-iteration dependency-key spaces CALU and
-/// CAQR carve out at (1 << 60), (1 << 61) and (1 << 62): the offset is
-/// k * stride + slot with slot < stride, and the spaces stay disjoint (and
-/// below 2^63, including CAQR's 2*offset+1 even/odd packing) as long as the
-/// offset stays under 2^59. Paper-scale runs sit ~13 orders of magnitude
-/// below the bound (m = 1e6, b = 4 gives k ~ 2.5e5 and stride ~ tr+1), so a
-/// throw always means arithmetic went wrong — the old silent wraparound
-/// aliased keys across iterations and corrupted the DAG instead.
-inline std::int64_t checked_key_offset(idx k, idx stride, idx slot) {
-  constexpr std::int64_t kLimit = std::int64_t{1} << 59;
-  if (k < 0 || stride <= 0 || slot < 0 || slot >= stride ||
-      k > (kLimit - 1 - slot) / stride) {
-    throw std::overflow_error(
-        "dep-key space overflow: iteration " + std::to_string(k) +
-        ", stride " + std::to_string(stride) + ", slot " +
-        std::to_string(slot) + " leaves the 2^59 per-space envelope");
-  }
-  return k * stride + slot;
 }
 
 /// Iteration-index reuse for windowed submission: with a sliding window of

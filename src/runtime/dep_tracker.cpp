@@ -35,4 +35,22 @@ std::vector<TaskId> DepTracker::depends(
   return deps;
 }
 
+std::vector<ColSegment> trailing_segments(idx col0, idx jb, idx b, idx n,
+                                          idx group) {
+  group = std::max<idx>(1, group);
+  const idx kb = col0 / b;
+  const idx n_blocks = (n + b - 1) / b;
+  const idx block_end = std::min(n, (kb + 1) * b);
+  std::vector<ColSegment> segments;
+  if (col0 + jb < block_end) {
+    segments.push_back({col0 + jb, block_end - (col0 + jb), kb, kb + 1});
+  }
+  for (idx jblk = kb + 1; jblk < n_blocks; jblk += group) {
+    const idx jend = std::min(n_blocks, jblk + group);
+    segments.push_back(
+        {jblk * b, std::min(n, jend * b) - jblk * b, jblk, jend});
+  }
+  return segments;
+}
+
 }  // namespace camult::rt

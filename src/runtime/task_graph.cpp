@@ -463,6 +463,24 @@ void TaskGraph::drain_all() {
   done_waiting_.store(false, std::memory_order_relaxed);
 }
 
+TaskId TaskGraph::submit_accessing(const std::vector<BlockAccess>& accesses,
+                                   TaskOptions opts, std::function<void()> fn) {
+  // Ids are dense in submission order, so the next id is known before
+  // submit() assigns it.
+  const TaskId id = static_cast<TaskId>(store_.size());
+  return submit(tracker_.depends(id, accesses), std::move(opts),
+                std::move(fn));
+}
+
+KeySpace TaskGraph::key_space(idx stride) {
+  if (stride < 1) throw std::invalid_argument("key_space: stride must be >= 1");
+  if (key_spaces_ == 15) {
+    throw std::length_error("key_space: a graph has at most 15 key spaces");
+  }
+  ++key_spaces_;
+  return KeySpace(BlockKey{key_spaces_} << 59, stride);
+}
+
 void TaskGraph::wait() {
   if (config_.num_threads == 0) {
     if (completed_.load(std::memory_order_relaxed) !=

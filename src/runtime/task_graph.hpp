@@ -66,6 +66,7 @@
 #include <vector>
 
 #include "runtime/cancel.hpp"
+#include "runtime/dep_tracker.hpp"
 #include "runtime/task.hpp"
 
 namespace camult::rt {
@@ -164,6 +165,19 @@ class TaskGraph {
   /// submission thread.
   TaskId submit(const std::vector<TaskId>& deps, TaskOptions opts,
                 std::function<void()> fn);
+
+  /// Submit a task performing the block `accesses`: the graph's dependency
+  /// tracker derives its RAW/WAR/WAW edges from every earlier task submitted
+  /// this way (superscalar-style renaming, see dep_tracker.hpp). This is how
+  /// the factorization drivers build their DAGs on the fly.
+  TaskId submit_accessing(const std::vector<BlockAccess>& accesses,
+                          TaskOptions opts, std::function<void()> fn);
+
+  /// Declare a key space of `stride` keys per iteration for per-iteration
+  /// algorithm state (see KeySpace). The spaces are disjoint from the tile
+  /// keys (block_key, below 2^59) and from each other: space s covers
+  /// [(s + 1) * 2^59, (s + 2) * 2^59), so a graph has at most 15 of them.
+  KeySpace key_space(idx stride);
 
   /// Block until every submitted task has completed (executed or, after an
   /// error/cancellation, skipped). If any task threw, the first exception
@@ -414,6 +428,10 @@ class TaskGraph {
   static constexpr int kServiceRounds = 8;
 
   Config config_;
+  /// Block-access dependency state of submit_accessing and the number of
+  /// key spaces declared; submission thread only.
+  DepTracker tracker_;
+  int key_spaces_ = 0;
   WorkerPool* pool_ = nullptr;  ///< executing pool; null = inline mode
   /// The private pool built when Config::pool is null (pool_ points at it).
   std::unique_ptr<WorkerPool> own_pool_;

@@ -180,12 +180,11 @@ std::chrono::nanoseconds backoff_delay(const RetryPolicy& rp,
       static_cast<std::int64_t>(d * 0.5 + u * d * 0.5));
 }
 
-/// Driver options for one attempt of `rec` (CaluOptions or CaqrOptions).
-/// Jobs run untraced with the drivers' default health monitor on.
-template <class Options>
-Options attempt_options(const JobRecord& rec, rt::WorkerPool* pool,
-                        rt::SchedulerStats* sched) {
-  Options o;
+/// Execution options for one attempt of `rec`. Jobs run untraced with the
+/// drivers' default health monitor on.
+core::DriverOptions attempt_options(const JobRecord& rec, rt::WorkerPool* pool,
+                                    rt::SchedulerStats* sched) {
+  core::DriverOptions o;
   o.b = rec.b;
   o.tr = rec.tr;
   o.window = rec.window;
@@ -534,13 +533,13 @@ JobOutcome Service::run_attempt(JobRecord& rec, bool* transient) {
   JobOutcome out;
   try {
     if (rec.kind == JobKind::CaluFactor) {
-      out.lu = std::make_shared<core::CaluResult>(core::calu_factor(
-          rec.a, attempt_options<core::CaluOptions>(rec, pool_, &sched)));
+      out.lu = std::make_shared<core::CaluResult>(
+          core::calu_factor(rec.a, {attempt_options(rec, pool_, &sched)}));
       out.info = out.lu->info;
       out.health = out.lu->health;
     } else {
-      out.qr = std::make_shared<core::CaqrResult>(core::caqr_factor(
-          rec.a, attempt_options<core::CaqrOptions>(rec, pool_, &sched)));
+      out.qr = std::make_shared<core::CaqrResult>(
+          core::caqr_factor(rec.a, {attempt_options(rec, pool_, &sched)}));
       out.health = out.qr->health;
     }
     out.status = JobStatus::Completed;

@@ -1,24 +1,12 @@
 #include "tiled/tile_cholesky.hpp"
 
 #include <cassert>
-#include <functional>
 #include <string>
 
 #include "blas/blas.hpp"
 #include "lapack/potrf.hpp"
-#include "runtime/dep_tracker.hpp"
 
 namespace camult::tiled {
-namespace {
-
-using rt::AccessMode;
-using rt::BlockAccess;
-using rt::TaskId;
-using rt::TaskKind;
-
-rt::BlockKey tile_key(idx i, idx j) { return rt::block_key(i, j); }
-
-}  // namespace
 
 TileCholeskyResult tile_cholesky_factor(MatrixView a,
                                         const TileCholeskyOptions& opts) {
@@ -32,18 +20,9 @@ TileCholeskyResult tile_cholesky_factor(MatrixView a,
   result.b = b;
   std::vector<idx> infos(static_cast<std::size_t>(nt), 0);
 
+  using rt::AccessMode;
+  using rt::TaskKind;
   rt::TaskGraph graph({opts.num_threads, opts.record_trace});
-  rt::DepTracker tracker;
-  TaskId next_id = 0;
-  auto add_task = [&](const std::vector<BlockAccess>& acc,
-                      rt::TaskOptions topts,
-                      std::function<void()> fn) -> TaskId {
-    const std::vector<TaskId> deps = tracker.depends(next_id, acc);
-    const TaskId id = graph.submit(deps, std::move(topts), std::move(fn));
-    assert(id == next_id);
-    ++next_id;
-    return id;
-  };
   auto panel_prio = [](idx k) {
     return 2000000000 - static_cast<int>(k) * 4;
   };
@@ -57,71 +36,59 @@ TileCholeskyResult tile_cholesky_factor(MatrixView a,
   };
 
   for (idx k = 0; k < nt; ++k) {
+    const int it = static_cast<int>(k);
     {  // POTRF(k)
-      std::vector<BlockAccess> acc = {{tile_key(k, k), AccessMode::ReadWrite}};
-      rt::TaskOptions topts;
-      topts.kind = TaskKind::Panel;
-      topts.iteration = static_cast<int>(k);
-      topts.priority = panel_prio(k);
-      topts.label = "potrf";
       MatrixView akk = tile_at(k, k);
       idx* info_slot = &infos[static_cast<std::size_t>(k)];
-      add_task(acc, std::move(topts), [akk, info_slot]() {
-        const idx info = lapack::potf2(akk);
-        if (info != 0) *info_slot = info;
-      });
+      graph.submit_accessing({{rt::block_key(k, k), AccessMode::ReadWrite}},
+                             {panel_prio(k), TaskKind::Panel, it, "potrf"},
+                             [akk, info_slot]() {
+                               const idx info = lapack::potf2(akk);
+                               if (info != 0) *info_slot = info;
+                             });
     }
     for (idx i = k + 1; i < nt; ++i) {  // TRSM(i, k)
-      std::vector<BlockAccess> acc = {{tile_key(k, k), AccessMode::Read},
-                                      {tile_key(i, k), AccessMode::ReadWrite}};
-      rt::TaskOptions topts;
-      topts.kind = TaskKind::LFactor;
-      topts.iteration = static_cast<int>(k);
-      topts.priority = panel_prio(k) - 2;
-      topts.label = "trsm i" + std::to_string(i);
       MatrixView akk = tile_at(k, k);
       MatrixView aik = tile_at(i, k);
-      add_task(acc, std::move(topts), [akk, aik]() {
-        blas::trsm(blas::Side::Right, blas::Uplo::Lower, blas::Trans::Trans,
-                   blas::Diag::NonUnit, 1.0,
-                   ConstMatrixView(akk), aik);
-      });
+      graph.submit_accessing(
+          {{rt::block_key(k, k), AccessMode::Read},
+           {rt::block_key(i, k), AccessMode::ReadWrite}},
+          {panel_prio(k) - 2, TaskKind::LFactor, it,
+           "trsm i" + std::to_string(i)},
+          [akk, aik]() {
+            blas::trsm(blas::Side::Right, blas::Uplo::Lower,
+                       blas::Trans::Trans, blas::Diag::NonUnit, 1.0,
+                       ConstMatrixView(akk), aik);
+          });
     }
     for (idx j = k + 1; j < nt; ++j) {
       {  // SYRK(j, k): diagonal tile update
-        std::vector<BlockAccess> acc = {{tile_key(j, k), AccessMode::Read},
-                                        {tile_key(j, j),
-                                         AccessMode::ReadWrite}};
-        rt::TaskOptions topts;
-        topts.kind = TaskKind::Update;
-        topts.iteration = static_cast<int>(k);
-        topts.priority = update_prio(k, j);
-        topts.label = "syrk j" + std::to_string(j);
         MatrixView ajk = tile_at(j, k);
         MatrixView ajj = tile_at(j, j);
-        add_task(acc, std::move(topts), [ajk, ajj]() {
-          blas::syrk(blas::Uplo::Lower, blas::Trans::NoTrans, -1.0,
-                     ConstMatrixView(ajk), 1.0, ajj);
-        });
+        graph.submit_accessing(
+            {{rt::block_key(j, k), AccessMode::Read},
+             {rt::block_key(j, j), AccessMode::ReadWrite}},
+            {update_prio(k, j), TaskKind::Update, it,
+             "syrk j" + std::to_string(j)},
+            [ajk, ajj]() {
+              blas::syrk(blas::Uplo::Lower, blas::Trans::NoTrans, -1.0,
+                         ConstMatrixView(ajk), 1.0, ajj);
+            });
       }
       for (idx i = j + 1; i < nt; ++i) {  // GEMM(i, j, k)
-        std::vector<BlockAccess> acc = {{tile_key(i, k), AccessMode::Read},
-                                        {tile_key(j, k), AccessMode::Read},
-                                        {tile_key(i, j),
-                                         AccessMode::ReadWrite}};
-        rt::TaskOptions topts;
-        topts.kind = TaskKind::Update;
-        topts.iteration = static_cast<int>(k);
-        topts.priority = update_prio(k, j);
-        topts.label =
-            "gemm i" + std::to_string(i) + " j" + std::to_string(j);
         MatrixView aik = tile_at(i, k);
         MatrixView ajk = tile_at(j, k);
         MatrixView aij = tile_at(i, j);
-        add_task(acc, std::move(topts), [aik, ajk, aij]() {
-          blas::gemm(blas::Trans::NoTrans, blas::Trans::Trans, -1.0, aik, ajk,
-                     1.0, aij);
-        });
+        graph.submit_accessing(
+            {{rt::block_key(i, k), AccessMode::Read},
+             {rt::block_key(j, k), AccessMode::Read},
+             {rt::block_key(i, j), AccessMode::ReadWrite}},
+            {update_prio(k, j), TaskKind::Update, it,
+             "gemm i" + std::to_string(i) + " j" + std::to_string(j)},
+            [aik, ajk, aij]() {
+              blas::gemm(blas::Trans::NoTrans, blas::Trans::Trans, -1.0, aik,
+                         ajk, 1.0, aij);
+            });
       }
     }
   }

@@ -1,43 +1,17 @@
 #include "tiled/tile_lu.hpp"
 
 #include <cassert>
-#include <functional>
 #include <string>
 
 #include "blas/blas.hpp"
 #include "lapack/getrf.hpp"
 #include "lapack/laswp.hpp"
-#include "runtime/dep_tracker.hpp"
 
 namespace camult::tiled {
 namespace {
 
 using rt::AccessMode;
-using rt::BlockAccess;
-using rt::TaskId;
 using rt::TaskKind;
-
-rt::BlockKey tile_key(idx i, idx j) { return rt::block_key(i, j); }
-rt::BlockKey leaf_key(idx k) { return (idx{1} << 60) + k; }
-rt::BlockKey node_key(idx k, idx i) { return (idx{1} << 61) + k * 65536 + i; }
-
-struct ColSegment {
-  idx col0, cols, jblk;
-};
-
-std::vector<ColSegment> trailing_segments(idx row0, idx jb, idx b, idx n,
-                                          idx kb) {
-  std::vector<ColSegment> segments;
-  if (row0 + jb < std::min(n, (kb + 1) * b)) {
-    segments.push_back(
-        {row0 + jb, std::min(n, (kb + 1) * b) - (row0 + jb), kb});
-  }
-  const idx n_blocks = (n + b - 1) / b;
-  for (idx jblk = kb + 1; jblk < n_blocks; ++jblk) {
-    segments.push_back({jblk * b, std::min(b, n - jblk * b), jblk});
-  }
-  return segments;
-}
 
 // GESSM: apply the diagonal-tile GETRF to a trailing block of the same tile
 // rows: permute, unit-lower solve on the top jb rows, then eliminate the
@@ -72,18 +46,9 @@ TileLuResult tile_lu_factor(MatrixView a, const TileLuOptions& opts) {
   std::vector<idx> infos(static_cast<std::size_t>(n_steps), 0);
 
   rt::TaskGraph graph({opts.num_threads, opts.record_trace});
-  rt::DepTracker tracker;
-
-  TaskId next_id = 0;
-  auto add_task = [&](const std::vector<BlockAccess>& acc,
-                      rt::TaskOptions topts,
-                      std::function<void()> fn) -> TaskId {
-    const std::vector<TaskId> deps = tracker.depends(next_id, acc);
-    const TaskId id = graph.submit(deps, std::move(topts), std::move(fn));
-    assert(id == next_id);
-    ++next_id;
-    return id;
-  };
+  // Per-step keys: the diagonal tile's GETRF, and each TSTRF of the chain.
+  const rt::KeySpace leaf = graph.key_space(1);
+  const rt::KeySpace node = graph.key_space(std::max<idx>(1, m_tiles));
   // Panel-chain tasks (the critical path) on the top priority band;
   // trailing updates below, ordered by iteration then column.
   auto panel_prio = [](idx k) {
@@ -105,44 +70,41 @@ TileLuResult tile_lu_factor(MatrixView a, const TileLuOptions& opts) {
     S.chain_row.resize(static_cast<std::size_t>(std::max<idx>(n_below, 0)));
     S.chain.resize(static_cast<std::size_t>(std::max<idx>(n_below, 0)));
 
-    const auto segments = trailing_segments(row0, jb, b, n, k);
+    const int it = static_cast<int>(k);
+    const auto segments = rt::trailing_segments(row0, jb, b, n);
 
     // GETRF: partial-pivoting LU of the diagonal tile.
     {
-      std::vector<BlockAccess> acc = {{tile_key(k, k), AccessMode::ReadWrite},
-                                      {leaf_key(k), AccessMode::Write}};
-      rt::TaskOptions topts;
-      topts.kind = TaskKind::Panel;
-      topts.iteration = static_cast<int>(k);
-      topts.priority = panel_prio(k);
-      topts.label = "getrf";
       TileLuStep* Sp = &S;
       idx* info_slot = &infos[static_cast<std::size_t>(k)];
       MatrixView tile = a.block(row0, row0, rk, jb);
-      add_task(acc, std::move(topts), [Sp, tile, info_slot]() {
-        const idx info = lapack::rgetf2(tile, Sp->leaf_ipiv);
-        if (info != 0) *info_slot = info;
-        Sp->leaf_l = Matrix::zeros(Sp->rk, Sp->jb);
-        for (idx j = 0; j < Sp->jb; ++j) {
-          Sp->leaf_l(j, j) = 1.0;
-          for (idx i = j + 1; i < Sp->rk; ++i) Sp->leaf_l(i, j) = tile(i, j);
-        }
-      });
+      graph.submit_accessing(
+          {{rt::block_key(k, k), AccessMode::ReadWrite},
+           {leaf.key(k), AccessMode::Write}},
+          {panel_prio(k), TaskKind::Panel, it, "getrf"},
+          [Sp, tile, info_slot]() {
+            const idx info = lapack::rgetf2(tile, Sp->leaf_ipiv);
+            if (info != 0) *info_slot = info;
+            Sp->leaf_l = Matrix::zeros(Sp->rk, Sp->jb);
+            for (idx j = 0; j < Sp->jb; ++j) {
+              Sp->leaf_l(j, j) = 1.0;
+              for (idx i = j + 1; i < Sp->rk; ++i) {
+                Sp->leaf_l(i, j) = tile(i, j);
+              }
+            }
+          });
     }
 
     // GESSM per trailing segment.
-    for (const ColSegment& seg : segments) {
-      std::vector<BlockAccess> acc = {
-          {leaf_key(k), AccessMode::Read},
-          {tile_key(k, seg.jblk), AccessMode::ReadWrite}};
-      rt::TaskOptions topts;
-      topts.kind = TaskKind::UFactor;
-      topts.iteration = static_cast<int>(k);
-      topts.priority = update_prio(k, seg.jblk);
-      topts.label = "gessm j" + std::to_string(seg.jblk);
+    for (const rt::ColSegment& seg : segments) {
       TileLuStep* Sp = &S;
       MatrixView c = a.block(row0, seg.col0, rk, seg.cols);
-      add_task(acc, std::move(topts), [Sp, c]() { gessm(*Sp, c); });
+      graph.submit_accessing(
+          {{leaf.key(k), AccessMode::Read},
+           {rt::block_key(k, seg.jblk), AccessMode::ReadWrite}},
+          {update_prio(k, seg.jblk), TaskKind::UFactor, it,
+           "gessm j" + std::to_string(seg.jblk)},
+          [Sp, c]() { gessm(*Sp, c); });
     }
 
     // TSTRF chain + SSSSM updates.
@@ -151,42 +113,35 @@ TileLuResult tile_lu_factor(MatrixView a, const TileLuOptions& opts) {
       const idx slot = ti - (k + 1);
       S.chain_row[static_cast<std::size_t>(slot)] = ti * b;
       {
-        std::vector<BlockAccess> acc = {
-            {tile_key(k, k), AccessMode::ReadWrite},
-            {tile_key(ti, k), AccessMode::ReadWrite},
-            {node_key(k, ti), AccessMode::Write}};
-        rt::TaskOptions topts;
-        topts.kind = TaskKind::Panel;
-        topts.iteration = static_cast<int>(k);
-        topts.priority = panel_prio(k);
-        topts.label = "tstrf i" + std::to_string(ti);
         TileLuStep* Sp = &S;
         idx* info_slot = &infos[static_cast<std::size_t>(k)];
         MatrixView u_tile = a.block(row0, row0, jb, jb);
         MatrixView full = a.block(ti * b, row0, ri, jb);
-        add_task(acc, std::move(topts), [Sp, u_tile, full, slot, info_slot]() {
-          Sp->chain[static_cast<std::size_t>(slot)] = tstrf(u_tile, full);
-          const idx info = Sp->chain[static_cast<std::size_t>(slot)].info;
-          if (info != 0 && *info_slot == 0) *info_slot = info;
-        });
+        graph.submit_accessing(
+            {{rt::block_key(k, k), AccessMode::ReadWrite},
+             {rt::block_key(ti, k), AccessMode::ReadWrite},
+             {node.key(k, ti), AccessMode::Write}},
+            {panel_prio(k), TaskKind::Panel, it,
+             "tstrf i" + std::to_string(ti)},
+            [Sp, u_tile, full, slot, info_slot]() {
+              Sp->chain[static_cast<std::size_t>(slot)] = tstrf(u_tile, full);
+              const idx info = Sp->chain[static_cast<std::size_t>(slot)].info;
+              if (info != 0 && *info_slot == 0) *info_slot = info;
+            });
       }
-      for (const ColSegment& seg : segments) {
-        std::vector<BlockAccess> acc = {
-            {node_key(k, ti), AccessMode::Read},
-            {tile_key(k, seg.jblk), AccessMode::ReadWrite},
-            {tile_key(ti, seg.jblk), AccessMode::ReadWrite}};
-        rt::TaskOptions topts;
-        topts.kind = TaskKind::Update;
-        topts.iteration = static_cast<int>(k);
-        topts.priority = update_prio(k, seg.jblk);
-        topts.label =
-            "ssssm i" + std::to_string(ti) + " j" + std::to_string(seg.jblk);
+      for (const rt::ColSegment& seg : segments) {
         TileLuStep* Sp = &S;
         MatrixView c_top = a.block(row0, seg.col0, jb, seg.cols);
         MatrixView c_bot = a.block(ti * b, seg.col0, ri, seg.cols);
-        add_task(acc, std::move(topts), [Sp, c_top, c_bot, slot]() {
-          ssssm(Sp->chain[static_cast<std::size_t>(slot)], c_top, c_bot);
-        });
+        graph.submit_accessing(
+            {{node.key(k, ti), AccessMode::Read},
+             {rt::block_key(k, seg.jblk), AccessMode::ReadWrite},
+             {rt::block_key(ti, seg.jblk), AccessMode::ReadWrite}},
+            {update_prio(k, seg.jblk), TaskKind::Update, it,
+             "ssssm i" + std::to_string(ti) + " j" + std::to_string(seg.jblk)},
+            [Sp, c_top, c_bot, slot]() {
+              ssssm(Sp->chain[static_cast<std::size_t>(slot)], c_top, c_bot);
+            });
       }
     }
   }

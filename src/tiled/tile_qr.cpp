@@ -2,44 +2,12 @@
 
 #include <cassert>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <string>
 
 #include "matrix/norms.hpp"
-#include "runtime/dep_tracker.hpp"
 
 namespace camult::tiled {
-namespace {
-
-using rt::AccessMode;
-using rt::BlockAccess;
-using rt::TaskId;
-using rt::TaskKind;
-
-rt::BlockKey tile_key(idx i, idx j) { return rt::block_key(i, j); }
-rt::BlockKey leaf_key(idx k) { return (idx{1} << 60) + k; }
-rt::BlockKey node_key(idx k, idx i) { return (idx{1} << 61) + k * 65536 + i; }
-
-struct ColSegment {
-  idx col0, cols, jblk;
-};
-
-std::vector<ColSegment> trailing_segments(idx row0, idx jb, idx b, idx n,
-                                          idx kb) {
-  std::vector<ColSegment> segments;
-  if (row0 + jb < std::min(n, (kb + 1) * b)) {
-    segments.push_back(
-        {row0 + jb, std::min(n, (kb + 1) * b) - (row0 + jb), kb});
-  }
-  const idx n_blocks = (n + b - 1) / b;
-  for (idx jblk = kb + 1; jblk < n_blocks; ++jblk) {
-    segments.push_back({jblk * b, std::min(b, n - jblk * b), jblk});
-  }
-  return segments;
-}
-
-}  // namespace
 
 TileQrResult tile_qr_factor(MatrixView a, const TileQrOptions& opts) {
   const idx m = a.rows();
@@ -55,19 +23,12 @@ TileQrResult tile_qr_factor(MatrixView a, const TileQrOptions& opts) {
   result.b = b;
   result.steps.resize(static_cast<std::size_t>(n_steps));
 
+  using rt::AccessMode;
+  using rt::TaskKind;
   rt::TaskGraph graph({opts.num_threads, opts.record_trace});
-  rt::DepTracker tracker;
-
-  TaskId next_id = 0;
-  auto add_task = [&](const std::vector<BlockAccess>& acc,
-                      rt::TaskOptions topts,
-                      std::function<void()> fn) -> TaskId {
-    const std::vector<TaskId> deps = tracker.depends(next_id, acc);
-    const TaskId id = graph.submit(deps, std::move(topts), std::move(fn));
-    assert(id == next_id);
-    ++next_id;
-    return id;
-  };
+  // Per-step keys: the diagonal tile's GEQRT, and each TSQRT of the chain.
+  const rt::KeySpace leaf = graph.key_space(1);
+  const rt::KeySpace node = graph.key_space(std::max<idx>(1, m_tiles));
   // Panel-chain tasks (the critical path) on the top priority band;
   // trailing updates below, ordered by iteration then column.
   auto panel_prio = [](idx k) {
@@ -89,41 +50,35 @@ TileQrResult tile_qr_factor(MatrixView a, const TileQrOptions& opts) {
     S.chain_row.resize(static_cast<std::size_t>(std::max<idx>(n_below, 0)));
     S.chain.resize(static_cast<std::size_t>(std::max<idx>(n_below, 0)));
 
-    const auto segments = trailing_segments(row0, jb, b, n, k);
+    const int it = static_cast<int>(k);
+    const auto segments = rt::trailing_segments(row0, jb, b, n);
 
     // GEQRT: QR of the diagonal tile.
     {
-      std::vector<BlockAccess> acc = {{tile_key(k, k), AccessMode::ReadWrite},
-                                      {leaf_key(k), AccessMode::Write}};
-      rt::TaskOptions topts;
-      topts.kind = TaskKind::Panel;
-      topts.iteration = static_cast<int>(k);
-      topts.priority = panel_prio(k);
-      topts.label = "geqrt";
       TileQrStep* Sp = &S;
       MatrixView tile = a.block(row0, row0, rk, jb);
-      add_task(acc, std::move(topts), [Sp, tile]() {
-        Sp->leaf = core::tsqr_leaf_kernel(tile, 0);
-      });
+      graph.submit_accessing({{rt::block_key(k, k), AccessMode::ReadWrite},
+                              {leaf.key(k), AccessMode::Write}},
+                             {panel_prio(k), TaskKind::Panel, it, "geqrt"},
+                             [Sp, tile]() {
+                               Sp->leaf = core::tsqr_leaf_kernel(tile, 0);
+                             });
     }
 
     // UNMQR: apply the diagonal tile's reflectors to the trailing segments.
-    for (const ColSegment& seg : segments) {
-      std::vector<BlockAccess> acc = {{leaf_key(k), AccessMode::Read},
-                                      {tile_key(k, k), AccessMode::Read},
-                                      {tile_key(k, seg.jblk),
-                                       AccessMode::ReadWrite}};
-      rt::TaskOptions topts;
-      topts.kind = TaskKind::Update;
-      topts.iteration = static_cast<int>(k);
-      topts.priority = update_prio(k, seg.jblk);
-      topts.label = "unmqr j" + std::to_string(seg.jblk);
+    for (const rt::ColSegment& seg : segments) {
       TileQrStep* Sp = &S;
       ConstMatrixView tile = a.block(row0, row0, rk, jb);
       MatrixView c = a.block(row0, seg.col0, rk, seg.cols);
-      add_task(acc, std::move(topts), [Sp, tile, c]() {
-        core::tsqr_leaf_apply(blas::Trans::Trans, tile, Sp->leaf, c);
-      });
+      graph.submit_accessing(
+          {{leaf.key(k), AccessMode::Read},
+           {rt::block_key(k, k), AccessMode::Read},
+           {rt::block_key(k, seg.jblk), AccessMode::ReadWrite}},
+          {update_prio(k, seg.jblk), TaskKind::Update, it,
+           "unmqr j" + std::to_string(seg.jblk)},
+          [Sp, tile, c]() {
+            core::tsqr_leaf_apply(blas::Trans::Trans, tile, Sp->leaf, c);
+          });
     }
 
     // TSQRT chain + TSMQR updates.
@@ -132,40 +87,33 @@ TileQrResult tile_qr_factor(MatrixView a, const TileQrOptions& opts) {
       const idx slot = ti - (k + 1);
       S.chain_row[static_cast<std::size_t>(slot)] = ti * b;
       {
-        std::vector<BlockAccess> acc = {
-            {tile_key(k, k), AccessMode::ReadWrite},
-            {tile_key(ti, k), AccessMode::ReadWrite},
-            {node_key(k, ti), AccessMode::Write}};
-        rt::TaskOptions topts;
-        topts.kind = TaskKind::Panel;
-        topts.iteration = static_cast<int>(k);
-        topts.priority = panel_prio(k);
-        topts.label = "tsqrt i" + std::to_string(ti);
         TileQrStep* Sp = &S;
         MatrixView r_tile = a.block(row0, row0, jb, jb);
         MatrixView full = a.block(ti * b, row0, ri, jb);
-        add_task(acc, std::move(topts), [Sp, r_tile, full, slot]() {
-          Sp->chain[static_cast<std::size_t>(slot)] = tsqrt(r_tile, full);
-        });
+        graph.submit_accessing(
+            {{rt::block_key(k, k), AccessMode::ReadWrite},
+             {rt::block_key(ti, k), AccessMode::ReadWrite},
+             {node.key(k, ti), AccessMode::Write}},
+            {panel_prio(k), TaskKind::Panel, it,
+             "tsqrt i" + std::to_string(ti)},
+            [Sp, r_tile, full, slot]() {
+              Sp->chain[static_cast<std::size_t>(slot)] = tsqrt(r_tile, full);
+            });
       }
-      for (const ColSegment& seg : segments) {
-        std::vector<BlockAccess> acc = {
-            {node_key(k, ti), AccessMode::Read},
-            {tile_key(k, seg.jblk), AccessMode::ReadWrite},
-            {tile_key(ti, seg.jblk), AccessMode::ReadWrite}};
-        rt::TaskOptions topts;
-        topts.kind = TaskKind::Update;
-        topts.iteration = static_cast<int>(k);
-        topts.priority = update_prio(k, seg.jblk);
-        topts.label =
-            "tsmqr i" + std::to_string(ti) + " j" + std::to_string(seg.jblk);
+      for (const rt::ColSegment& seg : segments) {
         TileQrStep* Sp = &S;
         MatrixView c_top = a.block(row0, seg.col0, jb, seg.cols);
         MatrixView c_bot = a.block(ti * b, seg.col0, ri, seg.cols);
-        add_task(acc, std::move(topts), [Sp, c_top, c_bot, slot]() {
-          tsmqr(blas::Trans::Trans, Sp->chain[static_cast<std::size_t>(slot)],
-                c_top, c_bot);
-        });
+        graph.submit_accessing(
+            {{node.key(k, ti), AccessMode::Read},
+             {rt::block_key(k, seg.jblk), AccessMode::ReadWrite},
+             {rt::block_key(ti, seg.jblk), AccessMode::ReadWrite}},
+            {update_prio(k, seg.jblk), TaskKind::Update, it,
+             "tsmqr i" + std::to_string(ti) + " j" + std::to_string(seg.jblk)},
+            [Sp, c_top, c_bot, slot]() {
+              tsmqr(blas::Trans::Trans,
+                    Sp->chain[static_cast<std::size_t>(slot)], c_top, c_bot);
+            });
       }
     }
   }

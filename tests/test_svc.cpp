@@ -159,19 +159,24 @@ TEST(SvcService, NegativeWindowJobFails) {
   svc::Service service(cfg);
   for (svc::JobKind kind :
        {svc::JobKind::CaluFactor, svc::JobKind::CaqrFactor}) {
-    const Matrix orig = random_matrix(64, 64, 150);
-    Matrix m = orig;
-    svc::JobRequest req = lu_request(m.view(), svc::QosClass::Normal);
-    req.kind = kind;
-    req.window = -1;
-    const auto adm = service.submit(req);
-    ASSERT_TRUE(adm.accepted);
-    const svc::JobOutcome& out = adm.handle.wait();
-    EXPECT_EQ(out.status, svc::JobStatus::Failed);
-    EXPECT_NE(out.error.find("window"), std::string::npos) << out.error;
-    EXPECT_EQ(out.sched.totals().tasks_executed, 0);
-    // Rejected before any task touched the input.
-    EXPECT_EQ(test::max_diff(orig.view(), m.view()), 0.0);
+    // b and tr below 1 fail the same way, before any task runs.
+    for (const std::string field : {"window", "b", "tr"}) {
+      const Matrix orig = random_matrix(64, 64, 150);
+      Matrix m = orig;
+      svc::JobRequest req = lu_request(m.view(), svc::QosClass::Normal);
+      req.kind = kind;
+      req.window = field == "window" ? -1 : 0;
+      if (field == "b") req.b = 0;
+      if (field == "tr") req.tr = 0;
+      const auto adm = service.submit(req);
+      ASSERT_TRUE(adm.accepted);
+      const svc::JobOutcome& out = adm.handle.wait();
+      EXPECT_EQ(out.status, svc::JobStatus::Failed) << field;
+      EXPECT_EQ(out.error.rfind(field + " must be", 0), 0u) << out.error;
+      EXPECT_EQ(out.sched.totals().tasks_executed, 0);
+      // Rejected before any task touched the input.
+      EXPECT_EQ(test::max_diff(orig.view(), m.view()), 0.0);
+    }
   }
   // The service is unharmed: a well-formed job still completes.
   Matrix ok = random_matrix(64, 64, 151);

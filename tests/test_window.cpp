@@ -11,8 +11,9 @@
 //    complete trace out of recycled slabs;
 //  * failure paths: cancellation and fault injection mid-window drain
 //    cleanly and never wedge a shared pool;
-//  * dep-key / priority-band overflow guards (core/lookahead.hpp): the
-//    regression tests that fail on the old silent wraparound.
+//  * dep-key / priority-band overflow guards (core/lookahead.hpp and
+//    runtime/dep_tracker.hpp): the regression tests that fail on the old
+//    silent wraparound.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -217,10 +218,13 @@ TEST(CaluWindow, NegativeWindowThrowsBeforeTouchingInput) {
   const Matrix orig = random_matrix(96, 48, 906);
   for (int threads : {0, 2}) {
     Matrix a = orig;
-    EXPECT_THROW(core::calu_factor(a.view(), lu_opts(-1, threads)),
-                 std::invalid_argument);
-    EXPECT_THROW(core::CaluAsync(a.view(), lu_opts(-3, threads)),
-                 std::invalid_argument);
+    // b < 1 and tr < 1 are rejected like a negative window.
+    for (idx CaluOptions::*field :
+         {&CaluOptions::window, &CaluOptions::b, &CaluOptions::tr}) {
+      CaluOptions o = lu_opts(0, threads);
+      o.*field = field == &CaluOptions::window ? -1 : 0;
+      EXPECT_THROW(core::calu_factor(a.view(), o), std::invalid_argument);
+    }
     EXPECT_EQ(test::max_diff(orig.view(), a.view()), 0.0);
   }
 }
@@ -229,10 +233,13 @@ TEST(CaqrWindow, NegativeWindowThrowsBeforeTouchingInput) {
   const Matrix orig = random_matrix(96, 48, 907);
   for (int threads : {0, 2}) {
     Matrix a = orig;
-    EXPECT_THROW(core::caqr_factor(a.view(), qr_opts(-1, threads)),
-                 std::invalid_argument);
-    EXPECT_THROW(core::CaqrAsync(a.view(), qr_opts(-3, threads)),
-                 std::invalid_argument);
+    // b < 1 and tr < 1 are rejected like a negative window.
+    for (idx CaqrOptions::*field :
+         {&CaqrOptions::window, &CaqrOptions::b, &CaqrOptions::tr}) {
+      CaqrOptions o = qr_opts(0, threads);
+      o.*field = field == &CaqrOptions::window ? -1 : 0;
+      EXPECT_THROW(core::caqr_factor(a.view(), o), std::invalid_argument);
+    }
     EXPECT_EQ(test::max_diff(orig.view(), a.view()), 0.0);
   }
 }
@@ -340,12 +347,12 @@ TEST(CaluWindow, CancelMidWindowDrainsAndPoolStaysUsable) {
   o.sched_out = &sched;
   rt::CancelToken token = o.cancel;
 
-  // The constructor submits the first window of iterations; cancelling
+  // calu_submit submits the first window of iterations; cancelling
   // before collect() guarantees the abort lands with most of the DAG not
   // yet submitted — the retired-prefix bookkeeping must unwind it anyway.
-  core::CaluAsync async(a.view(), o);
+  auto job = core::calu_submit(a.view(), o);
   token.request_cancel();
-  EXPECT_THROW(async.collect(), rt::CancelledError);
+  EXPECT_THROW(job->collect(), rt::CancelledError);
 
   // The pool is not wedged: a fresh windowed factorization on the same
   // pool still matches the full-DAG reference bitwise.
@@ -372,9 +379,9 @@ TEST(CaqrWindow, CancelMidWindowDrainsAndPoolStaysUsable) {
   o.record_trace = false;
   rt::CancelToken token = o.cancel;
 
-  core::CaqrAsync async(a.view(), o);
+  auto job = core::caqr_submit(a.view(), o);
   token.request_cancel();
-  EXPECT_THROW(async.collect(), rt::CancelledError);
+  EXPECT_THROW(job->collect(), rt::CancelledError);
 
   Matrix base = random_matrix(160, 64, 933);
   Matrix full = base;
@@ -442,28 +449,28 @@ TEST(SvcWindow, WindowedJobMatchesFullDagResult) {
   EXPECT_EQ(test::max_diff(full.view(), via_svc.view()), 0.0);
 }
 
-// ---- Overflow / aliasing guards (core/lookahead.hpp) ---------------------
+// ---- Overflow / aliasing guards (lookahead.hpp, dep_tracker.hpp) ---------
 
 TEST(OverflowGuards, CheckedKeyOffsetRejectsEnvelopeEscape) {
   // Paper scale sits far inside the envelope.
   const idx paper_iters = 250000;  // m = 1e6, b = 4
-  EXPECT_EQ(core::checked_key_offset(paper_iters, 9, 3),
+  EXPECT_EQ(rt::checked_key_offset(paper_iters, 9, 3),
             paper_iters * 9 + 3);
 
   constexpr std::int64_t kLimit = std::int64_t{1} << 59;
   const idx stride = 9, slot = 3;
   const idx k_max = (kLimit - 1 - slot) / stride;
-  EXPECT_EQ(core::checked_key_offset(k_max, stride, slot),
+  EXPECT_EQ(rt::checked_key_offset(k_max, stride, slot),
             k_max * stride + slot);
-  EXPECT_THROW(core::checked_key_offset(k_max + 1, stride, slot),
+  EXPECT_THROW(rt::checked_key_offset(k_max + 1, stride, slot),
                std::overflow_error);
   // The old arithmetic wrapped std::int64_t here and aliased iteration 0's
   // keys; now it must refuse.
-  EXPECT_THROW(core::checked_key_offset(std::numeric_limits<idx>::max() / 2,
+  EXPECT_THROW(rt::checked_key_offset(std::numeric_limits<idx>::max() / 2,
                                         1000, 0),
                std::overflow_error);
-  EXPECT_THROW(core::checked_key_offset(-1, 9, 3), std::overflow_error);
-  EXPECT_THROW(core::checked_key_offset(0, 9, 9), std::overflow_error);
+  EXPECT_THROW(rt::checked_key_offset(-1, 9, 3), std::overflow_error);
+  EXPECT_THROW(rt::checked_key_offset(0, 9, 9), std::overflow_error);
 }
 
 TEST(OverflowGuards, BandArithmeticSaturatesInsteadOfWrapping) {

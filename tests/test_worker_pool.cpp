@@ -302,7 +302,7 @@ TEST(WorkerPool, SlabPoolPersistsAcrossRuns) {
 
 // Factor `a` on `pool` with the whole DAG submitted before the pool's
 // (single) worker may start on it: the worker is parked in a gate task of
-// another graph until CaluAsync's constructor returned. The execution order
+// another graph until calu_submit returned. The execution order
 // (and with it how many pack slabs are live at once) then depends only on
 // the DAG and its priorities, not on how far submission got before the
 // worker caught up.
@@ -316,10 +316,10 @@ void calu_fully_submitted(rt::WorkerPool& pool, MatrixView a,
     while (!go.load()) std::this_thread::yield();
   });
   while (!parked.load()) std::this_thread::yield();
-  core::CaluAsync job(a, o);
+  auto job = core::calu_submit(a, o);
   go = true;
   gate.wait();
-  (void)job.collect();
+  (void)job->collect();
 }
 
 TEST(WorkerPool, CaluSlabReuseAcrossCalls) {

@@ -35,7 +35,10 @@
 # fill their own screen slot on a worker, merged after the graph drains)
 # and test_core_tslu (the tournament leaf's chunk loop: ragged last chunks,
 # blocks viewed inside a taller panel, and winners read back from earlier
-# chunks, where an index slip reads past the block).
+# chunks, where an index slip reads past the block), test_tiled and
+# test_baseline (the tiled LU/QR/Cholesky and blocked getrf/geqrf
+# baselines: their DAGs go through TaskGraph::submit_accessing and its
+# dependency tracker while workers complete earlier tasks).
 # Any reported race fails the run.
 #
 # Usage: tools/run_tsan.sh [build-dir]        (default: build-tsan)
@@ -56,7 +59,7 @@ cmake -B "$build_dir" -S "$repo_root" \
 cmake --build "$build_dir" -j --target test_runtime test_scheduler_stress \
   test_observability test_pack_concurrency test_worker_pool test_blas_pack \
   test_fault_inject test_svc test_window test_blas_trsm_trmm test_adversarial \
-  test_core_tslu
+  test_core_tslu test_tiled test_baseline
 
 case "$san" in
   thread)
@@ -82,4 +85,6 @@ esac
 "$build_dir/tests/test_blas_trsm_trmm"
 "$build_dir/tests/test_adversarial"
 "$build_dir/tests/test_core_tslu"
+"$build_dir/tests/test_tiled"
+"$build_dir/tests/test_baseline"
 echo "[$san sanitizer] all scheduler tests passed"
