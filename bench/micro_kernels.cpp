@@ -3,7 +3,9 @@
 // gemm/trsm/trmm, the compact-WY update larfb, and the four panel kernels
 // (BLAS2 getf2/geqr2 vs recursive rgetf2/geqr3). The "CA algorithms use the
 // best sequential kernel" claim (Section II) is visible here as
-// rgetf2/geqr3 beating their BLAS2 counterparts on tall panels.
+// rgetf2/geqr3 beating their BLAS2 counterparts on tall panels. The
+// BM_geqr3_phase_* rows split a 2,000 x 100 geqr3 into its three phases,
+// and BM_gemm_tn times the narrow A^T B shape that two of them run on.
 #include <benchmark/benchmark.h>
 
 #include "bench_support/flops.hpp"
@@ -32,6 +34,24 @@ void BM_gemm(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_gemm)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+
+void BM_gemm_tn(benchmark::State& state) {
+  // C (w x w) = A^T B with a 2,000-long contraction: the W = C^T V and
+  // T12 = V1^T V2 shapes of geqr3 and larfb_left.
+  const idx w = state.range(0), k = 2000;
+  Matrix a = random_matrix(k, w, 16);
+  Matrix b = random_matrix(k, w, 17);
+  Matrix c = Matrix::zeros(w, w);
+  for (auto _ : state) {
+    blas::gemm(blas::Trans::Trans, blas::Trans::NoTrans, 1.0, a, b, 0.0,
+               c.view());
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["GFlop/s"] = benchmark::Counter(
+      2.0 * static_cast<double>(w) * w * k * state.iterations() * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_gemm_tn)->Arg(6)->Arg(12)->Arg(25)->Arg(50)->Arg(100);
 
 void BM_gemm_panel_shape(benchmark::State& state) {
   // The CALU update shape: (m x b) * (b x b).
@@ -108,6 +128,29 @@ void BM_tournament_leaf(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_tournament_leaf)->Unit(benchmark::kMillisecond);
+
+void BM_geqr3_tall_view(benchmark::State& state) {
+  // The tall CAQR leaf task: geqr3 of one leaf's 250000 x 100 rows of a
+  // 1,000,000-row panel, factored in place, so the block is a view with
+  // ld = 1e6. The leaf is restored from a copy outside the timed region.
+  const idx m = 1000000, rows = 250000, b = 100;
+  const Matrix leaf = random_matrix(rows, b, 18);
+  Matrix panel(m, b);
+  MatrixView block = panel.block(rows, 0, rows, b);
+  std::vector<double> tau;
+  Matrix t(b, b);
+  for (auto _ : state) {
+    state.PauseTiming();
+    copy_into(leaf.view(), block);
+    state.ResumeTiming();
+    lapack::geqr3(block, tau, t.view());
+    benchmark::DoNotOptimize(block.data());
+  }
+  state.counters["GFlop/s"] = benchmark::Counter(
+      camult::bench::qr_flops(rows, b) * state.iterations() * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_geqr3_tall_view)->Unit(benchmark::kMillisecond);
 
 void BM_trmm_right(benchmark::State& state) {
   // larfb's W := W * T step: W is (trailing columns) x k with k = b = 100.
@@ -188,6 +231,71 @@ void BM_qr_panel(benchmark::State& state) {
 }
 BENCHMARK_TEMPLATE(BM_qr_panel, 0)->Name("BM_geqr2_panel")->Arg(2000)->Arg(10000);
 BENCHMARK_TEMPLATE(BM_qr_panel, 1)->Name("BM_geqr3_panel")->Arg(2000)->Arg(10000);
+
+// geqr3's recursion on n columns at row/column offset off: leaves of at
+// most 8 columns are base blocks, every other node splits at n / 2.
+template <typename Base, typename Node>
+void walk_geqr3(idx off, idx n, Base& base, Node& node) {
+  if (n <= 8) {
+    base(off, n);
+    return;
+  }
+  const idx n1 = n / 2;
+  walk_geqr3(off, n1, base, node);
+  node(off, n1, n - n1);
+  walk_geqr3(off + n1, n - n1, base, node);
+}
+
+enum class Geqr3Phase { Base, Larfb, T12 };
+
+template <Geqr3Phase Phase>
+void BM_geqr3_phase(benchmark::State& state) {
+  // One phase of a geqr3 of an m x 100 panel, run on the blocks the
+  // recursion hands it: geqr2 + larft on each base block, larfb_left of
+  // each left half onto its right half, or larft_join for each node. V
+  // and T come from a real geqr3 of the panel; larfb_left writes into a
+  // random matrix, and the base phase factors a fresh copy each time.
+  const idx m = state.range(0), b = 100;
+  const Matrix a = random_matrix(m, b, 11);
+  Matrix v = a;
+  Matrix t = Matrix::zeros(b, b);
+  std::vector<double> tau;
+  lapack::geqr3(v.view(), tau, t.view());
+  Matrix w = a;
+  std::vector<double> btau;
+  auto base = [&](idx off, idx n) {
+    if constexpr (Phase == Geqr3Phase::Base) {
+      MatrixView blk = w.view().block(off, off, m - off, n);
+      lapack::geqr2(blk, btau);
+      lapack::larft(blk, btau.data(), t.view().block(off, off, n, n));
+    }
+  };
+  auto node = [&](idx off, idx n1, idx n2) {
+    if constexpr (Phase == Geqr3Phase::Larfb) {
+      lapack::larfb_left(blas::Trans::Trans,
+                         v.view().block(off, off, m - off, n1),
+                         t.view().block(off, off, n1, n1),
+                         w.view().block(off, off + n1, m - off, n2));
+    } else if constexpr (Phase == Geqr3Phase::T12) {
+      lapack::larft_join(v.view().block(off, off, m - off, n1 + n2), n1,
+                         t.view().block(off, off, n1 + n2, n1 + n2));
+    }
+  };
+  for (auto _ : state) {
+    state.PauseTiming();
+    copy_into(a.view(), w.view());
+    state.ResumeTiming();
+    walk_geqr3(0, b, base, node);
+    benchmark::DoNotOptimize(w.data());
+    benchmark::DoNotOptimize(t.data());
+  }
+}
+BENCHMARK_TEMPLATE(BM_geqr3_phase, Geqr3Phase::Base)
+    ->Name("BM_geqr3_phase_base")->Arg(2000)->Unit(benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(BM_geqr3_phase, Geqr3Phase::Larfb)
+    ->Name("BM_geqr3_phase_larfb")->Arg(2000)->Unit(benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(BM_geqr3_phase, Geqr3Phase::T12)
+    ->Name("BM_geqr3_phase_t12")->Arg(2000)->Unit(benchmark::kMicrosecond);
 
 void BM_tslu_panel(benchmark::State& state) {
   const idx m = state.range(0), b = 100;

@@ -1,5 +1,6 @@
 #include "blas/gemm.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -50,13 +51,16 @@ void gemm_small(Trans transa, Trans transb, double alpha, ConstMatrixView a,
   }
 }
 
-// Macro-block driver shared by gemm and both gemm_packed overloads: walks
-// the jc / pc / ic cache-block loops and feeds the dispatched microkernel.
-// The getters supply a packed (mc x kc) A block (get_a(ic, pc, mc, kc)) and
-// a packed (kc x nc) B block (get_b(pc, jc, kc, nc)) — either freshly
-// packed into per-call scratch or served from a pre-packed PackedPanel.
-// Since the loop structure, blocking and microkernel are shared, packed and
-// unpacked runs produce bit-identical results on this path.
+// Macro-block driver shared by gemm's packed path and both gemm_packed
+// overloads: walks the jc / pc / ic cache-block loops and feeds the
+// dispatched microkernel. The getters supply a packed (mc x kc) A block
+// (get_a(ic, pc, mc, kc)) and a packed (kc x nc) B block
+// (get_b(pc, jc, kc, nc)) — either freshly packed into per-call scratch or
+// served from a pre-packed PackedPanel. Since the loop structure, blocking
+// and microkernel are shared, gemm and gemm_packed produce bit-identical
+// results for every shape gemm sends down this path — the NN CALU update
+// among them (test_blas_pack pins it). A (Trans, NoTrans) call that gemm
+// routes to the inner-product path has no packed twin.
 template <typename GetA, typename GetB>
 void gemm_blocked(const GemmBlocking& blk, MicrokernelFn kern, idx m, idx n,
                   idx k, double alpha, GetA&& get_a, GetB&& get_b,
@@ -93,6 +97,26 @@ void gemm_blocked(const GemmBlocking& blk, MicrokernelFn kern, idx m, idx n,
 
 }  // namespace
 
+void gemm_inner(double alpha, ConstMatrixView a, ConstMatrixView b,
+                MatrixView c) {
+  const idx m = c.rows();
+  const idx n = c.cols();
+  const idx k = a.rows();
+  assert(a.cols() == m && b.rows() == k && b.cols() == n);
+  if (alpha == 0.0 || m == 0 || n == 0 || k == 0) return;
+  // One contraction block's A and B columns stay in L2 while the kernel's
+  // tiles re-read them, so each operand element comes from memory once.
+  const InnerProductFn dot = active_kernel().dot;
+  idx blocks = 0;
+  for (idx pc = 0; pc < k; pc += kInnerKc, ++blocks) {
+    dot(m, n, std::min(kInnerKc, k - pc), alpha, a.data() + pc, a.ld(),
+        b.data() + pc, b.ld(), c.data(), c.ld());
+  }
+  GemmTraffic& traffic = detail::gemm_traffic_tls();
+  traffic.kernel_bytes += (m + n) * k * 8;
+  traffic.c_bytes += m * n * 16 * blocks;
+}
+
 GemmBlocking gemm_blocking() {
   // The blocking a large square multiply would get right now (override and
   // tuning table applied) — benchmarks/tests introspection, not a contract
@@ -112,6 +136,11 @@ void gemm(Trans transa, Trans transb, double alpha, ConstMatrixView a,
   scale_matrix(c, beta);
   if (alpha == 0.0 || m == 0 || n == 0 || k == 0) return;
 
+  if (transa == Trans::Trans && transb == Trans::NoTrans &&
+      inner_product_shape(m, n, k)) {
+    gemm_inner(alpha, a, b, c);
+    return;
+  }
   if (m * n * k <= 16 * 16 * 16) {
     gemm_small(transa, transb, alpha, a, b, c, k);
     return;

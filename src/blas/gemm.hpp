@@ -3,13 +3,20 @@
 //
 // C = alpha * op(A) * op(B) + beta * C
 //
-// The implementation is a GotoBLAS-style blocked algorithm: A and B are
-// packed into contiguous cache-resident panels and the inner product is
-// computed by a register-blocked MR x NR microkernel. The kernel variant
-// (scalar / AVX2 / AVX-512) is picked at RUNTIME from cpuid — see
-// kernel.hpp — and the cache blocking is runtime data sourced from the
-// autotune table (tuning.hpp). All four transpose combinations are
-// supported; transposition is absorbed by the packing routines.
+// Two paths, both on the kernel variant (scalar / AVX2 / AVX-512) picked at
+// RUNTIME from cpuid — see kernel.hpp:
+//  * Packed: a GotoBLAS-style blocked algorithm. A and B are packed into
+//    contiguous cache-resident panels and a register-blocked MR x NR
+//    microkernel computes each C tile; the cache blocking is runtime data
+//    sourced from the autotune table (tuning.hpp). All four transpose
+//    combinations are supported; transposition is absorbed by packing.
+//  * Inner product: C += alpha * A^T * B (Trans, NoTrans) with a narrow C
+//    and a long contraction — QR's W = C^T V and T12 = V1^T V2 — reads the
+//    contiguous columns of A and B in place, one dot product per C
+//    element, over contraction blocks of kInnerKc. Packing a narrow result
+//    wastes most of each register tile, so the packed path runs these
+//    shapes at a fraction of its rate. The rule is inner_product_shape
+//    below; it reads (m, n, k) only, never the data or its layout.
 // The packing half of the pipeline (pack_a/pack_b/PackedPanel and the
 // per-thread scratch pool) lives in pack.hpp; gemm_packed below consumes a
 // pre-packed operand so repeated multiplies against the same panel — the
@@ -24,8 +31,31 @@
 namespace camult::blas {
 
 /// Shape contract: op(A) is m x k, op(B) is k x n, C is m x n.
+/// (Trans, NoTrans) takes the inner-product path when
+/// inner_product_shape(m, n, k); every other call takes the packed path
+/// (or, below 16^3 flops, a direct triple loop).
 void gemm(Trans transa, Trans transb, double alpha, ConstMatrixView a,
           ConstMatrixView b, double beta, MatrixView c);
+
+/// The inner-product rule, from the sweep in docs/benchmarks.md § CAQR leaf
+/// kernel: C at most kInnerMaxWidth wide in both dimensions and a
+/// contraction at least twice its wider side. kInnerKc is the contraction
+/// block; one block of A and B columns, (m + n) * kInnerKc doubles, is at
+/// most 2 MiB, one L2.
+inline constexpr idx kInnerMaxWidth = 256;
+inline constexpr idx kInnerKc = 512;
+
+constexpr bool inner_product_shape(idx m, idx n, idx k) {
+  const idx w = m > n ? m : n;
+  return w <= kInnerMaxWidth && k >= 2 * w;
+}
+
+/// C += alpha * A^T * B on the inner-product path whatever the shape (A is
+/// k x m, B is k x n). gemm routes here by inner_product_shape; gemv(Trans)
+/// with incx == 1 is its n = 1 case. Each element's bits depend only on
+/// its own A and B columns, k and the active kernel.
+void gemm_inner(double alpha, ConstMatrixView a, ConstMatrixView b,
+                MatrixView c);
 
 /// C = alpha * Ap * op(B) + beta * C, where Ap was built by pack_a().
 /// Always takes the blocked-microkernel path (no small-case shortcut), so

@@ -1,11 +1,18 @@
-// kernel.hpp — runtime-dispatched GEMM microkernels.
+// kernel.hpp — runtime-dispatched GEMM kernels.
 //
-// The blocked gemm driver (gemm.cpp) computes every C tile through one
-// register-blocked MR x NR microkernel. Before this layer existed the kernel
-// was chosen at COMPILE time (#ifdef __AVX2__), which meant a portable
-// -march=x86-64 build silently ran the scalar loop on AVX-capable hardware,
-// and a -march=native build crashed with SIGILL if the binary migrated to an
-// older machine. Now every variant is compiled unconditionally in its own
+// Each kernel variant carries two functions. The blocked gemm driver
+// (gemm.cpp) computes the C tiles of packed multiplies through one
+// register-blocked MR x NR microkernel; narrow A^T B products with a long
+// contraction (QR's W = C^T V and T12 = V1^T V2, and gemv(Trans)) skip
+// packing and run an inner-product kernel that reads the contiguous
+// columns of A and B directly (gemm.hpp has the shape rule). CAMULT_KERNEL
+// and set_active_kernel select both functions of a variant together.
+//
+// Before this layer existed the kernel was chosen at COMPILE time
+// (#ifdef __AVX2__), which meant a portable -march=x86-64 build silently
+// ran the scalar loop on AVX-capable hardware, and a -march=native build
+// crashed with SIGILL if the binary migrated to an older machine. Now
+// every variant is compiled unconditionally in its own
 // translation unit with per-file arch flags (see src/blas/CMakeLists.txt)
 // and the best one the *host* can execute is picked once at startup via
 // cpuid (__builtin_cpu_supports).
@@ -57,10 +64,21 @@ using MicrokernelFn = void (*)(idx kc, double alpha, const double* ap,
                                const double* bp, double* c, idx ldc,
                                idx mr_eff, idx nr_eff);
 
-/// One registered microkernel variant.
+/// C(0:m, 0:n) += alpha * A^T * B without packing: A is k x m (column i at
+/// a + i * lda), B is k x n (column j at b + j * ldb), C is column-major
+/// with ldc. Each C element is one dot product vectorised along the
+/// contiguous contraction, accumulated and reduced in an order that
+/// depends only on k, so an element's bits do not depend on m, n or its
+/// position in C. No zero-skip: NaN and Inf in A or B propagate.
+using InnerProductFn = void (*)(idx m, idx n, idx k, double alpha,
+                                const double* a, idx lda, const double* b,
+                                idx ldb, double* c, idx ldc);
+
+/// One registered kernel variant.
 struct KernelInfo {
   const char* name;       ///< "scalar", "avx2", "avx512"
   MicrokernelFn fn;       ///< nullptr when !compiled
+  InnerProductFn dot;     ///< nullptr when !compiled
   GemmBlocking blocking;  ///< built-in default blocking (incl. MR/NR)
   bool compiled;          ///< TU was built with the required ISA flags
   bool supported;         ///< compiled && the host cpu can execute it
@@ -102,15 +120,17 @@ GemmBlocking active_blocking(idx m, idx n, idx k);
 bool set_blocking_override(const GemmBlocking& blk);
 void clear_blocking_override();
 
-/// Bytes moved through the packed-GEMM pipeline by the calling thread,
-/// counted at the algorithmic level (what the communication-cost model
-/// charges, not hardware counters): source reads + packed writes during
-/// packing, packed-panel streaming by the microkernels, and C tile
-/// read+write traffic. flops / (sum of these) is the arithmetic intensity
-/// reported by bench/gemm_kernel.
+/// Bytes moved through the GEMM kernels by the calling thread, counted at
+/// the algorithmic level (what the communication-cost model charges, not
+/// hardware counters): source reads + packed writes during packing,
+/// packed-panel streaming by the microkernels, operand reads by the
+/// inner-product kernel, and C tile read+write traffic. flops / (sum of
+/// these) is the arithmetic intensity reported by bench/gemm_kernel.
 struct GemmTraffic {
   std::int64_t pack_bytes = 0;    ///< pack_a/pack_b: source reads + packed writes
-  std::int64_t kernel_bytes = 0;  ///< packed A/B bytes streamed by microkernels
+  /// Packed A/B bytes streamed by microkernels, plus the inner-product
+  /// path's A and B reads (each element once per call).
+  std::int64_t kernel_bytes = 0;
   std::int64_t c_bytes = 0;       ///< C tile loads + stores
 
   std::int64_t total() const { return pack_bytes + kernel_bytes + c_bytes; }

@@ -6,11 +6,16 @@
 // 12 independent ymm accumulators (2 per column) keep the FMA pipelines
 // saturated — compilers reliably fail to get this register allocation right
 // from the scalar loop.
+//
+// The inner-product kernel covers C with 3 x 3 tiles: one ymm accumulator
+// per C element, 9 FMA chains plus 3 B and 1 A register of the 16. The
+// contraction tail is a masked load, so no lane reads past a column.
 #include "blas/kernel_impl.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace camult::blas {
@@ -67,6 +72,80 @@ void microkernel_avx2(idx kc, double alpha, const double* __restrict ap,
   }
 }
 
+constexpr int kIpTile = 3;
+
+double reduce_add(__m256d v) {
+  const __m128d s = _mm_add_pd(_mm256_castpd256_pd128(v),
+                               _mm256_extractf128_pd(v, 1));
+  return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
+}
+
+// C(0:RI, 0:RJ) += alpha * A^T B for one register tile. Every element runs
+// the same sequence (4-lane FMAs, one masked tail, reduce, one fused
+// update), whatever the tile's shape.
+template <int RI, int RJ>
+void inner_tile(idx k, double alpha, const double* __restrict a, idx lda,
+                const double* __restrict b, idx ldb, double* __restrict c,
+                idx ldc) {
+  __m256d acc[RI][RJ];
+  for (int i = 0; i < RI; ++i) {
+    for (int j = 0; j < RJ; ++j) acc[i][j] = _mm256_setzero_pd();
+  }
+  const idx kv = k & ~idx{3};
+  for (idx p = 0; p < kv; p += 4) {
+    __m256d bv[RJ];
+    for (int j = 0; j < RJ; ++j) bv[j] = _mm256_loadu_pd(b + j * ldb + p);
+    for (int i = 0; i < RI; ++i) {
+      const __m256d av = _mm256_loadu_pd(a + i * lda + p);
+      for (int j = 0; j < RJ; ++j) {
+        acc[i][j] = _mm256_fmadd_pd(av, bv[j], acc[i][j]);
+      }
+    }
+  }
+  if (kv < k) {
+    const __m256i tail = _mm256_cmpgt_epi64(_mm256_set1_epi64x(k - kv),
+                                            _mm256_setr_epi64x(0, 1, 2, 3));
+    __m256d bv[RJ];
+    for (int j = 0; j < RJ; ++j) {
+      bv[j] = _mm256_maskload_pd(b + j * ldb + kv, tail);
+    }
+    for (int i = 0; i < RI; ++i) {
+      const __m256d av = _mm256_maskload_pd(a + i * lda + kv, tail);
+      for (int j = 0; j < RJ; ++j) {
+        acc[i][j] = _mm256_fmadd_pd(av, bv[j], acc[i][j]);
+      }
+    }
+  }
+  for (int j = 0; j < RJ; ++j) {
+    for (int i = 0; i < RI; ++i) {
+      double& cij = c[i + j * ldc];
+      cij = std::fma(alpha, reduce_add(acc[i][j]), cij);
+    }
+  }
+}
+
+using InnerTileFn = void (*)(idx, double, const double*, idx, const double*,
+                             idx, double*, idx);
+
+constexpr InnerTileFn kInnerTiles[kIpTile][kIpTile] = {
+    {inner_tile<1, 1>, inner_tile<1, 2>, inner_tile<1, 3>},
+    {inner_tile<2, 1>, inner_tile<2, 2>, inner_tile<2, 3>},
+    {inner_tile<3, 1>, inner_tile<3, 2>, inner_tile<3, 3>}};
+
+// Column strips outer: a strip's B columns stay in L1 while A streams.
+void inner_product_avx2(idx m, idx n, idx k, double alpha, const double* a,
+                        idx lda, const double* b, idx ldb, double* c,
+                        idx ldc) {
+  for (idx j = 0; j < n; j += kIpTile) {
+    const idx rj = std::min<idx>(kIpTile, n - j);
+    for (idx i = 0; i < m; i += kIpTile) {
+      const idx ri = std::min<idx>(kIpTile, m - i);
+      kInnerTiles[ri - 1][rj - 1](k, alpha, a + i * lda, lda, b + j * ldb,
+                                  ldb, c + i + j * ldc, ldc);
+    }
+  }
+}
+
 }  // namespace
 
 namespace detail {
@@ -75,6 +154,7 @@ KernelInfo make_avx2_kernel() {
   KernelInfo k;
   k.name = "avx2";
   k.fn = &microkernel_avx2;
+  k.dot = &inner_product_avx2;
   k.blocking = {/*mc=*/192, /*kc=*/256, /*nc=*/768, MR, NR};
   k.compiled = true;
   k.supported = false;  // dispatcher decides from cpuid
@@ -92,6 +172,7 @@ KernelInfo make_avx2_kernel() {
   KernelInfo k;
   k.name = "avx2";
   k.fn = nullptr;
+  k.dot = nullptr;
   k.blocking = {192, 256, 768, 8, 6};
   k.compiled = false;
   k.supported = false;

@@ -3,7 +3,13 @@
 // the binary loads; it is the guaranteed fallback the dispatcher can always
 // select. The register tile matches the AVX2 kernel so both share the same
 // packed-panel layout and default blocking.
+//
+// The inner-product kernel mirrors the vector ones with four scalar lanes
+// per C element over 2 x 2 tiles, so the compiler is free to vectorise the
+// lane loop and the tail fills the lanes the way a masked load would.
 #include "blas/kernel_impl.hpp"
+
+#include <algorithm>
 
 namespace camult::blas {
 namespace {
@@ -36,6 +42,61 @@ void microkernel_scalar(idx kc, double alpha, const double* __restrict ap,
   }
 }
 
+constexpr int kIpTile = 2;
+constexpr int kLanes = 4;
+
+// C(0:RI, 0:RJ) += alpha * A^T B for one register tile; every element runs
+// the same sequence whatever the tile's shape.
+template <int RI, int RJ>
+void inner_tile(idx k, double alpha, const double* __restrict a, idx lda,
+                const double* __restrict b, idx ldb, double* __restrict c,
+                idx ldc) {
+  double acc[RI][RJ][kLanes] = {};
+  const idx kv = k - k % kLanes;
+  for (idx p = 0; p < kv; p += kLanes) {
+    for (int i = 0; i < RI; ++i) {
+      for (int j = 0; j < RJ; ++j) {
+        for (int l = 0; l < kLanes; ++l) {
+          acc[i][j][l] += a[i * lda + p + l] * b[j * ldb + p + l];
+        }
+      }
+    }
+  }
+  for (idx p = kv; p < k; ++p) {
+    for (int i = 0; i < RI; ++i) {
+      for (int j = 0; j < RJ; ++j) {
+        acc[i][j][p - kv] += a[i * lda + p] * b[j * ldb + p];
+      }
+    }
+  }
+  for (int j = 0; j < RJ; ++j) {
+    for (int i = 0; i < RI; ++i) {
+      const double* s = acc[i][j];
+      c[i + j * ldc] += alpha * ((s[0] + s[2]) + (s[1] + s[3]));
+    }
+  }
+}
+
+using InnerTileFn = void (*)(idx, double, const double*, idx, const double*,
+                             idx, double*, idx);
+
+constexpr InnerTileFn kInnerTiles[kIpTile][kIpTile] = {
+    {inner_tile<1, 1>, inner_tile<1, 2>},
+    {inner_tile<2, 1>, inner_tile<2, 2>}};
+
+void inner_product_scalar(idx m, idx n, idx k, double alpha, const double* a,
+                          idx lda, const double* b, idx ldb, double* c,
+                          idx ldc) {
+  for (idx j = 0; j < n; j += kIpTile) {
+    const idx rj = std::min<idx>(kIpTile, n - j);
+    for (idx i = 0; i < m; i += kIpTile) {
+      const idx ri = std::min<idx>(kIpTile, m - i);
+      kInnerTiles[ri - 1][rj - 1](k, alpha, a + i * lda, lda, b + j * ldb,
+                                  ldb, c + i + j * ldc, ldc);
+    }
+  }
+}
+
 }  // namespace
 
 namespace detail {
@@ -44,6 +105,7 @@ KernelInfo make_scalar_kernel() {
   KernelInfo k;
   k.name = "scalar";
   k.fn = &microkernel_scalar;
+  k.dot = &inner_product_scalar;
   k.blocking = {/*mc=*/192, /*kc=*/256, /*nc=*/768, MR, NR};
   k.compiled = true;
   k.supported = false;  // dispatcher sets this (always true for scalar)

@@ -1,6 +1,7 @@
 #include "blas/level1.hpp"
 
 #include <cmath>
+#include <limits>
 
 namespace camult::blas {
 
@@ -81,9 +82,30 @@ double dot(idx n, const double* x, idx incx, const double* y, idx incy) {
 }
 
 double nrm2(idx n, const double* x, idx incx) {
+  // One unscaled pass with eight independent partial sums. It is exact to
+  // rounding whenever no square overflowed (the sum is finite) and the sum
+  // lies far above the underflow range (a square that underflowed is then
+  // below one ulp of it); NaN fails both tests. Otherwise rescan with the
+  // scaled, overflow-free recurrence.
+  constexpr int kLanes = 8;
+  double part[kLanes] = {};
+  idx i = 0;
+  if (incx == 1) {
+    for (; i + kLanes <= n; i += kLanes) {
+      for (int l = 0; l < kLanes; ++l) part[l] += x[i + l] * x[i + l];
+    }
+  }
+  double sum = ((part[0] + part[4]) + (part[2] + part[6])) +
+               ((part[1] + part[5]) + (part[3] + part[7]));
+  for (; i < n; ++i) sum += x[i * incx] * x[i * incx];
+  constexpr double kSafeSum = 0x1p-900;
+  if (sum > kSafeSum && sum < std::numeric_limits<double>::infinity()) {
+    return std::sqrt(sum);
+  }
+
   double scale = 0.0;
   double ssq = 1.0;
-  for (idx i = 0; i < n; ++i) {
+  for (i = 0; i < n; ++i) {
     const double v = std::abs(x[i * incx]);
     if (v == 0.0) continue;
     if (scale < v) {

@@ -31,7 +31,8 @@ void axpy_columns(idx m, idx count, double alpha, const double* c, idx incc,
 /// Sum of x_i * y_i.
 double dot(idx n, const double* x, idx incx, const double* y, idx incy);
 
-/// Euclidean norm, computed with scaling to avoid overflow/underflow.
+/// Euclidean norm: one unscaled sum of squares, rescanned with scaling
+/// when that sum could have overflowed or underflowed.
 double nrm2(idx n, const double* x, idx incx);
 
 /// y = x.

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "blas/gemm.hpp"
+
 namespace camult::blas {
 
 void gemv(Trans trans, double alpha, ConstMatrixView a, const double* x,
@@ -29,16 +31,21 @@ void gemv(Trans trans, double alpha, ConstMatrixView a, const double* x,
         for (idx i = 0; i < m; ++i) y[i * incy] += t * col[i];
       }
     }
+  } else if (incx == 1) {
+    // y_j += alpha * dot(A(:,j), x): gemm_inner with x as the k x 1 B
+    // operand, or, for a strided y, as the A operand of a 1 x n C whose
+    // leading dimension is incy. Both give every y_j the same bits.
+    const ConstMatrixView xv(x, m, 1, m);
+    if (incy == 1) {
+      gemm_inner(alpha, a, xv, MatrixView(y, n, 1, n));
+    } else {
+      gemm_inner(alpha, xv, a, MatrixView(y, 1, n, incy));
+    }
   } else {
-    // y_j += alpha * dot(A(:,j), x).
     for (idx j = 0; j < n; ++j) {
       const double* col = a.col_ptr(j);
       double s = 0.0;
-      if (incx == 1) {
-        for (idx i = 0; i < m; ++i) s += col[i] * x[i];
-      } else {
-        for (idx i = 0; i < m; ++i) s += col[i] * x[i * incx];
-      }
+      for (idx i = 0; i < m; ++i) s += col[i] * x[i * incx];
       y[j * incy] += alpha * s;
     }
   }

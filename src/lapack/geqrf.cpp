@@ -1,5 +1,6 @@
 #include "lapack/geqrf.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "blas/blas.hpp"
@@ -8,44 +9,64 @@
 
 namespace camult::lapack {
 
-void geqr2(MatrixView a, std::vector<double>& tau) {
+namespace {
+
+// Widest base block of geqr3's recursion.
+constexpr idx kGeqr3Base = 8;
+
+// geqr2 into caller-owned tau (min(m, n) entries) and work (n entries).
+void geqr2_body(MatrixView a, double* tau, double* work) {
   const idx m = a.rows();
   const idx n = a.cols();
   const idx k = std::min(m, n);
-  tau.assign(static_cast<std::size_t>(k), 0.0);
-  std::vector<double> work(static_cast<std::size_t>(n));
-
   for (idx j = 0; j < k; ++j) {
-    double& alpha = a(j, j);
     double* v_tail = (j + 1 < m) ? a.col_ptr(j) + j + 1 : nullptr;
-    const idx col_len = m - j;
-    tau[static_cast<std::size_t>(j)] = larfg(col_len, alpha, v_tail, 1);
+    tau[j] = larfg(m - j, a(j, j), v_tail, 1);
     if (j + 1 < n) {
-      apply_reflector_left(tau[static_cast<std::size_t>(j)], v_tail,
-                           a.block(j, j + 1, m - j, n - j - 1), work.data());
+      apply_reflector_left(tau[j], v_tail,
+                           a.block(j, j + 1, m - j, n - j - 1), work);
     }
   }
+}
+
+}  // namespace
+
+void geqr2(MatrixView a, std::vector<double>& tau) {
+  tau.assign(static_cast<std::size_t>(std::min(a.rows(), a.cols())), 0.0);
+  blas::ScratchBuffer work(static_cast<std::size_t>(a.cols()));
+  geqr2_body(a, tau.data(), work.data());
 }
 
 void larft(ConstMatrixView v, const double* tau, MatrixView t) {
   const idx m = v.rows();
   const idx k = v.cols();
-  (void)m;
+  assert(m >= k);
   assert(t.rows() >= k && t.cols() >= k);
+  if (k == 0) return;
 
+  // G(j, i) = V(:, j)^T V(:, i) for j < i, with V unit lower-trapezoidal:
+  // the rows below the k x k top in one inner product V2^T V2, plus the
+  // top's rows i..k, where V(i, i) = 1.
+  blas::ScratchBuffer gbuf(static_cast<std::size_t>(k * k));
+  MatrixView g(gbuf.data(), k, k, k);
+  fill(g, 0.0);
+  if (m > k) {
+    ConstMatrixView v2 = v.block(k, 0, m - k, k);
+    blas::gemm_inner(1.0, v2, v2, g);
+  }
+  for (idx i = 1; i < k; ++i) {
+    for (idx j = 0; j < i; ++j) {
+      double s = v(i, j);
+      for (idx r = i + 1; r < k; ++r) s += v(r, j) * v(r, i);
+      g(j, i) += s;
+    }
+  }
+
+  // T(0:i, i) = -tau_i T(0:i, 0:i) G(0:i, i), T(i, i) = tau_i.
   for (idx i = 0; i < k; ++i) {
     const double taui = tau[i];
-    if (taui == 0.0) {
-      for (idx j = 0; j < i; ++j) t(j, i) = 0.0;
-    } else {
-      // T(0:i, i) = -tau_i * V(i:m, 0:i)^T * V(i:m, i), exploiting the unit
-      // diagonal: V(i, j<i) are stored, V(i, i) = 1.
-      for (idx j = 0; j < i; ++j) t(j, i) = -taui * v(i, j);
-      if (i + 1 < m) {
-        blas::gemv(blas::Trans::Trans, -taui, v.block(i + 1, 0, m - i - 1, i),
-                   v.col_ptr(i) + i + 1, 1, 1.0, t.col_ptr(i), 1);
-      }
-      // T(0:i, i) = T(0:i, 0:i) * T(0:i, i)
+    for (idx j = 0; j < i; ++j) t(j, i) = taui == 0.0 ? 0.0 : -taui * g(j, i);
+    if (taui != 0.0) {
       blas::trmv(blas::Uplo::Upper, blas::Trans::NoTrans, blas::Diag::NonUnit,
                  t.block(0, 0, i, i), t.col_ptr(i), 1);
     }
@@ -70,20 +91,20 @@ void larfb_left_impl(blas::Trans trans, ConstMatrixView v, ConstMatrixView t,
   MatrixView c1 = c.rows_range(0, k);
 
   // W = C^T V = C1^T V1 + C2^T V2   (n x k)
-  Matrix w(n, k);
+  blas::ScratchBuffer wbuf(static_cast<std::size_t>(n * k));
+  MatrixView w(wbuf.data(), n, k, n);
   for (idx j = 0; j < k; ++j) {
     for (idx i = 0; i < n; ++i) w(i, j) = c1(j, i);
   }
   blas::trmm(blas::Side::Right, blas::Uplo::Lower, blas::Trans::NoTrans,
-             blas::Diag::Unit, 1.0, v1, w.view());
+             blas::Diag::Unit, 1.0, v1, w);
   if (m > k) {
     if (vp != nullptr) {
       blas::gemm_packed(blas::Trans::Trans, 1.0, c.rows_range(k, m - k),
-                        vp->v2_b, 1.0, w.view());
+                        vp->v2_b, 1.0, w);
     } else {
       blas::gemm(blas::Trans::Trans, blas::Trans::NoTrans, 1.0,
-                 c.rows_range(k, m - k), v.block(k, 0, m - k, k), 1.0,
-                 w.view());
+                 c.rows_range(k, m - k), v.block(k, 0, m - k, k), 1.0, w);
     }
   }
 
@@ -91,22 +112,21 @@ void larfb_left_impl(blas::Trans trans, ConstMatrixView v, ConstMatrixView t,
   blas::trmm(blas::Side::Right, blas::Uplo::Upper,
              trans == blas::Trans::NoTrans ? blas::Trans::Trans
                                            : blas::Trans::NoTrans,
-             blas::Diag::NonUnit, 1.0, t.block(0, 0, k, k), w.view());
+             blas::Diag::NonUnit, 1.0, t.block(0, 0, k, k), w);
 
   // C2 -= V2 * W^T
   if (m > k) {
     if (vp != nullptr) {
-      blas::gemm_packed(-1.0, vp->v2_a, blas::Trans::Trans, w.view(), 1.0,
+      blas::gemm_packed(-1.0, vp->v2_a, blas::Trans::Trans, w, 1.0,
                         c.rows_range(k, m - k));
     } else {
       blas::gemm(blas::Trans::NoTrans, blas::Trans::Trans, -1.0,
-                 v.block(k, 0, m - k, k), w.view(), 1.0,
-                 c.rows_range(k, m - k));
+                 v.block(k, 0, m - k, k), w, 1.0, c.rows_range(k, m - k));
     }
   }
   // W := W * V1^T, then C1 -= W^T.
   blas::trmm(blas::Side::Right, blas::Uplo::Lower, blas::Trans::Trans,
-             blas::Diag::Unit, 1.0, v1, w.view());
+             blas::Diag::Unit, 1.0, v1, w);
   for (idx j = 0; j < k; ++j) {
     for (idx i = 0; i < n; ++i) c1(j, i) -= w(i, j);
   }
@@ -166,64 +186,68 @@ void geqrf(MatrixView a, std::vector<double>& tau, const GeqrfOptions& opts) {
   }
 }
 
-void geqr3(MatrixView a, std::vector<double>& tau, MatrixView t) {
+namespace {
+
+// geqr3's recursion; work holds kGeqr3Base doubles for the base case.
+void geqr3_rec(MatrixView a, double* tau, MatrixView t, double* work) {
   const idx m = a.rows();
   const idx n = a.cols();
-  (void)m;
-  assert(m >= n);
+  if (n <= kGeqr3Base) {
+    geqr2_body(a, tau, work);
+    larft(a, tau, t);
+    return;
+  }
+  const idx n1 = n / 2;
+  const idx n2 = n - n1;
+
+  MatrixView left = a.cols_range(0, n1);
+  MatrixView t1 = t.block(0, 0, n1, n1);
+  geqr3_rec(left, tau, t1, work);
+
+  // Apply Q1^T to the right half.
+  MatrixView right = a.cols_range(n1, n2);
+  larfb_left(blas::Trans::Trans, left, t1, right);
+
+  // Factor the lower-right block.
+  MatrixView t2 = t.block(n1, n1, n2, n2);
+  geqr3_rec(a.block(n1, n1, m - n1, n2), tau + n1, t2, work);
+
+  larft_join(a, n1, t);
+}
+
+}  // namespace
+
+void larft_join(ConstMatrixView v, idx n1, MatrixView t) {
+  const idx m = v.rows();
+  const idx n2 = v.cols() - n1;
+  // V1 rows n1..m are stored in v(n1:m, 0:n1); V2 is the unit
+  // lower-trapezoidal v(n1:m, n1:n).
+  MatrixView t12 = t.block(0, n1, n1, n2);
+  ConstMatrixView b1 = v.block(n1, 0, n2, n1);
+  for (idx j = 0; j < n2; ++j) {
+    for (idx i = 0; i < n1; ++i) t12(i, j) = b1(j, i);
+  }
+  blas::trmm(blas::Side::Right, blas::Uplo::Lower, blas::Trans::NoTrans,
+             blas::Diag::Unit, 1.0, v.block(n1, n1, n2, n2), t12);
+  if (m > n1 + n2) {
+    blas::gemm(blas::Trans::Trans, blas::Trans::NoTrans, 1.0,
+               v.block(n1 + n2, 0, m - n1 - n2, n1),
+               v.block(n1 + n2, n1, m - n1 - n2, n2), 1.0, t12);
+  }
+  blas::trmm(blas::Side::Left, blas::Uplo::Upper, blas::Trans::NoTrans,
+             blas::Diag::NonUnit, -1.0, t.block(0, 0, n1, n1), t12);
+  blas::trmm(blas::Side::Right, blas::Uplo::Upper, blas::Trans::NoTrans,
+             blas::Diag::NonUnit, 1.0, t.block(n1, n1, n2, n2), t12);
+}
+
+void geqr3(MatrixView a, std::vector<double>& tau, MatrixView t) {
+  const idx n = a.cols();
+  assert(a.rows() >= n);
   assert(t.rows() >= n && t.cols() >= n);
   tau.assign(static_cast<std::size_t>(n), 0.0);
   if (n == 0) return;
-
-  struct Rec {
-    static void run(MatrixView a_, double* tau_, MatrixView t_) {
-      const idx m_ = a_.rows();
-      const idx n_ = a_.cols();
-      if (n_ <= 8) {
-        std::vector<double> local_tau;
-        geqr2(a_, local_tau);
-        for (idx i = 0; i < n_; ++i) tau_[i] = local_tau[static_cast<std::size_t>(i)];
-        larft(a_, tau_, t_);
-        return;
-      }
-      const idx n1 = n_ / 2;
-      const idx n2 = n_ - n1;
-
-      MatrixView left = a_.cols_range(0, n1);
-      MatrixView t1 = t_.block(0, 0, n1, n1);
-      run(left, tau_, t1);
-
-      // Apply Q1^T to the right half.
-      MatrixView right = a_.cols_range(n1, n2);
-      larfb_left(blas::Trans::Trans, left, t1, right);
-
-      // Factor the lower-right block.
-      MatrixView a2 = a_.block(n1, n1, m_ - n1, n2);
-      MatrixView t2 = t_.block(n1, n1, n2, n2);
-      run(a2, tau_ + n1, t2);
-
-      // T12 = -T1 * (V1^T V2) * T2.
-      // V1 rows n1..m are stored in A(n1:m, 0:n1); V2 is the unit
-      // lower-trapezoidal A(n1:m, n1:n).
-      MatrixView t12 = t_.block(0, n1, n1, n2);
-      ConstMatrixView b1 = a_.block(n1, 0, n2, n1);
-      for (idx j = 0; j < n2; ++j) {
-        for (idx i = 0; i < n1; ++i) t12(i, j) = b1(j, i);
-      }
-      blas::trmm(blas::Side::Right, blas::Uplo::Lower, blas::Trans::NoTrans,
-                 blas::Diag::Unit, 1.0, a_.block(n1, n1, n2, n2), t12);
-      if (m_ > n1 + n2) {
-        blas::gemm(blas::Trans::Trans, blas::Trans::NoTrans, 1.0,
-                   a_.block(n1 + n2, 0, m_ - n1 - n2, n1),
-                   a_.block(n1 + n2, n1, m_ - n1 - n2, n2), 1.0, t12);
-      }
-      blas::trmm(blas::Side::Left, blas::Uplo::Upper, blas::Trans::NoTrans,
-                 blas::Diag::NonUnit, -1.0, t1, t12);
-      blas::trmm(blas::Side::Right, blas::Uplo::Upper, blas::Trans::NoTrans,
-                 blas::Diag::NonUnit, 1.0, t2, t12);
-    }
-  };
-  Rec::run(a, tau.data(), t);
+  blas::ScratchBuffer work(static_cast<std::size_t>(kGeqr3Base));
+  geqr3_rec(a, tau.data(), t, work.data());
 }
 
 }  // namespace camult::lapack

@@ -24,8 +24,10 @@ namespace camult::lapack {
 void geqr2(MatrixView a, std::vector<double>& tau);
 
 /// Form the k x k upper triangular T of the compact-WY representation
-/// H_1 ... H_k = I - V T V^T (forward, columnwise storage). v is m x k with
-/// implicit unit lower-trapezoidal structure (upper part ignored).
+/// H_1 ... H_k = I - V T V^T (forward, columnwise storage). v is m x k
+/// (m >= k) with implicit unit lower-trapezoidal structure (upper part
+/// ignored). Every V(:, j)^T V(:, i) comes from one V^T V inner product;
+/// t's strictly lower part is not written.
 void larft(ConstMatrixView v, const double* tau, MatrixView t);
 
 /// Apply a compact-WY block reflector from the left:
@@ -68,7 +70,15 @@ void geqrf(MatrixView a, std::vector<double>& tau,
            const GeqrfOptions& opts = {});
 
 /// Recursive QR of an m x n matrix with m >= n. Fills tau (resized to n) and
-/// the full n x n upper triangular T such that Q = I - V T V^T.
+/// the full n x n upper triangular T such that Q = I - V T V^T. Blocks of at
+/// most 8 columns are factored by geqr2 with T from larft. Allocates
+/// nothing from the heap once the calling thread's scratch pool is warm.
 void geqr3(MatrixView a, std::vector<double>& tau, MatrixView t);
+
+/// Join the T factors of two adjacent reflector blocks, geqr3's T12 step:
+/// v = [V1 V2] is m x n unit lower-trapezoidal with V1 its first n1
+/// columns, and t holds T1 = T(0:n1, 0:n1) and T2 = T(n1:n, n1:n). Fills
+/// T(0:n1, n1:n) = -T1 (V1^T V2) T2.
+void larft_join(ConstMatrixView v, idx n1, MatrixView t);
 
 }  // namespace camult::lapack

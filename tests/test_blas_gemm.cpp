@@ -1,13 +1,19 @@
 // gemm correctness: all transpose combinations, strided views, edge shapes,
 // blocking boundaries, and alpha/beta handling — against the naive reference.
+// The inner-product path (Trans, NoTrans on a narrow C) is checked for every
+// runnable kernel: contraction tails and blocks, the routing rule's
+// boundary, views, NaN/Inf propagation, shape-independent element bits and
+// its GemmTraffic count.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "blas/gemm.hpp"
+#include "blas/level2.hpp"
 #include "common/test_utils.hpp"
 #include "matrix/random.hpp"
 
@@ -201,6 +207,188 @@ TEST(Gemm, NanPlacementMatchesSmallVsBlocked) {
   EXPECT_TRUE(std::isnan(c_small(1, 0)));
   EXPECT_TRUE(std::isnan(c_small(5, 0)));
   EXPECT_FALSE(std::isnan(c_small(0, 0)));
+}
+
+// ---- Inner-product path ----------------------------------------------------
+
+// Restores cpuid auto-selection no matter how a test exits.
+struct KernelGuard {
+  ~KernelGuard() { set_active_kernel(""); }
+};
+
+std::vector<std::string> runnable_kernels() {
+  std::vector<std::string> out;
+  for (const KernelInfo& k : kernel_registry()) {
+    if (k.supported) out.emplace_back(k.name);
+  }
+  return out;
+}
+
+// C = alpha * A^T B + beta * C with A (k x m) and B (k x n) viewed at row
+// `off` of matrices 2 * off rows taller, with spare columns, and C viewed
+// inside a larger matrix (ld > rows). beta == 0 must overwrite NaN
+// garbage. Compares the whole C matrix against the
+// triple-loop reference, so a write outside the view fails too. `inner`
+// calls gemm_inner directly, whatever the shape (it accumulates, so beta
+// must be 1); otherwise gemm routes.
+void check_tn(idx m, idx n, idx k, double alpha, double beta, idx off,
+              bool inner, std::uint64_t seed) {
+  ASSERT_TRUE(!inner || beta == 1.0);
+  const Matrix abig = random_matrix(k + 2 * off, m + 1, seed);
+  const Matrix bbig = random_matrix(k + 2 * off, n + 2, seed + 1);
+  Matrix cbig = random_matrix(m + off + 3, n + 1, seed + 2);
+  const ConstMatrixView a = abig.view().block(off, 1, k, m);
+  const ConstMatrixView b = bbig.view().block(off, 2, k, n);
+  MatrixView c = cbig.view().block(off, 1, m, n);
+  Matrix cref_big = cbig;
+  MatrixView cref = cref_big.view().block(off, 1, m, n);
+  if (beta == 0.0) {
+    fill(c, std::numeric_limits<double>::quiet_NaN());
+    fill(cref, 0.0);
+  }
+  if (inner) {
+    gemm_inner(alpha, a, b, c);
+  } else {
+    gemm(Trans::Trans, Trans::NoTrans, alpha, a, b, beta, c);
+  }
+  reference_gemm(Trans::Trans, Trans::NoTrans, alpha, a, b, beta, cref);
+  const double tol = 1e-12 * static_cast<double>(std::max<idx>(k, 1));
+  EXPECT_TRUE(matrices_near(cbig, cref_big, tol))
+      << active_kernel().name << " m=" << m << " n=" << n << " k=" << k
+      << " alpha=" << alpha << " beta=" << beta << " off=" << off
+      << (inner ? " gemm_inner" : " gemm");
+}
+
+TEST(GemmInner, ContractionTailsAndBlocksEveryKernel) {
+  // Lane widths are 8 (avx512) and 4 (avx2, scalar); the contraction block
+  // is kInnerKc. Widths cover full tiles and every fringe of the 6 x 4,
+  // 3 x 3 and 2 x 2 register tiles. Short contractions do not route, so
+  // this calls gemm_inner itself.
+  const idx widths[][2] = {{1, 1}, {1, 7}, {5, 3}, {6, 4}, {7, 5}, {13, 9}};
+  const idx ks[] = {1,  3,  4,  5,  7,  8,  9,  17,
+                    kInnerKc - 1, kInnerKc, kInnerKc + 1, 2 * kInnerKc + 1};
+  const double alphas[] = {1.0, -1.0, 0.5};
+  KernelGuard guard;
+  for (const std::string& name : runnable_kernels()) {
+    ASSERT_TRUE(set_active_kernel(name));
+    int s = 0;
+    for (const auto& w : widths) {
+      for (idx k : ks) {
+        check_tn(w[0], w[1], k, alphas[s % 3], 1.0, s % 4, true,
+                 300 + static_cast<std::uint64_t>(s));
+        ++s;
+      }
+    }
+  }
+}
+
+TEST(GemmTn, RoutingBoundaryEveryKernel) {
+  // Shapes on both sides of inner_product_shape: at and just below a
+  // contraction of twice the wider side, and at and just past the widest
+  // routed C. Both paths must match the reference for every alpha/beta.
+  struct Case {
+    idx m, n, k;
+    bool routed;
+  };
+  const Case cases[] = {
+      {6, 6, 12, true},     {6, 6, 11, false},   {12, 7, 24, true},
+      {12, 7, 23, false},   {50, 50, 100, true}, {50, 50, 99, false},
+      {kInnerMaxWidth, 4, 2 * kInnerMaxWidth, true},
+      {4, kInnerMaxWidth, 2 * kInnerMaxWidth + 1, true},
+      {kInnerMaxWidth + 1, 4, 2 * kInnerMaxWidth + 2, false},
+      {4, kInnerMaxWidth + 1, 2 * kInnerMaxWidth + 2, false}};
+  KernelGuard guard;
+  for (const std::string& name : runnable_kernels()) {
+    ASSERT_TRUE(set_active_kernel(name));
+    std::uint64_t seed = 400;
+    for (const Case& c : cases) {
+      EXPECT_EQ(inner_product_shape(c.m, c.n, c.k), c.routed)
+          << c.m << "x" << c.n << "x" << c.k;
+      for (double alpha : {1.0, -1.0, 0.5}) {
+        for (double beta : {0.0, 1.0, 2.0}) {
+          check_tn(c.m, c.n, c.k, alpha, beta, 3, false, seed++);
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmTn, NanAndInfPropagateEveryKernel) {
+  // No zero-skip, as gemm_small: a NaN in column i of A poisons row i of C
+  // even against an all-zero column of B, and an Inf in column j of B makes
+  // column j of C non-finite. Everything else stays finite.
+  // k % 8 == 7 and k % 4 == 3, so row k - 1 lies in the masked tail of
+  // the last contraction block for every lane width.
+  const idx m = 6, n = 5, k = 703;
+  ASSERT_TRUE(inner_product_shape(m, n, k));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  KernelGuard guard;
+  for (const std::string& name : runnable_kernels()) {
+    ASSERT_TRUE(set_active_kernel(name));
+    Matrix a = random_matrix(k, m, 51);
+    Matrix b = random_matrix(k, n, 52);
+    for (idx p = 0; p < k; ++p) b(p, 1) = 0.0;
+    a(k - 1, 2) = nan;
+    b(300, 3) = inf;
+    Matrix c = random_matrix(m, n, 53);
+    gemm(Trans::Trans, Trans::NoTrans, 1.0, a, b, 1.0, c.view());
+    for (idx j = 0; j < n; ++j) {
+      for (idx i = 0; i < m; ++i) {
+        const bool poisoned = i == 2 || j == 3;
+        EXPECT_EQ(std::isfinite(c(i, j)), !poisoned)
+            << name << " (" << i << ", " << j << ") = " << c(i, j);
+      }
+      EXPECT_TRUE(std::isnan(c(2, j))) << name << " col " << j;
+    }
+  }
+}
+
+TEST(GemmInner, ElementBitsIndependentOfShapeEveryKernel) {
+  // An element's bits depend only on its own columns of A and B: computing
+  // a sub-block of C, or one column through gemv(Trans), gives exactly the
+  // bits of the full call.
+  const idx m = 13, n = 9, k = 1000;
+  const Matrix a = random_matrix(k, m, 61);
+  const Matrix b = random_matrix(k, n, 62);
+  KernelGuard guard;
+  for (const std::string& name : runnable_kernels()) {
+    ASSERT_TRUE(set_active_kernel(name));
+    Matrix full = random_matrix(m, n, 63);
+    Matrix part = full;
+    gemm_inner(0.5, a, b, full.view());
+    gemm_inner(0.5, a.view().block(0, 5, k, 7), b.view().block(0, 3, k, 5),
+               part.view().block(5, 3, 7, 5));
+    for (idx j = 3; j < 8; ++j) {
+      for (idx i = 5; i < 12; ++i) {
+        EXPECT_EQ(part(i, j), full(i, j)) << name << " (" << i << ", " << j << ")";
+      }
+    }
+    Matrix col = random_matrix(m, n, 63);
+    gemv(Trans::Trans, 0.5, a, b.view().col_ptr(4), 1, 1.0,
+         col.view().col_ptr(4), 1);
+    for (idx i = 0; i < m; ++i) {
+      EXPECT_EQ(col(i, 4), full(i, 4)) << name << " row " << i;
+    }
+  }
+}
+
+TEST(GemmTraffic, InnerProductCallIsCounted) {
+  // One routed call: A and B are read once ((m + n) * k doubles), and C is
+  // loaded and stored once per contraction block; nothing is packed.
+  const idx m = 12, n = 10, k = 2000;
+  ASSERT_TRUE(inner_product_shape(m, n, k));
+  const Matrix a = random_matrix(k, m, 71);
+  const Matrix b = random_matrix(k, n, 72);
+  Matrix c = Matrix::zeros(m, n);
+  gemm_traffic_reset();
+  gemm(Trans::Trans, Trans::NoTrans, 1.0, a, b, 0.0, c.view());
+  const GemmTraffic t = gemm_traffic();
+  const idx blocks = (k + kInnerKc - 1) / kInnerKc;
+  EXPECT_EQ(t.pack_bytes, 0);
+  EXPECT_EQ(t.kernel_bytes, (m + n) * k * 8);
+  EXPECT_EQ(t.c_bytes, m * n * 16 * blocks);
+  EXPECT_EQ(t.total(), 352000 + 7680);
 }
 
 TEST(Gemm, BlockingParametersExposed) {

@@ -198,32 +198,49 @@ TEST(Geqrf, RMatchesUnblockedUpToSigns) {
   EXPECT_TRUE(matrices_near(r1, r3, 1e-10));
 }
 
-class Geqr3Shapes : public ::testing::TestWithParam<QrShape> {};
+// (m, n, pad): a pad > 0 factors an m x n leaf viewed at row pad of an
+// (m + 2 pad)-row matrix, as CAQR factors its leaves in place; the rows
+// around the view must come out untouched.
+using Geqr3Shape = std::tuple<idx, idx, idx>;
+
+class Geqr3Shapes : public ::testing::TestWithParam<Geqr3Shape> {};
 
 TEST_P(Geqr3Shapes, ResidualAndTFactor) {
-  auto [m, n] = GetParam();
-  Matrix a = random_matrix(m, n, 15);
-  Matrix qr = a;
+  auto [m, n, pad] = GetParam();
+  const Matrix a = random_matrix(m, n, 15);
+  Matrix big = random_matrix(m + 2 * pad, n, 20);
+  const Matrix big0 = big;
+  MatrixView qr = big.view().block(pad, 0, m, n);
+  copy_into(a.view(), qr);
   std::vector<double> tau;
   Matrix t = Matrix::zeros(n, n);
-  geqr3(qr.view(), tau, t.view());
+  geqr3(qr, tau, t.view());
   EXPECT_LT(qr_residual(a, qr, tau), kResidualThreshold);
+  for (idx j = 0; j < n; ++j) {
+    for (idx i = 0; i < pad; ++i) {
+      EXPECT_EQ(big(i, j), big0(i, j));
+      EXPECT_EQ(big(pad + m + i, j), big0(pad + m + i, j));
+    }
+    // T is upper triangular; its strictly lower part is never written.
+    for (idx i = j + 1; i < n; ++i) EXPECT_EQ(t(i, j), 0.0);
+  }
 
   // The returned T must satisfy: applying I - V T^T V^T ... i.e. the
   // block reflector from (V, T) equals the product of the reflectors.
   Matrix c1 = random_matrix(m, 7, 16);
   Matrix c2 = c1;
-  larfb_left(blas::Trans::Trans, qr.view(), t.view(), c1.view());
-  ormqr_left(blas::Trans::Trans, qr.view(), tau, c2.view());
+  larfb_left(blas::Trans::Trans, qr, t.view(), c1.view());
+  ormqr_left(blas::Trans::Trans, qr, tau, c2.view());
   EXPECT_TRUE(matrices_near(c1, c2, 1e-11));
 }
 
-INSTANTIATE_TEST_SUITE_P(Shapes, Geqr3Shapes,
-                         ::testing::Values(QrShape{1, 1}, QrShape{8, 8},
-                                           QrShape{9, 9}, QrShape{16, 16},
-                                           QrShape{40, 17}, QrShape{100, 64},
-                                           QrShape{200, 100},
-                                           QrShape{65, 33}));
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, Geqr3Shapes,
+    ::testing::Values(Geqr3Shape{1, 1, 0}, Geqr3Shape{8, 8, 0},
+                      Geqr3Shape{9, 9, 0}, Geqr3Shape{16, 16, 0},
+                      Geqr3Shape{40, 17, 0}, Geqr3Shape{100, 64, 0},
+                      Geqr3Shape{200, 100, 0}, Geqr3Shape{65, 33, 0},
+                      Geqr3Shape{2000, 100, 0}, Geqr3Shape{2500, 100, 301}));
 
 TEST(Geqr3, MatchesGeqr2Factors) {
   Matrix a = random_matrix(60, 24, 19);
@@ -236,6 +253,30 @@ TEST(Geqr3, MatchesGeqr2Factors) {
   for (std::size_t i = 0; i < tau1.size(); ++i) {
     EXPECT_NEAR(tau1[i], tau2[i], 1e-12);
   }
+}
+
+TEST(BufferPool, Geqr3StopsAllocatingAfterWarmup) {
+  // geqr3 takes its base-case, larft and larfb_left workspaces from the
+  // thread's scratch pool: once warm, a call allocates no new slab.
+  blas::buffer_pool_trim();
+  const Matrix a = random_matrix(2000, 100, 23);
+  Matrix qr = a;
+  std::vector<double> tau;
+  Matrix t = Matrix::zeros(100, 100);
+  for (int r = 0; r < 2; ++r) {
+    copy_into(a.view(), qr.view());
+    geqr3(qr.view(), tau, t.view());
+  }
+  const blas::BufferPoolStats warm = blas::buffer_pool_stats();
+  for (int r = 0; r < 5; ++r) {
+    copy_into(a.view(), qr.view());
+    geqr3(qr.view(), tau, t.view());
+  }
+  const blas::BufferPoolStats after = blas::buffer_pool_stats();
+  EXPECT_EQ(after.allocs, warm.allocs)
+      << "steady-state geqr3 must not touch operator new";
+  EXPECT_GT(after.pool_hits, warm.pool_hits);
+  blas::buffer_pool_trim();
 }
 
 TEST(Orgqr, ColumnsAreOrthonormal) {

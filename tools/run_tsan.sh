@@ -38,7 +38,12 @@
 # chunks, where an index slip reads past the block), test_tiled and
 # test_baseline (the tiled LU/QR/Cholesky and blocked getrf/geqrf
 # baselines: their DAGs go through TaskGraph::submit_accessing and its
-# dependency tracker while workers complete earlier tasks).
+# dependency tracker while workers complete earlier tasks), and
+# test_blas_gemm, test_blas_level2 and test_lapack_qr (the inner-product
+# kernel behind gemm(Trans, NoTrans) and gemv(Trans) and the geqr3 built
+# on it: masked contraction tails, fringe tiles and strided views inside
+# taller matrices, where an off-by-one reads past the view — ASan catches
+# that, the tolerance checks do not).
 # Any reported race fails the run.
 #
 # Usage: tools/run_tsan.sh [build-dir]        (default: build-tsan)
@@ -59,7 +64,8 @@ cmake -B "$build_dir" -S "$repo_root" \
 cmake --build "$build_dir" -j --target test_runtime test_scheduler_stress \
   test_observability test_pack_concurrency test_worker_pool test_blas_pack \
   test_fault_inject test_svc test_window test_blas_trsm_trmm test_adversarial \
-  test_core_tslu test_tiled test_baseline
+  test_core_tslu test_tiled test_baseline test_blas_gemm test_blas_level2 \
+  test_lapack_qr
 
 case "$san" in
   thread)
@@ -87,4 +93,7 @@ esac
 "$build_dir/tests/test_core_tslu"
 "$build_dir/tests/test_tiled"
 "$build_dir/tests/test_baseline"
+"$build_dir/tests/test_blas_gemm"
+"$build_dir/tests/test_blas_level2"
+"$build_dir/tests/test_lapack_qr"
 echo "[$san sanitizer] all scheduler tests passed"
