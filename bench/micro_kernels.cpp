@@ -6,12 +6,15 @@
 // rgetf2/geqr3 beating their BLAS2 counterparts on tall panels. The
 // BM_geqr3_phase_* rows split a 2,000 x 100 geqr3 into its three phases,
 // and BM_gemm_tn times the narrow A^T B shape that two of them run on.
+// BM_tpqrt is the TS kernel a chunked CAQR leaf runs per chunk, and
+// BM_tsqr_leaf_tall_view the chunked leaf itself.
 #include <benchmark/benchmark.h>
 
 #include "bench_support/flops.hpp"
 #include "blas/blas.hpp"
 #include "core/tournament.hpp"
 #include "core/tslu.hpp"
+#include "core/tsqr.hpp"
 #include "lapack/lapack.hpp"
 #include "matrix/random.hpp"
 
@@ -129,28 +132,48 @@ void BM_tournament_leaf(benchmark::State& state) {
 }
 BENCHMARK(BM_tournament_leaf)->Unit(benchmark::kMillisecond);
 
-void BM_geqr3_tall_view(benchmark::State& state) {
-  // The tall CAQR leaf task: geqr3 of one leaf's 250000 x 100 rows of a
-  // 1,000,000-row panel, factored in place, so the block is a view with
-  // ld = 1e6. The leaf is restored from a copy outside the timed region.
+// One 250000 x 100 tall CAQR leaf, viewed in a 1,000,000-row panel (ld =
+// 1e6), factored in place by `factor`; the leaf is restored from a copy
+// outside the timed region. GFlop/s counts one Householder QR of the block,
+// whatever the chunking does.
+template <typename Factor>
+void run_tall_leaf(benchmark::State& state, Factor factor) {
   const idx m = 1000000, rows = 250000, b = 100;
   const Matrix leaf = random_matrix(rows, b, 18);
   Matrix panel(m, b);
   MatrixView block = panel.block(rows, 0, rows, b);
-  std::vector<double> tau;
-  Matrix t(b, b);
   for (auto _ : state) {
     state.PauseTiming();
     copy_into(leaf.view(), block);
     state.ResumeTiming();
-    lapack::geqr3(block, tau, t.view());
+    factor(block);
     benchmark::DoNotOptimize(block.data());
   }
   state.counters["GFlop/s"] = benchmark::Counter(
       camult::bench::qr_flops(rows, b) * state.iterations() * 1e-9,
       benchmark::Counter::kIsRate);
 }
+
+void BM_geqr3_tall_view(benchmark::State& state) {
+  // The unchunked baseline of the tall CAQR leaf: one geqr3 of the whole
+  // leaf, whose recursion streams the 200 MB block from DRAM at every level.
+  std::vector<double> tau;
+  Matrix t(100, 100);
+  run_tall_leaf(state, [&](MatrixView block) {
+    lapack::geqr3(block, tau, t.view());
+  });
+}
 BENCHMARK(BM_geqr3_tall_view)->Unit(benchmark::kMillisecond);
+
+void BM_tsqr_leaf_tall_view(benchmark::State& state) {
+  // The tall CAQR leaf task: tsqr_leaf_kernel on the same view, a
+  // sequential flat TSQR over chunks that reads each row once.
+  run_tall_leaf(state, [](MatrixView block) {
+    core::TsqrLeaf leaf = core::tsqr_leaf_kernel(block, 250000);
+    benchmark::DoNotOptimize(leaf.t.data());
+  });
+}
+BENCHMARK(BM_tsqr_leaf_tall_view)->Unit(benchmark::kMillisecond);
 
 void BM_trmm_right(benchmark::State& state) {
   // larfb's W := W * T step: W is (trailing columns) x k with k = b = 100.
@@ -231,6 +254,30 @@ void BM_qr_panel(benchmark::State& state) {
 }
 BENCHMARK_TEMPLATE(BM_qr_panel, 0)->Name("BM_geqr2_panel")->Arg(2000)->Arg(10000);
 BENCHMARK_TEMPLATE(BM_qr_panel, 1)->Name("BM_geqr3_panel")->Arg(2000)->Arg(10000);
+
+void BM_tpqrt(benchmark::State& state) {
+  // The TS kernel on [R; B] with B m x 100, as a chunked leaf runs it per
+  // chunk; beside BM_geqr3_panel, whose copy of the block it mirrors (R and
+  // B are copied inside the timed loop). GFlop/s counts 2 m n^2, the dense
+  // QR flops of the stack less those of R alone.
+  const idx m = state.range(0), b = 100;
+  Matrix r0 = random_matrix(b, b, 19);
+  std::vector<double> tau0;
+  lapack::geqr2(r0.view(), tau0);
+  const Matrix b0 = random_matrix(m, b, 11);
+  for (auto _ : state) {
+    Matrix r = r0;
+    Matrix w = b0;
+    Matrix t = Matrix::zeros(b, b);
+    std::vector<double> tau(static_cast<std::size_t>(b));
+    lapack::tpqrt(r.view(), w.view(), tau.data(), t.view());
+    benchmark::DoNotOptimize(w.data());
+  }
+  state.counters["GFlop/s"] = benchmark::Counter(
+      2.0 * static_cast<double>(m) * b * b * state.iterations() * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_tpqrt)->Arg(2000);
 
 // geqr3's recursion on n columns at row/column offset off: leaves of at
 // most 8 columns are base blocks, every other node splits at n / 2.

@@ -22,7 +22,7 @@ using rt::TaskKind;
 // once the iteration's updates drain. Kept out of the public
 // CaqrIterationFactors: the packs are scratch, not part of the Q factor.
 struct IterPacks {
-  std::vector<lapack::LarfbPackedV> leaf;
+  std::vector<TsqrLeafPack> leaf;
   std::vector<lapack::LarfbPackedV> node;
 };
 
@@ -127,10 +127,8 @@ void CaqrJob::submit_iteration(idx k) {
     PanelScreen* scr = screen_slot(0, i);
     add(acc, TaskKind::Panel, k, prio_.panel(k), "leaf" + std::to_string(i),
         [Fp, panel, lstart, lrows, i, scr]() {
-          MatrixView leaf = panel.block(lstart, 0, lrows, panel.cols());
-          if (scr != nullptr) *scr = screen_panel(leaf);
-          Fp->leaves[static_cast<std::size_t>(i)] =
-              tsqr_leaf_kernel(leaf, lstart);
+          Fp->leaves[static_cast<std::size_t>(i)] = tsqr_leaf_kernel(
+              panel.block(lstart, 0, lrows, panel.cols()), lstart, scr);
         });
   }
 
@@ -285,7 +283,7 @@ void CaqrJob::submit_iteration(idx k) {
                      AccessMode::Write});
     }
     add(acc, TaskKind::Generic, k, 0, "packfree", [P]() {
-      for (auto& vp : P->leaf) vp = lapack::LarfbPackedV();
+      for (auto& vp : P->leaf) vp = TsqrLeafPack();
       for (auto& vp : P->node) vp = lapack::LarfbPackedV();
     });
   }

@@ -3,12 +3,15 @@
 // Right-looking QR over block columns. Each panel is factored by
 // task-parallel TSQR; unlike CALU the panel is factored only once, and the
 // reduction tree also drives the trailing-matrix updates: leaf updates apply
-// each leaf's block reflector to its rows, node updates apply each tree
-// node's reflector to the stacked b-row slices it combined.
+// each leaf's block reflectors to its rows, node updates apply each tree
+// node's reflector to the stacked b-row slices it combined. A leaf taller
+// than tsqr_chunk_rows(jb) rows is a sequential flat TSQR over its chunks
+// inside its one leaf task (see tsqr_leaf_kernel), so the DAG does not
+// depend on the chunking.
 //
 // The Q factor is implicit: leaf reflector tails stay in the matrix, tree
 // node reflectors live in the returned per-iteration factors; caqr_apply_q
-// replays them.
+// replays them (a chunked leaf's chunks forward for Q^T, backward for Q).
 #pragma once
 
 #include <memory>
@@ -24,8 +27,8 @@ namespace camult::core {
 /// `monitor` (see DriverOptions) the input is screened for non-finite
 /// entries and max|R| / max|A| is reported as the growth factor: iteration
 /// 0's leaf and leaf-update tasks, which together tile the input, each
-/// screen their block before mutating it, and collect merges the per-task
-/// results. Householder QR is unconditionally stable, so unlike CALU there
+/// screen their block before mutating it (a leaf screens each chunk just
+/// before factoring it), and collect merges the per-task results. Householder QR is unconditionally stable, so unlike CALU there
 /// is no degradation path — HealthReport::fallback_panels stays 0 — but a
 /// poisoned input is flagged instead of silently propagating. Windowed runs
 /// never recycle the per-iteration Q factors in CaqrResult::iterations.

@@ -1,19 +1,99 @@
 #include "core/tsqr.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
+#include "core/tournament.hpp"
 #include "lapack/geqrf.hpp"
 #include "lapack/orgqr.hpp"
 
 namespace camult::core {
 
-TsqrLeaf tsqr_leaf_kernel(MatrixView block, idx start) {
+idx tsqr_chunk_rows(idx cols) {
+  constexpr idx kChunkBytes = 3 * 1024 * 1024;
+  const idx rows = kChunkBytes / (static_cast<idx>(sizeof(double)) *
+                                  std::max<idx>(cols, 1));
+  return std::max<idx>(8, std::max(2 * cols, rows) / 8 * 8);
+}
+
+namespace {
+
+// Chunk layout of a leaf of `rows` x `cols`: chunk k holds its rows
+// [top(k), top(k) + rows(k)). A factored leaf keeps one cols x cols T per
+// chunk side by side in leaf.t.
+struct LeafChunks {
+  idx total, height, count;
+
+  LeafChunks(idx rows, idx cols)
+      : total(rows),
+        height(std::min(rows, tsqr_chunk_rows(cols))),
+        count(rows > height ? (rows + height - 1) / height : 1) {}
+  idx top(idx k) const { return k * height; }
+  idx rows(idx k) const { return std::min(height, total - top(k)); }
+};
+
+// Q^T (Trans, chunks forward) or Q (NoTrans, backward) of a leaf on the
+// leaf's rows of c. Chunk 0 is a geqr3 block reflector over its own rows;
+// chunk k > 0 is a tpqrt one over the leaf's top n rows and its own rows.
+// packs (one per chunk, from tsqr_leaf_pack) may be null.
+void leaf_apply(blas::Trans trans, ConstMatrixView a, const TsqrLeaf& leaf,
+                const TsqrLeafPack* packs, MatrixView c) {
+  const idx n = leaf.t.rows();
+  const LeafChunks ch(leaf.rows, n);
+  assert(leaf.t.cols() == n * ch.count);
+  ConstMatrixView block = a.block(leaf.start, 0, leaf.rows, n);
+  MatrixView crows = c.rows_range(leaf.start, leaf.rows);
+  auto apply_chunk = [&](idx k) {
+    ConstMatrixView v = block.rows_range(ch.top(k), ch.rows(k));
+    MatrixView cb = crows.rows_range(ch.top(k), ch.rows(k));
+    ConstMatrixView tk = leaf.t.view().block(0, k * n, n, n);
+    const lapack::LarfbPackedV* vp =
+        packs == nullptr ? nullptr : &(*packs)[static_cast<std::size_t>(k)];
+    if (k == 0) {
+      if (vp != nullptr) {
+        lapack::larfb_left(trans, v, tk, *vp, cb);
+      } else {
+        lapack::larfb_left(trans, v, tk, cb);
+      }
+    } else if (vp != nullptr) {
+      lapack::tpmqrt(trans, v, tk, *vp, crows.rows_range(0, n), cb);
+    } else {
+      lapack::tpmqrt(trans, v, tk, crows.rows_range(0, n), cb);
+    }
+  };
+  if (trans == blas::Trans::Trans) {
+    for (idx k = 0; k < ch.count; ++k) apply_chunk(k);
+  } else {
+    for (idx k = ch.count; k-- > 0;) apply_chunk(k);
+  }
+}
+
+}  // namespace
+
+TsqrLeaf tsqr_leaf_kernel(MatrixView block, idx start, PanelScreen* screen) {
+  const idx n = block.cols();
+  const LeafChunks ch(block.rows(), n);
   TsqrLeaf leaf;
   leaf.start = start;
   leaf.rows = block.rows();
-  leaf.t = Matrix::zeros(block.cols(), block.cols());
-  lapack::geqr3(block, leaf.tau, leaf.t.view());
+  leaf.t = Matrix::zeros(n, n * ch.count);
+  // Each chunk is screened just before it is factored, so the screen sees
+  // the input and brings the chunk into cache for the kernel.
+  auto screen_chunk = [screen](ConstMatrixView chunk) {
+    if (screen != nullptr) screen->merge(screen_panel(chunk));
+  };
+  MatrixView first = block.rows_range(0, ch.rows(0));
+  screen_chunk(first);
+  lapack::geqr3(first, leaf.tau, leaf.t.view().block(0, 0, n, n));
+  leaf.tau.resize(static_cast<std::size_t>(n * ch.count));
+  MatrixView r = block.block(0, 0, n, n);
+  for (idx k = 1; k < ch.count; ++k) {
+    MatrixView chunk = block.rows_range(ch.top(k), ch.rows(k));
+    screen_chunk(chunk);
+    lapack::tpqrt(r, chunk, leaf.tau.data() + k * n,
+                  leaf.t.view().block(0, k * n, n, n));
+  }
   return leaf;
 }
 
@@ -61,9 +141,7 @@ TsqrNode tsqr_node_kernel_tri(MatrixView a, idx src0, idx src1, idx n) {
 
 void tsqr_leaf_apply(blas::Trans trans, ConstMatrixView a,
                      const TsqrLeaf& leaf, MatrixView c) {
-  const idx n = leaf.t.rows();
-  lapack::larfb_left(trans, a.block(leaf.start, 0, leaf.rows, n),
-                     leaf.t.view(), c.rows_range(leaf.start, leaf.rows));
+  leaf_apply(trans, a, leaf, nullptr, c);
 }
 
 void tsqr_node_apply(blas::Trans trans, const TsqrNode& node, MatrixView c) {
@@ -89,17 +167,23 @@ void tsqr_node_apply(blas::Trans trans, const TsqrNode& node, MatrixView c) {
   }
 }
 
-lapack::LarfbPackedV tsqr_leaf_pack(ConstMatrixView a, const TsqrLeaf& leaf) {
-  const idx n = leaf.t.rows();
-  return lapack::larfb_pack_v(a.block(leaf.start, 0, leaf.rows, n));
+TsqrLeafPack tsqr_leaf_pack(ConstMatrixView a, const TsqrLeaf& leaf) {
+  const LeafChunks ch(leaf.rows, leaf.t.rows());
+  ConstMatrixView block = a.block(leaf.start, 0, leaf.rows, leaf.t.rows());
+  TsqrLeafPack packs;
+  packs.reserve(static_cast<std::size_t>(ch.count));
+  for (idx k = 0; k < ch.count; ++k) {
+    ConstMatrixView v = block.rows_range(ch.top(k), ch.rows(k));
+    packs.push_back(k == 0 ? lapack::larfb_pack_v(v)
+                           : lapack::tpmqrt_pack_v(v));
+  }
+  return packs;
 }
 
 void tsqr_leaf_apply(blas::Trans trans, ConstMatrixView a,
-                     const TsqrLeaf& leaf, const lapack::LarfbPackedV& vp,
+                     const TsqrLeaf& leaf, const TsqrLeafPack& packs,
                      MatrixView c) {
-  const idx n = leaf.t.rows();
-  lapack::larfb_left(trans, a.block(leaf.start, 0, leaf.rows, n),
-                     leaf.t.view(), vp, c.rows_range(leaf.start, leaf.rows));
+  leaf_apply(trans, a, leaf, &packs, c);
 }
 
 lapack::LarfbPackedV tsqr_node_pack(const TsqrNode& node) {

@@ -1,11 +1,16 @@
 // tsqr.hpp — TSQR: communication-avoiding QR of a tall-skinny matrix
 // (sequential driver; CAQR runs the same kernels as parallel tasks).
 //
-// Leaf QR factorizations (recursive dgeqr3) run on Tr row blocks; a
-// reduction tree then QR-factors stacked R factors until one R remains. The
-// Q factor is implicit: leaf reflectors stay in the matrix (LAPACK layout),
-// tree-node reflectors live in per-node buffers. apply_q/apply_qt replay
-// them, which is exactly how CAQR updates its trailing matrix.
+// Leaf QR factorizations run on Tr row blocks; a reduction tree then
+// QR-factors stacked R factors until one R remains. A leaf taller than one
+// cache-sized chunk is itself a sequential flat TSQR over its chunks
+// (Demmel, Grigori, Hoemmen and Langou): geqr3 on the first chunk, then the
+// TS kernel lapack::tpqrt of the leaf's R against each later chunk, so
+// every row of the leaf is read once. The Q factor is implicit: leaf
+// reflectors stay in the matrix (LAPACK layout in the first chunk, V_B in
+// place in the others), tree-node reflectors live in per-node buffers.
+// apply_q/apply_qt replay them, which is exactly how CAQR updates its
+// trailing matrix.
 #pragma once
 
 #include <vector>
@@ -28,12 +33,16 @@ struct TsqrOptions {
   bool structured_nodes = false;
 };
 
+struct PanelScreen;
+
 /// Compact-WY factors of one leaf; the V tails live in the factored matrix.
+/// A leaf of c chunks keeps c T factors and c tau runs side by side, in
+/// chunk order (c = 1 for a leaf of at most one chunk).
 struct TsqrLeaf {
   idx start = 0;  ///< first row of the leaf (relative to the matrix top)
   idx rows = 0;
-  Matrix t;  ///< n x n T factor
-  std::vector<double> tau;
+  Matrix t;  ///< n x (n * c): chunk k's n x n T in columns [k n, (k+1) n)
+  std::vector<double> tau;  ///< n * c reflector scalars, chunk by chunk
 };
 
 /// Factors of one reduction-tree node: QR of the stacked R factors of its
@@ -64,8 +73,22 @@ TsqrFactors tsqr_factor(MatrixView a, const TsqrOptions& opts = {});
 
 /// Kernels shared with task-parallel CAQR ------------------------------
 
-/// Leaf QR: factor `block` in place (recursive QR), producing (T, tau).
-TsqrLeaf tsqr_leaf_kernel(MatrixView block, idx start);
+/// Rows of every chunk but the last of a TSQR leaf `cols` wide: about
+/// 3 MiB of rows, at least 2 cols, rounded down to a multiple of 8 so
+/// every chunk starts at the leaf top's offset within a 64-byte line.
+/// 3,928 at 100 columns. Reads the width only, so the chunking (and the
+/// bits) never depend on threads, pool or window.
+idx tsqr_chunk_rows(idx cols);
+
+/// Leaf QR: factor `block` in place, producing (T, tau). The block is cut
+/// top to bottom into chunks of tsqr_chunk_rows(cols) rows (the last chunk
+/// is ragged and may be shorter than cols). Chunk 0 is factored by geqr3
+/// in place; each later chunk by lapack::tpqrt against the block's top R,
+/// with V_B overwriting the chunk. A block of one chunk is one geqr3, bit
+/// for bit. With `screen`, each chunk is screened (merged into *screen)
+/// just before it is factored.
+TsqrLeaf tsqr_leaf_kernel(MatrixView block, idx start,
+                          PanelScreen* screen = nullptr);
 
 /// Tree-node QR: gather the top n x n R slices of `a` at `src_start`, stack
 /// them, QR the stack, write the new R back into the first slice (upper
@@ -77,8 +100,9 @@ TsqrNode tsqr_node_kernel(MatrixView a, const std::vector<idx>& src_start,
 /// triangles at src0/src1; no stacked buffer.
 TsqrNode tsqr_node_kernel_tri(MatrixView a, idx src0, idx src1, idx n);
 
-/// Apply a leaf's block reflector to the matching rows of C.
-/// trans == Trans applies Q_leaf^T (the factorization direction).
+/// Apply a leaf's block reflectors to the matching rows of C, replaying its
+/// chunks: forward for Q_leaf^T (trans == Trans, the factorization
+/// direction), backward for Q_leaf.
 void tsqr_leaf_apply(blas::Trans trans, ConstMatrixView a,
                      const TsqrLeaf& leaf, MatrixView c);
 
@@ -93,12 +117,16 @@ void tsqr_node_apply(blas::Trans trans, const TsqrNode& node, MatrixView c);
 /// scheduler pack task) and let all S tasks of the iteration share the
 /// read-only pack.
 
-/// Pack a leaf's V2 (rows n..leaf.rows of its reflector block).
-lapack::LarfbPackedV tsqr_leaf_pack(ConstMatrixView a, const TsqrLeaf& leaf);
+/// One pack per chunk of a leaf: chunk 0's V2 (its rows below the top n)
+/// and every later chunk's whole V_B.
+using TsqrLeafPack = std::vector<lapack::LarfbPackedV>;
 
-/// Leaf apply consuming the shared pack (vp from tsqr_leaf_pack).
+/// Pack a leaf's reflectors, chunk by chunk.
+TsqrLeafPack tsqr_leaf_pack(ConstMatrixView a, const TsqrLeaf& leaf);
+
+/// Leaf apply consuming the shared packs (from tsqr_leaf_pack).
 void tsqr_leaf_apply(blas::Trans trans, ConstMatrixView a,
-                     const TsqrLeaf& leaf, const lapack::LarfbPackedV& vp,
+                     const TsqrLeaf& leaf, const TsqrLeafPack& packs,
                      MatrixView c);
 
 /// Pack a dense node's V2. Structured (tpqrt) nodes have no larfb-shaped

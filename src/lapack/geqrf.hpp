@@ -6,6 +6,10 @@
 //  * geqrf: blocked right-looking QR (LAPACK dgeqrf).
 //  * geqr3: recursive QR (Elmroth–Gustavson) returning the full T factor —
 //    the fast sequential kernel used inside TSQR.
+//  * tpqrt/tpmqrt: the triangle-on-square TS kernel (LAPACK dtpqrt/dtpmqrt
+//    with l = 0) — QR of [R; B] with R upper triangular, recursing like
+//    geqr3. A chunked TSQR leaf and the tiled baseline's TSQRT/TSMQR run
+//    on it.
 //
 // Factored form: the upper triangle of A holds R; the Householder tails v_j
 // are stored below the diagonal (unit diagonal implicit); tau[j] are the
@@ -74,6 +78,31 @@ void geqrf(MatrixView a, std::vector<double>& tau,
 /// most 8 columns are factored by geqr2 with T from larft. Allocates
 /// nothing from the heap once the calling thread's scratch pool is warm.
 void geqr3(MatrixView a, std::vector<double>& tau, MatrixView t);
+
+/// QR of the stack [R; B] (LAPACK dtpqrt with l = 0): R is the upper
+/// triangle of the n x n view r (its strictly lower part is never read or
+/// written) and B is any c x n block, c >= 0. On exit r's upper triangle
+/// holds the new R, B holds V_B (the reflectors are V = [I; V_B]), tau[0:n]
+/// the reflector scalars and t the n x n upper triangular T with
+/// Q = I - V T V^T. Recurses like geqr3, so the products run on the
+/// inner-product and packed gemm paths; allocates nothing from the heap
+/// once the calling thread's scratch pool is warm.
+void tpqrt(MatrixView r, MatrixView b, double* tau, MatrixView t);
+
+/// Apply tpqrt's reflectors (v = V_B, c x k; t = T, k x k) to the stacked
+/// [c_top; c_bot] in place: Q^T for Trans, Q for NoTrans. c_top has k rows
+/// and c_bot c rows; they need not be adjacent.
+void tpmqrt(blas::Trans trans, ConstMatrixView v, ConstMatrixView t,
+            MatrixView c_top, MatrixView c_bot);
+
+/// Pack all of V_B for packed tpmqrt (both gemm operand layouts, as
+/// larfb_pack_v does for V2).
+LarfbPackedV tpmqrt_pack_v(ConstMatrixView v);
+
+/// tpmqrt consuming the pre-packed V_B (vp from tpmqrt_pack_v on the same
+/// v). Safe to call concurrently with shared v/t/vp on disjoint c blocks.
+void tpmqrt(blas::Trans trans, ConstMatrixView v, ConstMatrixView t,
+            const LarfbPackedV& vp, MatrixView c_top, MatrixView c_bot);
 
 /// Join the T factors of two adjacent reflector blocks, geqr3's T12 step:
 /// v = [V1 V2] is m x n unit lower-trapezoidal with V1 its first n1

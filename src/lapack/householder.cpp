@@ -1,5 +1,6 @@
 #include "lapack/householder.hpp"
 
+#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -39,22 +40,26 @@ double larfg(idx n, double& alpha, double* x, idx incx) {
 
 void apply_reflector_left(double tau, const double* v_tail, MatrixView c,
                           double* work) {
-  if (tau == 0.0 || c.cols() == 0) return;
-  const idx m = c.rows();
-  const idx n = c.cols();
-  assert(m >= 1);
+  assert(c.rows() >= 1);
+  apply_reflector_left(tau, v_tail, c.rows_range(0, 1),
+                       c.rows_range(1, c.rows() - 1), work);
+}
 
-  // work = C(0,:)^T + C(1:,:)^T * v_tail
-  for (idx j = 0; j < n; ++j) work[j] = c(0, j);
-  if (m > 1) {
-    blas::gemv(blas::Trans::Trans, 1.0, c.block(1, 0, m - 1, n), v_tail, 1,
-               1.0, work, 1);
+void apply_reflector_left(double tau, const double* v_tail, MatrixView top,
+                          MatrixView below, double* work) {
+  if (tau == 0.0 || top.cols() == 0) return;
+  const idx m = below.rows();
+  const idx n = top.cols();
+  assert(top.rows() == 1 && below.cols() == n);
+
+  // work = top^T + below^T * v_tail
+  for (idx j = 0; j < n; ++j) work[j] = top(0, j);
+  if (m > 0) {
+    blas::gemv(blas::Trans::Trans, 1.0, below, v_tail, 1, 1.0, work, 1);
   }
-  // C(0,:) -= tau * work; C(1:,:) -= tau * v_tail * work^T
-  for (idx j = 0; j < n; ++j) c(0, j) -= tau * work[j];
-  if (m > 1) {
-    blas::ger(-tau, v_tail, 1, work, 1, c.block(1, 0, m - 1, n));
-  }
+  // top -= tau * work; below -= tau * v_tail * work^T
+  for (idx j = 0; j < n; ++j) top(0, j) -= tau * work[j];
+  if (m > 0) blas::ger(-tau, v_tail, 1, work, 1, below);
 }
 
 }  // namespace camult::lapack

@@ -18,4 +18,10 @@ double larfg(idx n, double& alpha, double* x, idx incx);
 void apply_reflector_left(double tau, const double* v_tail, MatrixView c,
                           double* work);
 
+/// The same reflector applied to the stacked [top; below], where `top` is
+/// the one row the implicit 1 meets and `below` has len(v_tail) rows; the
+/// two need not be adjacent (the TS kernel's R row and its B block).
+void apply_reflector_left(double tau, const double* v_tail, MatrixView top,
+                          MatrixView below, double* work);
+
 }  // namespace camult::lapack

@@ -10,40 +10,19 @@
 namespace camult::tiled {
 
 TsqrtFactors tsqrt(MatrixView r_tile, ConstMatrixView full_tile) {
-  const idx cb = r_tile.rows();   // triangle size
-  const idx rb = full_tile.rows();
-  assert(r_tile.cols() == cb);
-  assert(full_tile.cols() == cb);
-
+  const idx cb = r_tile.rows();
+  assert(r_tile.cols() == cb && full_tile.cols() == cb);
   TsqrtFactors f;
-  f.vt = Matrix::zeros(cb + rb, cb);
-  for (idx j = 0; j < cb; ++j) {
-    for (idx i = 0; i <= j; ++i) f.vt(i, j) = r_tile(i, j);
-    for (idx i = 0; i < rb; ++i) f.vt(cb + i, j) = full_tile(i, j);
-  }
+  f.v = Matrix::from(full_tile);
   f.t = Matrix::zeros(cb, cb);
-  std::vector<double> tau;
-  lapack::geqr3(f.vt.view(), tau, f.t.view());
-  for (idx j = 0; j < cb; ++j) {
-    for (idx i = 0; i <= j; ++i) r_tile(i, j) = f.vt(i, j);
-  }
-  f.vpack = lapack::larfb_pack_v(f.vt.view());
+  blas::ScratchBuffer tau(static_cast<std::size_t>(cb));
+  lapack::tpqrt(r_tile, f.v.view(), tau.data(), f.t.view());
   return f;
 }
 
 void tsmqr(blas::Trans trans, const TsqrtFactors& f, MatrixView c_top,
            MatrixView c_bot) {
-  const idx cb = f.t.rows();
-  const idx rb = f.vt.rows() - cb;
-  assert(c_top.rows() == cb && c_bot.rows() == rb);
-  assert(c_top.cols() == c_bot.cols());
-  Matrix stacked(cb + rb, c_top.cols());
-  copy_into(c_top, stacked.view().rows_range(0, cb));
-  copy_into(c_bot, stacked.view().rows_range(cb, rb));
-  lapack::larfb_left(trans, f.vt.view(), f.t.view(), f.vpack,
-                     stacked.view());
-  copy_into(stacked.view().rows_range(0, cb), c_top);
-  copy_into(stacked.view().rows_range(cb, rb), c_bot);
+  lapack::tpmqrt(trans, f.v.view(), f.t.view(), c_top, c_bot);
 }
 
 TstrfFactors tstrf(MatrixView u_tile, MatrixView full_tile) {

@@ -8,14 +8,16 @@
 //
 // Stacked factors are stored in per-step buffers (not back into the tiles),
 // which keeps the tiles' own reflector/multiplier storage intact and makes
-// the op-log replayable for solves and Q applications.
+// the op-log replayable for solves and Q applications. TSQRT/TSMQR are the
+// structured TS kernel pair lapack::tpqrt/tpmqrt (R's zero lower triangle
+// costs nothing, and C is updated in place); TSTRF/SSSSM stack [U; tile]
+// for GEPP.
 #pragma once
 
 #include <vector>
 
 #include "blas/pack.hpp"
 #include "blas/types.hpp"
-#include "lapack/geqrf.hpp"
 #include "matrix/matrix.hpp"
 #include "matrix/permutation.hpp"
 
@@ -23,21 +25,16 @@ namespace camult::tiled {
 
 /// --- QR kernels -------------------------------------------------------
 
-/// Factors of a TSQRT step: QR of the 2b x b stack [R_top (triangle);
-/// full tile].
-///
-/// The factor step also packs the reflectors' gemm operands once (vpack /
-/// l2pack below): a tile-algorithm step is applied across an entire
-/// trailing tile row, and at replay time again per solve column, so the
-/// packing cost amortizes over every later tsmqr/ssssm on these factors.
+/// Factors of a TSQRT step: QR of the stack [R_top (triangle); full tile]
+/// on the TS kernel lapack::tpqrt, so V = [I; v].
 struct TsqrtFactors {
-  Matrix vt;  ///< factored stack: new R on top, V tails below
-  Matrix t;   ///< b x b T factor
-  lapack::LarfbPackedV vpack;  ///< packed V2 of vt, shared by all tsmqr
+  Matrix v;  ///< rb x b reflector block V_B (a factored copy of the tile)
+  Matrix t;  ///< b x b T factor
 };
 
 /// QR-factor [upper triangle of r_tile stacked on full_tile]; writes the new
-/// R into r_tile's upper triangle. Both tiles are b x b views.
+/// R into r_tile's upper triangle (its strictly lower part is untouched).
+/// full_tile is read only: V_B lands in the factors' copy of it.
 TsqrtFactors tsqrt(MatrixView r_tile, ConstMatrixView full_tile);
 
 /// Apply the TSQRT reflectors (Q^T for Trans) to the stacked pair
@@ -48,6 +45,9 @@ void tsmqr(blas::Trans trans, const TsqrtFactors& f, MatrixView c_top,
 /// --- LU kernels -------------------------------------------------------
 
 /// Factors of a TSTRF step: GEPP of the stack [U_top (triangle); full tile].
+/// The step packs its L2 block once (l2pack): a tile-algorithm step is
+/// applied across an entire trailing tile row, and at replay time again per
+/// solve column, so the packing cost amortizes over every later ssssm.
 struct TstrfFactors {
   Matrix l;          ///< 2b x b unit-lower-trapezoidal L of the stack
   PivotVector ipiv;  ///< swap sequence over the 2b stacked rows

@@ -138,15 +138,13 @@ void tile_qr_apply_q(blas::Trans trans, ConstMatrixView a,
       for (std::size_t s = 0; s < S.chain.size(); ++s) {
         tsmqr(blas::Trans::Trans, S.chain[s],
               c.block(S.row0, 0, S.jb, c.cols()),
-              c.block(S.chain_row[s], 0,
-                      S.chain[s].vt.rows() - S.jb, c.cols()));
+              c.block(S.chain_row[s], 0, S.chain[s].v.rows(), c.cols()));
       }
     } else {
       for (std::size_t s = S.chain.size(); s-- > 0;) {
         tsmqr(blas::Trans::NoTrans, S.chain[s],
               c.block(S.row0, 0, S.jb, c.cols()),
-              c.block(S.chain_row[s], 0,
-                      S.chain[s].vt.rows() - S.jb, c.cols()));
+              c.block(S.chain_row[s], 0, S.chain[s].v.rows(), c.cols()));
       }
       core::tsqr_leaf_apply(blas::Trans::NoTrans, tile, S.leaf,
                             c.rows_range(S.row0, S.rk));

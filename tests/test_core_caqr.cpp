@@ -1,15 +1,21 @@
 // Multithreaded CAQR tests: residual/orthogonality across shapes, trees and
 // thread counts, R agreement with geqrf, implicit-Q application,
-// determinism, trace sanity.
+// determinism, trace sanity, and leaves taller than one chunk (chunked
+// leaves with trailing columns, bitwise across execution knobs, and the
+// per-chunk health screen).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
 #include "blas/blas.hpp"
 #include "common/test_utils.hpp"
 #include "core/caqr.hpp"
+#include "core/drivers.hpp"
+#include "core/tournament.hpp"
 #include "lapack/lapack.hpp"
 #include "matrix/norms.hpp"
 #include "matrix/random.hpp"
@@ -247,6 +253,170 @@ TEST(Caqr, HybridTreeEndToEnd) {
   o.num_threads = 3;
   CaqrResult res = caqr_factor(fact.view(), o);
   EXPECT_LT(caqr_residual(a, fact, res), kResidualThreshold);
+}
+
+// --- Chunked leaves: at b = 100, Tr = 2, each leaf of a 16,000 x 300
+// matrix's panels holds about 8,000 rows, three chunks of
+// tsqr_chunk_rows(100) rows, the last one ragged (44 rows, fewer than the
+// panel's 100 columns, in iteration 1's second leaf).
+
+class CaqrChunkedLeaves : public ::testing::TestWithParam<ReductionTree> {
+ protected:
+  static constexpr idx kM = 16000, kN = 300;
+  CaqrOptions options() const {
+    CaqrOptions o;
+    o.b = 100;
+    o.tr = 2;
+    o.tree = GetParam();
+    o.num_threads = 3;
+    return o;
+  }
+};
+
+TEST_P(CaqrChunkedLeaves, ResidualApplyQAndLeastSquares) {
+  const Matrix a = random_matrix(kM, kN, 231);
+  Matrix fact = a;
+  CaqrResult res = caqr_factor(fact.view(), options());
+  ASSERT_EQ(res.iterations[0].leaves[0].t.cols(), 3 * 100)
+      << "the leaves must span three chunks";
+  EXPECT_LT(caqr_residual(a, fact, res), kResidualThreshold);
+
+  Matrix c = random_matrix(kM, 4, 232);
+  const Matrix c0 = c;
+  caqr_apply_q(blas::Trans::Trans, fact.view(), res, c.view());
+  caqr_apply_q(blas::Trans::NoTrans, fact.view(), res, c.view());
+  EXPECT_TRUE(test::matrices_near(c, c0, 1e-10));
+
+  // min ||A x - b|| for a consistent b recovers x.
+  Matrix x_true = random_matrix(kN, 2, 233);
+  Matrix rhs = Matrix::zeros(kM, 2);
+  blas::gemm(blas::Trans::NoTrans, blas::Trans::NoTrans, 1.0, a, x_true, 0.0,
+             rhs.view());
+  Matrix ls = a;
+  caqr_least_squares(ls.view(), rhs.view(), options());
+  for (idx j = 0; j < 2; ++j) {
+    for (idx i = 0; i < kN; ++i) {
+      EXPECT_NEAR(rhs(i, j), x_true(i, j), 1e-9) << i << "," << j;
+    }
+  }
+}
+
+TEST_P(CaqrChunkedLeaves, BitwiseAcrossThreadsPoolAndWindow) {
+  const Matrix a = random_matrix(kM, kN, 234);
+  Matrix ref = a;
+  CaqrOptions o = options();
+  o.num_threads = 0;  // inline
+  const CaqrResult ref_res = caqr_factor(ref.view(), o);
+  // Every chunk's T and tau, not just the factored matrix.
+  auto same_leaves = [&ref_res](const CaqrResult& r) {
+    for (std::size_t k = 0; k < r.iterations.size(); ++k) {
+      const auto& got = r.iterations[k].leaves;
+      const auto& want = ref_res.iterations[k].leaves;
+      if (got.size() != want.size()) return false;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        if (got[i].tau != want[i].tau ||
+            test::max_diff(got[i].t, want[i].t) != 0.0) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+
+  rt::WorkerPool pool(rt::WorkerPoolConfig{3, false});
+  struct Knob {
+    const char* name;
+    int threads;
+    rt::WorkerPool* pool;
+    idx window;
+  };
+  for (const Knob& k : {Knob{"threads", 4, nullptr, 0},
+                        Knob{"pool", 3, &pool, 0},
+                        Knob{"window 2", 3, nullptr, 2},
+                        Knob{"pool + window 2", 3, &pool, 2}}) {
+    Matrix fact = a;
+    CaqrOptions ok = options();
+    ok.num_threads = k.threads;
+    ok.pool = k.pool;
+    ok.window = k.window;
+    const CaqrResult res = caqr_factor(fact.view(), ok);
+    EXPECT_EQ(test::max_diff(fact, ref), 0.0) << k.name;
+    EXPECT_TRUE(same_leaves(res)) << k.name;
+  }
+}
+
+TEST(CaqrChunkedLeaves, AdversarialBackwardError) {
+  // Two 40-column panels, each one leaf of several chunks (panel 0's last
+  // one 17 rows), on the adversarial ensemble: the chunked leaf is still
+  // Householder QR.
+  const idx b = 40, n = 2 * b, m = 2 * tsqr_chunk_rows(b) + 17;
+  for (const auto& c : test::adversarial_cases(m, n, 237)) {
+    Matrix fact = c.a;
+    CaqrOptions o;
+    o.b = b;
+    o.tr = 1;
+    o.num_threads = 2;
+    CaqrResult res = caqr_factor(fact.view(), o);
+    ASSERT_EQ(res.iterations[0].leaves[0].t.cols(), 3 * b) << c.name;
+    EXPECT_LT(caqr_residual(c.a.view(), fact.view(), res), kResidualThreshold)
+        << c.name;
+    Matrix q = caqr_explicit_q(fact.view(), res);
+    EXPECT_LT(lapack::orthogonality_residual(q), kResidualThreshold)
+        << c.name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Trees, CaqrChunkedLeaves,
+                         ::testing::Values(ReductionTree::Flat,
+                                           ReductionTree::Binary));
+
+TEST(CaqrChunkedHealth, NanInTheLastChunkIsFlagged) {
+  // One leaf of four chunks; the NaN sits in the ragged last one.
+  const idx m = 3 * tsqr_chunk_rows(100) + 50, n = 100;
+  Matrix a = random_matrix(m, n, 235);
+  a(m - 10, 37) = std::numeric_limits<double>::quiet_NaN();
+  CaqrOptions o;
+  o.b = n;
+  o.tr = 1;
+  o.num_threads = 2;
+  CaqrResult res = caqr_factor(a.view(), o);
+  ASSERT_EQ(res.iterations[0].leaves[0].t.cols(), 4 * n);
+  EXPECT_TRUE(res.health.nan_detected);
+}
+
+TEST(CaqrChunkedHealth, GrowthMatchesTheUnchunkedScreen) {
+  // The largest input entry sits in the last chunk: the per-chunk screens
+  // must find it, so the growth equals max|R| over a screen of the whole
+  // input.
+  const idx m = 3 * tsqr_chunk_rows(100) + 50, n = 100;
+  Matrix a = random_matrix(m, n, 236);
+  a(m - 3, 5) = 40.0;
+  const PanelScreen whole = screen_panel(a);
+  ASSERT_EQ(whole.absmax, 40.0);
+  Matrix fact = a;
+  CaqrOptions o;
+  o.b = n;
+  o.tr = 1;
+  o.num_threads = 2;
+  CaqrResult res = caqr_factor(fact.view(), o);
+  EXPECT_FALSE(res.health.nan_detected);
+  double rmax = 0.0;
+  for (idx j = 0; j < n; ++j) {
+    for (idx i = 0; i <= j; ++i) rmax = std::max(rmax, std::abs(fact(i, j)));
+  }
+  EXPECT_EQ(res.health.max_growth, rmax / whole.absmax);
+
+  // And R's largest entry is geqr3's, to rounding.
+  Matrix ref = a;
+  std::vector<double> tau;
+  Matrix t = Matrix::zeros(n, n);
+  lapack::geqr3(ref.view(), tau, t.view());
+  double ref_max = 0.0;
+  for (idx j = 0; j < n; ++j) {
+    for (idx i = 0; i <= j; ++i) ref_max = std::max(ref_max, std::abs(ref(i, j)));
+  }
+  EXPECT_NEAR(res.health.max_growth, ref_max / whole.absmax,
+              1e-12 * ref_max / whole.absmax);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // TSQR tests: leaf/node kernels, residual, orthogonality, R uniqueness
-// across tree shapes and against geqrf, implicit-Q application.
+// across tree shapes and against geqrf, implicit-Q application, and leaves
+// taller than one chunk (the sequential flat TSQR inside a leaf).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +9,7 @@
 
 #include "blas/blas.hpp"
 #include "common/test_utils.hpp"
+#include "core/tournament.hpp"
 #include "core/tsqr.hpp"
 #include "lapack/lapack.hpp"
 #include "matrix/norms.hpp"
@@ -242,6 +244,124 @@ TEST(Tsqr, HybridTreeResidualAndOrthogonality) {
   EXPECT_LT(lapack::orthogonality_residual(q), kResidualThreshold);
   // 8 leaves, group 4: 2 flat nodes + 1 binary node.
   EXPECT_EQ(f.nodes.size(), 3u);
+}
+
+// --- Chunked leaves. A leaf of 100 columns is cut into chunks of
+// tsqr_chunk_rows(100) rows.
+
+constexpr idx kChunkCols = 100;
+const idx kChunk = tsqr_chunk_rows(kChunkCols);
+
+// R of a factored matrix against R of one geqr3 of the input, up to row
+// signs.
+void expect_r_matches_geqr3(ConstMatrixView a, ConstMatrixView fact) {
+  const idx n = a.cols();
+  Matrix ref = Matrix::from(a);
+  std::vector<double> tau;
+  Matrix t = Matrix::zeros(n, n);
+  lapack::geqr3(ref.view(), tau, t.view());
+  const double scale = std::max(1.0, norm_max(ref.view().rows_range(0, n)));
+  for (idx i = 0; i < n; ++i) {
+    const double s = (fact(i, i) >= 0) == (ref(i, i) >= 0) ? 1.0 : -1.0;
+    for (idx j = i; j < n; ++j) {
+      ASSERT_NEAR(fact(i, j), s * ref(i, j), 1e-12 * scale)
+          << "R(" << i << "," << j << ")";
+    }
+  }
+}
+
+class ChunkedLeaf : public ::testing::TestWithParam<idx> {};
+
+TEST_P(ChunkedLeaf, ResidualOrthogonalityAndR) {
+  const idx m = GetParam();
+  Matrix a = random_matrix(m, kChunkCols, 71 + m);
+  Matrix fact = a;
+  TsqrOptions opts;
+  opts.tr = 1;  // one leaf: the whole matrix
+  TsqrFactors f = tsqr_factor(fact.view(), opts);
+  ASSERT_EQ(f.leaves.size(), 1u);
+  const idx chunks = (m + kChunk - 1) / kChunk;
+  EXPECT_EQ(f.leaves[0].t.cols(), kChunkCols * chunks);
+  EXPECT_EQ(static_cast<idx>(f.leaves[0].tau.size()), kChunkCols * chunks);
+
+  EXPECT_LT(tsqr_residual(a, fact, f), kResidualThreshold);
+  Matrix q = tsqr_explicit_q(fact.view(), f);
+  EXPECT_LT(lapack::orthogonality_residual(q), kResidualThreshold);
+  expect_r_matches_geqr3(a.view(), fact.view());
+
+  Matrix c = random_matrix(m, 3, 72 + m);
+  const Matrix c0 = c;
+  tsqr_apply_q(blas::Trans::Trans, fact.view(), f, c.view());
+  tsqr_apply_q(blas::Trans::NoTrans, fact.view(), f, c.view());
+  EXPECT_TRUE(matrices_near(c, c0, 1e-11));
+}
+
+// One row short of a chunk, one chunk, one row over, two chunks, two
+// chunks and a row, and a last chunk shorter than the leaf's width.
+INSTANTIATE_TEST_SUITE_P(
+    Heights, ChunkedLeaf,
+    ::testing::Values(kChunk - 1, kChunk, kChunk + 1, 2 * kChunk,
+                      2 * kChunk + 1, 2 * kChunk + kChunkCols / 3));
+
+TEST(ChunkedLeaf, OneChunkIsGeqr3Exactly) {
+  Matrix a = random_matrix(kChunk, kChunkCols, 73);
+  Matrix f1 = a, f2 = a;
+  TsqrOptions opts;
+  opts.tr = 1;
+  TsqrFactors fac = tsqr_factor(f1.view(), opts);
+  ASSERT_EQ(fac.leaves[0].t.cols(), kChunkCols);
+
+  std::vector<double> tau;
+  Matrix t = Matrix::zeros(kChunkCols, kChunkCols);
+  lapack::geqr3(f2.view(), tau, t.view());
+  EXPECT_EQ(test::max_diff(f1, f2), 0.0);
+  EXPECT_EQ(test::max_diff(fac.leaves[0].t, t), 0.0);
+  EXPECT_EQ(fac.leaves[0].tau, tau);
+}
+
+TEST(ChunkedLeaf, InPlaceInsideATallerPanel) {
+  // A three-chunk leaf viewed in the middle of a taller panel: rows above
+  // and below the leaf stay bit-identical, and the packed apply replays the
+  // same bits as the unpacked one.
+  const idx rows = 2 * kChunk + 7, above = 11, below = 13;
+  Matrix panel = random_matrix(above + rows + below, kChunkCols, 74);
+  const Matrix before = panel;
+  PanelScreen screen;
+  TsqrLeaf leaf = tsqr_leaf_kernel(
+      panel.block(above, 0, rows, kChunkCols), above, &screen);
+  EXPECT_EQ(leaf.t.cols(), 3 * kChunkCols);
+  const PanelScreen whole =
+      screen_panel(before.view().block(above, 0, rows, kChunkCols));
+  EXPECT_EQ(screen.absmax, whole.absmax);
+  EXPECT_FALSE(screen.nonfinite);
+  EXPECT_EQ(test::max_diff(panel.view().rows_range(0, above),
+                           before.view().rows_range(0, above)),
+            0.0);
+  EXPECT_EQ(test::max_diff(panel.view().rows_range(above + rows, below),
+                           before.view().rows_range(above + rows, below)),
+            0.0);
+
+  Matrix c = random_matrix(panel.rows(), 9, 75);
+  Matrix c_packed = c;
+  tsqr_leaf_apply(blas::Trans::Trans, panel.view(), leaf, c.view());
+  const TsqrLeafPack packs = tsqr_leaf_pack(panel.view(), leaf);
+  ASSERT_EQ(packs.size(), 3u);
+  tsqr_leaf_apply(blas::Trans::Trans, panel.view(), leaf, packs,
+                  c_packed.view());
+  EXPECT_LT(test::max_diff(c, c_packed), 1e-12);
+
+  // Q^T of the leaf's own input is [R; 0] on the leaf's rows.
+  Matrix qta = before;
+  tsqr_leaf_apply(blas::Trans::Trans, panel.view(), leaf, qta.view());
+  const double scale = norm_max(before.view().block(above, 0, rows,
+                                                    kChunkCols));
+  for (idx j = 0; j < kChunkCols; ++j) {
+    for (idx i = 0; i < rows; ++i) {
+      const double want = i <= j ? panel(above + i, j) : 0.0;
+      ASSERT_NEAR(qta(above + i, j), want, 1e-11 * scale * kChunkCols)
+          << "(" << i << "," << j << ")";
+    }
+  }
 }
 
 }  // namespace

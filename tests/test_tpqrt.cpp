@@ -1,9 +1,13 @@
-// Structured triangle-triangle QR kernel (tpqrt) tests: agreement with the
-// dense stacked kernel, apply round trips, and end-to-end TSQR/CAQR with
-// structured nodes enabled.
+// Structured QR kernel tests. The triangle-triangle node kernel
+// (core::tpqrt_tri): agreement with the dense stacked kernel, apply round
+// trips, and end-to-end TSQR/CAQR with structured nodes enabled. The
+// triangle-on-square TS kernel (lapack::tpqrt/tpmqrt): agreement with a
+// dense geqr3 of the explicit stack on views inside taller matrices, the
+// explicit Q, apply round trips and a warm scratch pool.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "blas/blas.hpp"
@@ -160,6 +164,169 @@ TEST(Tpqrt, SingularTrianglesHandled) {
   blas::gemm(blas::Trans::Trans, blas::Trans::NoTrans, 1.0, r2, r2, 0.0,
              ref.view());
   EXPECT_TRUE(matrices_near(rtr, ref, 1e-10 * std::max(1.0, norm_max(ref))));
+}
+
+// --- lapack::tpqrt / tpmqrt: [R; B] with R n x n upper triangular and B
+// c x n, both viewed inside taller host matrices whose other entries must
+// survive bit for bit.
+
+struct TsShape {
+  idx n, c;
+};
+
+std::string ts_name(const ::testing::TestParamInfo<TsShape>& info) {
+  return "n" + std::to_string(info.param.n) + "_c" +
+         std::to_string(info.param.c);
+}
+
+// Every (n, c) with n in {1, 7, 8, 9, 100} and c in {1, n-1, n, n+1, 2000}.
+std::vector<TsShape> ts_shapes() {
+  std::vector<TsShape> out;
+  for (idx n : {1, 7, 8, 9, 100}) {
+    for (idx c : {idx{1}, n - 1, n, n + 1, idx{2000}}) {
+      bool seen = c < 0;
+      for (const TsShape& s : out) seen = seen || (s.n == n && s.c == c);
+      if (!seen) out.push_back({n, c});
+    }
+  }
+  return out;
+}
+
+class TsKernel : public ::testing::TestWithParam<TsShape> {
+ protected:
+  // R lives at (2, 1) of an (n + 5) x (n + 3) host, B at (3, 2) of a
+  // (c + 7) x (n + 4) host; R's strictly lower part is host data too.
+  void SetUp() override {
+    n_ = GetParam().n;
+    c_ = GetParam().c;
+    r_host_ = random_matrix(n_ + 5, n_ + 3, 900 + n_);
+    b_host_ = random_matrix(c_ + 7, n_ + 4, 950 + n_ + c_);
+    stack_ = Matrix::zeros(n_ + c_, n_);
+    for (idx j = 0; j < n_; ++j) {
+      r_host_(2 + j, 1 + j) += 3.0;  // a well-conditioned triangle
+      for (idx i = 0; i <= j; ++i) stack_(i, j) = r_host_(2 + i, 1 + j);
+    }
+    copy_into(b_view(), stack_.view().rows_range(n_, c_));
+  }
+  MatrixView r_view() { return r_host_.block(2, 1, n_, n_); }
+  MatrixView b_view() { return b_host_.block(3, 2, c_, n_); }
+
+  idx n_ = 0, c_ = 0;
+  Matrix r_host_, b_host_, stack_;
+};
+
+TEST_P(TsKernel, MatchesDenseGeqr3OnTheStack) {
+  const Matrix r_before = r_host_, b_before = b_host_;
+  std::vector<double> tau(static_cast<std::size_t>(n_));
+  Matrix t = Matrix::zeros(n_, n_);
+  lapack::tpqrt(r_view(), b_view(), tau.data(), t.view());
+
+  // Nothing outside R's upper triangle and B's view moved.
+  for (idx j = 0; j < r_host_.cols(); ++j) {
+    for (idx i = 0; i < r_host_.rows(); ++i) {
+      const bool in_r = i >= 2 && i < 2 + n_ && j >= 1 && j < 1 + n_ &&
+                        i - 2 <= j - 1;
+      if (!in_r) EXPECT_EQ(r_host_(i, j), r_before(i, j)) << i << "," << j;
+    }
+  }
+  for (idx j = 0; j < b_host_.cols(); ++j) {
+    for (idx i = 0; i < b_host_.rows(); ++i) {
+      const bool in_b = i >= 3 && i < 3 + c_ && j >= 2 && j < 2 + n_;
+      if (!in_b) EXPECT_EQ(b_host_(i, j), b_before(i, j)) << i << "," << j;
+    }
+  }
+
+  // R agrees with a dense geqr3 of the explicit stack, up to row signs.
+  Matrix dense = stack_;
+  std::vector<double> dtau;
+  Matrix dt = Matrix::zeros(n_, n_);
+  lapack::geqr3(dense.view(), dtau, dt.view());
+  const double scale = std::max(1.0, norm_max(stack_));
+  for (idx i = 0; i < n_; ++i) {
+    const double s = (r_view()(i, i) >= 0) == (dense(i, i) >= 0) ? 1.0 : -1.0;
+    for (idx j = i; j < n_; ++j) {
+      EXPECT_NEAR(r_view()(i, j), s * dense(i, j), 1e-12 * scale)
+          << "R(" << i << "," << j << ")";
+    }
+  }
+
+  // The thin Q of V = [I; V_B] and T is Q [I; 0] = [I - T; -V_B T]: it must
+  // be orthonormal and reproduce the stack from the new R.
+  Matrix q = Matrix::zeros(n_ + c_, n_);
+  for (idx j = 0; j < n_; ++j) {
+    for (idx i = 0; i <= j; ++i) q(i, j) = -t(i, j);
+    q(j, j) += 1.0;
+  }
+  blas::gemm(blas::Trans::NoTrans, blas::Trans::NoTrans, -1.0, b_view(), t,
+             0.0, q.view().rows_range(n_, c_));
+  EXPECT_LT(lapack::orthogonality_residual(q), kResidualThreshold);
+  Matrix r_new = Matrix::zeros(n_, n_);
+  for (idx j = 0; j < n_; ++j) {
+    for (idx i = 0; i <= j; ++i) r_new(i, j) = r_view()(i, j);
+  }
+  Matrix qr = Matrix::zeros(n_ + c_, n_);
+  blas::gemm(blas::Trans::NoTrans, blas::Trans::NoTrans, 1.0, q, r_new, 0.0,
+             qr.view());
+  EXPECT_TRUE(matrices_near(qr, stack_, 1e-12 * scale));
+
+  // tpmqrt(NoTrans) on [I; 0] builds the same thin Q.
+  Matrix top = Matrix::identity(n_, n_);
+  Matrix bot = Matrix::zeros(c_, n_);
+  lapack::tpmqrt(blas::Trans::NoTrans, b_view(), t.view(), top.view(),
+                 bot.view());
+  EXPECT_TRUE(matrices_near(top, q.view().rows_range(0, n_), 1e-13));
+  EXPECT_TRUE(matrices_near(bot, q.view().rows_range(n_, c_), 1e-13));
+}
+
+TEST_P(TsKernel, TpmqrtRoundTripsOnViews) {
+  std::vector<double> tau(static_cast<std::size_t>(n_));
+  Matrix t = Matrix::zeros(n_, n_);
+  lapack::tpqrt(r_view(), b_view(), tau.data(), t.view());
+  const idx nc = 5;
+  Matrix c_host = random_matrix(n_ + c_ + 9, nc + 2, 977 + n_ + c_);
+  const Matrix c0 = c_host;
+  // c_top and c_bot are separate, non-adjacent views of one host.
+  MatrixView top = c_host.block(1, 1, n_, nc);
+  MatrixView bot = c_host.block(n_ + 4, 1, c_, nc);
+  lapack::tpmqrt(blas::Trans::Trans, b_view(), t.view(), top, bot);
+  lapack::tpmqrt(blas::Trans::NoTrans, b_view(), t.view(), top, bot);
+  EXPECT_TRUE(matrices_near(c_host, c0, 1e-12));
+
+  // The packed variant gives the same bits as the unpacked one.
+  Matrix c_pk = c0, c_un = c0;
+  const lapack::LarfbPackedV vp = lapack::tpmqrt_pack_v(b_view());
+  lapack::tpmqrt(blas::Trans::Trans, b_view(), t.view(), vp,
+                 c_pk.block(1, 1, n_, nc), c_pk.block(n_ + 4, 1, c_, nc));
+  lapack::tpmqrt(blas::Trans::Trans, b_view(), t.view(),
+                 c_un.block(1, 1, n_, nc), c_un.block(n_ + 4, 1, c_, nc));
+  EXPECT_LT(test::max_diff(c_pk, c_un), 1e-12);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, TsKernel, ::testing::ValuesIn(ts_shapes()),
+                         ts_name);
+
+TEST(TsKernel, StopsAllocatingAfterWarmup) {
+  blas::buffer_pool_trim();
+  const idx n = 100, c = 2000;
+  const Matrix r0 = random_upper(n, 991, 3.0);
+  const Matrix b0 = random_matrix(c, n, 992);
+  Matrix r = r0, b = b0;
+  std::vector<double> tau(static_cast<std::size_t>(n));
+  Matrix t = Matrix::zeros(n, n);
+  auto run = [&] {
+    copy_into(r0.view(), r.view());
+    copy_into(b0.view(), b.view());
+    lapack::tpqrt(r.view(), b.view(), tau.data(), t.view());
+  };
+  run();
+  run();
+  const blas::BufferPoolStats warm = blas::buffer_pool_stats();
+  for (int i = 0; i < 3; ++i) run();
+  const blas::BufferPoolStats after = blas::buffer_pool_stats();
+  EXPECT_EQ(after.allocs, warm.allocs)
+      << "steady-state tpqrt must not touch operator new";
+  EXPECT_GT(after.pool_hits, warm.pool_hits);
+  blas::buffer_pool_trim();
 }
 
 }  // namespace

@@ -35,7 +35,12 @@
 # fill their own screen slot on a worker, merged after the graph drains)
 # and test_core_tslu (the tournament leaf's chunk loop: ragged last chunks,
 # blocks viewed inside a taller panel, and winners read back from earlier
-# chunks, where an index slip reads past the block), test_tiled and
+# chunks, where an index slip reads past the block), test_core_tsqr,
+# test_core_caqr and test_tpqrt (the TSQR leaf's chunk loop: the TS kernel
+# tpqrt/tpmqrt writing V_B in place inside a taller panel, a ragged last
+# chunk shorter than the leaf's width, and multi-chunk CAQR leaves applied
+# by leaf-update tasks on worker threads, where an off-by-one reads past
+# the view), test_tiled and
 # test_baseline (the tiled LU/QR/Cholesky and blocked getrf/geqrf
 # baselines: their DAGs go through TaskGraph::submit_accessing and its
 # dependency tracker while workers complete earlier tasks), and
@@ -64,8 +69,8 @@ cmake -B "$build_dir" -S "$repo_root" \
 cmake --build "$build_dir" -j --target test_runtime test_scheduler_stress \
   test_observability test_pack_concurrency test_worker_pool test_blas_pack \
   test_fault_inject test_svc test_window test_blas_trsm_trmm test_adversarial \
-  test_core_tslu test_tiled test_baseline test_blas_gemm test_blas_level2 \
-  test_lapack_qr
+  test_core_tslu test_core_tsqr test_core_caqr test_tpqrt test_tiled \
+  test_baseline test_blas_gemm test_blas_level2 test_lapack_qr
 
 case "$san" in
   thread)
@@ -91,6 +96,9 @@ esac
 "$build_dir/tests/test_blas_trsm_trmm"
 "$build_dir/tests/test_adversarial"
 "$build_dir/tests/test_core_tslu"
+"$build_dir/tests/test_core_tsqr"
+"$build_dir/tests/test_core_caqr"
+"$build_dir/tests/test_tpqrt"
 "$build_dir/tests/test_tiled"
 "$build_dir/tests/test_baseline"
 "$build_dir/tests/test_blas_gemm"
