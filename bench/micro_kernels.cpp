@@ -7,7 +7,11 @@
 // BM_geqr3_phase_* rows split a 2,000 x 100 geqr3 into its three phases,
 // and BM_gemm_tn times the narrow A^T B shape that two of them run on.
 // BM_tpqrt is the TS kernel a chunked CAQR leaf runs per chunk, and
-// BM_tsqr_leaf_tall_view the chunked leaf itself.
+// BM_tsqr_leaf_tall_view the chunked leaf itself. On the LU side, the /2066
+// panel rows are one pass of a chunked tournament leaf (b +
+// tournament_chunk_rows(100, 100) rows), BM_rgetf2_phase_* split that
+// rgetf2 into its three phases, and BM_iamax and BM_gemm_nn_short time its
+// pivot search and the short Schur updates above its base blocks.
 #include <benchmark/benchmark.h>
 
 #include "bench_support/flops.hpp"
@@ -55,6 +59,38 @@ void BM_gemm_tn(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_gemm_tn)->Arg(6)->Arg(12)->Arg(25)->Arg(50)->Arg(100);
+
+void BM_gemm_nn_short(benchmark::State& state) {
+  // C (m x n) -= A (m x k) B (k x n): the Schur updates rgetf2's recursion
+  // runs above its base blocks on a 2,066 x 100 stack, which gemm routes
+  // to the short-product kernel.
+  const idx m = state.range(0), n = state.range(1), k = state.range(2);
+  Matrix a = random_matrix(m, k, 20);
+  Matrix b = random_matrix(k, n, 21);
+  Matrix c = random_matrix(m, n, 22);
+  for (auto _ : state) {
+    blas::gemm(blas::Trans::NoTrans, blas::Trans::NoTrans, -1.0, a, b, 1.0,
+               c.view());
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["GFlop/s"] = benchmark::Counter(
+      2.0 * static_cast<double>(m) * n * k * state.iterations() * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_gemm_nn_short)->Args({2054, 7, 6})->Args({2041, 13, 12});
+
+void BM_iamax(benchmark::State& state) {
+  // The pivot search of one column of a 2,066-row tournament stack.
+  const idx n = state.range(0);
+  const Matrix x = random_matrix(n, 1, 23);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(blas::iamax(n, x.data(), 1));
+  }
+  state.counters["Gelem/s"] = benchmark::Counter(
+      static_cast<double>(n) * state.iterations() * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_iamax)->Arg(2066);
 
 void BM_gemm_panel_shape(benchmark::State& state) {
   // The CALU update shape: (m x b) * (b x b).
@@ -230,8 +266,75 @@ void BM_lu_panel(benchmark::State& state) {
       camult::bench::lu_flops(m, b) * state.iterations() * 1e-9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK_TEMPLATE(BM_lu_panel, 0)->Name("BM_getf2_panel")->Arg(2000)->Arg(10000);
-BENCHMARK_TEMPLATE(BM_lu_panel, 1)->Name("BM_rgetf2_panel")->Arg(2000)->Arg(10000);
+BENCHMARK_TEMPLATE(BM_lu_panel, 0)
+    ->Name("BM_getf2_panel")->Arg(2000)->Arg(2066)->Arg(10000);
+BENCHMARK_TEMPLATE(BM_lu_panel, 1)
+    ->Name("BM_rgetf2_panel")->Arg(2000)->Arg(2066)->Arg(10000);
+
+// The recursion of geqr3 and rgetf2 on n columns of a tall panel at
+// row/column offset off: leaves of at most base_cols columns are base
+// blocks, every other node splits at n / 2.
+template <typename Base, typename Node>
+void walk_halves(idx off, idx n, idx base_cols, Base& base, Node& node) {
+  if (n <= base_cols) {
+    base(off, n);
+    return;
+  }
+  const idx n1 = n / 2;
+  walk_halves(off, n1, base_cols, base, node);
+  node(off, n1, n - n1);
+  walk_halves(off + n1, n - n1, base_cols, base, node);
+}
+
+enum class Rgetf2Phase { Base, Trsm, Gemm };
+
+template <Rgetf2Phase Phase>
+void BM_rgetf2_phase(benchmark::State& state) {
+  // One phase of an rgetf2 of an m x 100 panel, run on the blocks the
+  // recursion hands it: the base case on each base block, the unit lower
+  // trsm on each node's U12, or each node's Schur update A22 -= L21 U12.
+  // The operands come from a real rgetf2 of the panel; the row swaps
+  // between phases are left out. Every phase writes into a fresh copy of
+  // the panel, restored outside the timed region.
+  const idx m = state.range(0), b = 100;
+  const Matrix a = random_matrix(m, b, 10);
+  Matrix lu = a;
+  PivotVector ipiv;
+  lapack::rgetf2(lu.view(), ipiv);
+  Matrix w = a;
+  PivotVector bpiv;
+  auto base = [&](idx off, idx n) {
+    if constexpr (Phase == Rgetf2Phase::Base) {
+      lapack::rgetf2(w.view().block(off, off, m - off, n), bpiv);
+    }
+  };
+  auto node = [&](idx off, idx n1, idx n2) {
+    if constexpr (Phase == Rgetf2Phase::Trsm) {
+      blas::trsm(blas::Side::Left, blas::Uplo::Lower, blas::Trans::NoTrans,
+                 blas::Diag::Unit, 1.0, lu.view().block(off, off, n1, n1),
+                 w.view().block(off, off + n1, n1, n2));
+    } else if constexpr (Phase == Rgetf2Phase::Gemm) {
+      const idx r = m - off - n1;
+      blas::gemm(blas::Trans::NoTrans, blas::Trans::NoTrans, -1.0,
+                 lu.view().block(off + n1, off, r, n1),
+                 lu.view().block(off, off + n1, n1, n2), 1.0,
+                 w.view().block(off + n1, off + n1, r, n2));
+    }
+  };
+  for (auto _ : state) {
+    state.PauseTiming();
+    copy_into(a.view(), w.view());
+    state.ResumeTiming();
+    walk_halves(0, b, lapack::kLuBaseCols, base, node);
+    benchmark::DoNotOptimize(w.data());
+  }
+}
+BENCHMARK_TEMPLATE(BM_rgetf2_phase, Rgetf2Phase::Base)
+    ->Name("BM_rgetf2_phase_base")->Arg(2066)->Unit(benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(BM_rgetf2_phase, Rgetf2Phase::Trsm)
+    ->Name("BM_rgetf2_phase_trsm")->Arg(2066)->Unit(benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(BM_rgetf2_phase, Rgetf2Phase::Gemm)
+    ->Name("BM_rgetf2_phase_gemm")->Arg(2066)->Unit(benchmark::kMicrosecond);
 
 template <int Kernel>  // 0 = geqr2, 1 = geqr3
 void BM_qr_panel(benchmark::State& state) {
@@ -279,20 +382,6 @@ void BM_tpqrt(benchmark::State& state) {
 }
 BENCHMARK(BM_tpqrt)->Arg(2000);
 
-// geqr3's recursion on n columns at row/column offset off: leaves of at
-// most 8 columns are base blocks, every other node splits at n / 2.
-template <typename Base, typename Node>
-void walk_geqr3(idx off, idx n, Base& base, Node& node) {
-  if (n <= 8) {
-    base(off, n);
-    return;
-  }
-  const idx n1 = n / 2;
-  walk_geqr3(off, n1, base, node);
-  node(off, n1, n - n1);
-  walk_geqr3(off + n1, n - n1, base, node);
-}
-
 enum class Geqr3Phase { Base, Larfb, T12 };
 
 template <Geqr3Phase Phase>
@@ -332,7 +421,7 @@ void BM_geqr3_phase(benchmark::State& state) {
     state.PauseTiming();
     copy_into(a.view(), w.view());
     state.ResumeTiming();
-    walk_geqr3(0, b, base, node);
+    walk_halves(0, b, 8, base, node);
     benchmark::DoNotOptimize(w.data());
     benchmark::DoNotOptimize(t.data());
   }

@@ -17,6 +17,12 @@
 //    wastes most of each register tile, so the packed path runs these
 //    shapes at a fraction of its rate. The rule is inner_product_shape
 //    below; it reads (m, n, k) only, never the data or its layout.
+//  * Short product: C += alpha * A * B (NoTrans, NoTrans) with a narrow C
+//    and a short contraction — the Schur updates rgetf2's recursion runs
+//    above its base blocks — reads A's columns in place and broadcasts B,
+//    on the microkernel's tile and FMA chain, so it gives the packed
+//    path's bits without paying to pack a panel the tile barely reuses.
+//    The rule is short_product_shape below, again (m, n, k) only.
 // The packing half of the pipeline (pack_a/pack_b/PackedPanel and the
 // per-thread scratch pool) lives in pack.hpp; gemm_packed below consumes a
 // pre-packed operand so repeated multiplies against the same panel — the
@@ -32,8 +38,9 @@ namespace camult::blas {
 
 /// Shape contract: op(A) is m x k, op(B) is k x n, C is m x n.
 /// (Trans, NoTrans) takes the inner-product path when
-/// inner_product_shape(m, n, k); every other call takes the packed path
-/// (or, below 16^3 flops, a direct triple loop).
+/// inner_product_shape(m, n, k). Any other call below 16^3 flops takes a
+/// direct triple loop; above it, (NoTrans, NoTrans) takes the short-product
+/// path when short_product_shape(m, n, k), and the rest the packed path.
 void gemm(Trans transa, Trans transb, double alpha, ConstMatrixView a,
           ConstMatrixView b, double beta, MatrixView c);
 
@@ -56,6 +63,19 @@ constexpr bool inner_product_shape(idx m, idx n, idx k) {
 /// its own A and B columns, k and the active kernel.
 void gemm_inner(double alpha, ConstMatrixView a, ConstMatrixView b,
                 MatrixView c);
+
+/// The short-product rule, from the sweep in docs/benchmarks.md § LU leaf
+/// kernel: C at most kShortMaxWidth columns wide and a contraction of at
+/// most kShortMaxDepth, whatever m. gemm checks it after the 16^3 cutoff,
+/// so every routed shape is one the packed path took before, and it gets
+/// the packed path's bits (the packed path holds k <= kShortMaxDepth in one
+/// kc block under every valid blocking the autotuner sweeps, kc >= 128).
+inline constexpr idx kShortMaxWidth = 16;
+inline constexpr idx kShortMaxDepth = 16;
+
+constexpr bool short_product_shape(idx /*m*/, idx n, idx k) {
+  return n <= kShortMaxWidth && k <= kShortMaxDepth;
+}
 
 /// C = alpha * Ap * op(B) + beta * C, where Ap was built by pack_a().
 /// Always takes the blocked-microkernel path (no small-case shortcut), so

@@ -12,6 +12,11 @@
 // per C element, 24 independent FMA chains, 10 loads per 24 FMAs (loads,
 // not FMAs, bound it when the columns are not 64-byte aligned). The
 // contraction tail is a masked load, so no lane reads past a column.
+//
+// The short-product kernel runs the microkernel's 16 x 8 tile on A's
+// columns in place, broadcasting B from its columns; a row tail is two
+// masked loads and stores. The pivot search takes the largest |x| on four
+// max chains, then scans for the first element equal to it.
 #include "blas/kernel_impl.hpp"
 
 #if defined(__AVX512F__)
@@ -156,6 +161,111 @@ void inner_product_avx512(idx m, idx n, idx k, double alpha, const double* a,
   }
 }
 
+// C(0:16, 0:NC) += alpha * A B on one row tile, rows masked by lo and hi:
+// the microkernel's accumulators, FMA chain and fused alpha update, with A
+// read from its columns (ld lda) instead of a packed block.
+template <int NC>
+void short_tile(idx k, double alpha, const double* __restrict a, idx lda,
+                const double* __restrict b, idx ldb, double* __restrict c,
+                idx ldc, __mmask8 lo, __mmask8 hi) {
+  __m512d acc_lo[NC];
+  __m512d acc_hi[NC];
+  for (int j = 0; j < NC; ++j) {
+    acc_lo[j] = _mm512_setzero_pd();
+    acc_hi[j] = _mm512_setzero_pd();
+  }
+  for (idx p = 0; p < k; ++p) {
+    const double* ap = a + p * lda;
+    const __m512d a0 = _mm512_maskz_loadu_pd(lo, ap);
+    const __m512d a1 = _mm512_maskz_loadu_pd(hi, ap + 8);
+    for (int j = 0; j < NC; ++j) {
+      const __m512d bv = _mm512_set1_pd(b[p + j * ldb]);
+      acc_lo[j] = _mm512_fmadd_pd(a0, bv, acc_lo[j]);
+      acc_hi[j] = _mm512_fmadd_pd(a1, bv, acc_hi[j]);
+    }
+  }
+  const __m512d va = _mm512_set1_pd(alpha);
+  // Unrolled, or GCC 12 keeps the accumulators in memory through the p
+  // loop above: one store per FMA.
+#pragma GCC unroll 8
+  for (int j = 0; j < NC; ++j) {
+    double* cc = c + j * ldc;
+    _mm512_mask_storeu_pd(
+        cc, lo, _mm512_fmadd_pd(va, acc_lo[j], _mm512_maskz_loadu_pd(lo, cc)));
+    _mm512_mask_storeu_pd(cc + 8, hi,
+                          _mm512_fmadd_pd(va, acc_hi[j],
+                                          _mm512_maskz_loadu_pd(hi, cc + 8)));
+  }
+}
+
+using ShortTileFn = void (*)(idx, double, const double*, idx, const double*,
+                             idx, double*, idx, __mmask8, __mmask8);
+
+constexpr ShortTileFn kShortTiles[NR] = {
+    short_tile<1>, short_tile<2>, short_tile<3>, short_tile<4>,
+    short_tile<5>, short_tile<6>, short_tile<7>, short_tile<8>};
+
+// Row tiles outer: a tile's k columns of A stay in L1 across the strips.
+void short_product_avx512(idx m, idx n, idx k, double alpha, const double* a,
+                          idx lda, const double* b, idx ldb, double* c,
+                          idx ldc) {
+  for (idx i = 0; i < m; i += MR) {
+    const idx r = std::min<idx>(MR, m - i);
+    const auto lo = static_cast<__mmask8>(r >= 8 ? 0xffu : (1u << r) - 1u);
+    const auto hi =
+        static_cast<__mmask8>(r >= MR ? 0xffu : r > 8 ? (1u << (r - 8)) - 1u : 0u);
+    for (idx j = 0; j < n; j += NR) {
+      kShortTiles[std::min<idx>(NR, n - j) - 1](k, alpha, a + i, lda,
+                                                b + j * ldb, ldb,
+                                                c + i + j * ldc, ldc, lo, hi);
+    }
+  }
+}
+
+// vmaxpd: the second operand when either is NaN. Spelled with a full
+// mask for the same GCC 12 warning as reduce_add.
+__m512d max_pd(__m512d a, __m512d b) { return _mm512_maskz_max_pd(0xff, a, b); }
+
+double reduce_max(__m512d v) {
+  const __mmask8 all = 0xff;
+  const __m512d s4 = max_pd(v, _mm512_maskz_shuffle_f64x2(all, v, v, 0x4e));
+  const __m512d s2 = max_pd(s4, _mm512_maskz_shuffle_f64x2(all, s4, s4, 0xb1));
+  const __m512d s1 = max_pd(s2, _mm512_maskz_permute_pd(all, s2, 0x55));
+  return _mm512_cvtsd_f64(s1);
+}
+
+// max_pd(|x|, m) never lets a NaN into m. The chains start at 0, which the
+// non-NaN x[0] already reaches, and the tail's masked-out lanes load as 0.
+idx iamax_avx512(idx n, const double* x) {
+  __m512d m0 = _mm512_setzero_pd();
+  __m512d m1 = m0;
+  __m512d m2 = m0;
+  __m512d m3 = m0;
+  idx i = 0;
+  for (; i + 32 <= n; i += 32) {
+    m0 = max_pd(_mm512_abs_pd(_mm512_loadu_pd(x + i)), m0);
+    m1 = max_pd(_mm512_abs_pd(_mm512_loadu_pd(x + i + 8)), m1);
+    m2 = max_pd(_mm512_abs_pd(_mm512_loadu_pd(x + i + 16)), m2);
+    m3 = max_pd(_mm512_abs_pd(_mm512_loadu_pd(x + i + 24)), m3);
+  }
+  for (; i + 8 <= n; i += 8) {
+    m0 = max_pd(_mm512_abs_pd(_mm512_loadu_pd(x + i)), m0);
+  }
+  const auto tail = static_cast<__mmask8>((1u << (n - i)) - 1u);
+  m1 = max_pd(_mm512_abs_pd(_mm512_maskz_loadu_pd(tail, x + i)), m1);
+  const __m512d top = _mm512_set1_pd(
+      reduce_max(max_pd(max_pd(m0, m1), max_pd(m2, m3))));
+  for (i = 0; i + 8 <= n; i += 8) {
+    const __mmask8 eq = _mm512_cmp_pd_mask(
+        _mm512_abs_pd(_mm512_loadu_pd(x + i)), top, _CMP_EQ_OQ);
+    if (eq != 0) return i + __builtin_ctz(eq);
+  }
+  const __mmask8 eq = _mm512_mask_cmp_pd_mask(
+      tail, _mm512_abs_pd(_mm512_maskz_loadu_pd(tail, x + i)), top,
+      _CMP_EQ_OQ);
+  return i + __builtin_ctz(eq);
+}
+
 }  // namespace
 
 namespace detail {
@@ -165,6 +275,8 @@ KernelInfo make_avx512_kernel() {
   k.name = "avx512";
   k.fn = &microkernel_avx512;
   k.dot = &inner_product_avx512;
+  k.nn_short = &short_product_avx512;
+  k.iamax = &iamax_avx512;
   // MC stays a multiple of MR=16 and NC of NR=8; same L2/L3 targets as the
   // narrower kernels so the slab-pool footprint is unchanged by dispatch.
   k.blocking = {/*mc=*/192, /*kc=*/256, /*nc=*/768, MR, NR};
@@ -185,6 +297,8 @@ KernelInfo make_avx512_kernel() {
   k.name = "avx512";
   k.fn = nullptr;
   k.dot = nullptr;
+  k.nn_short = nullptr;
+  k.iamax = nullptr;
   k.blocking = {192, 256, 768, 16, 8};
   k.compiled = false;
   k.supported = false;

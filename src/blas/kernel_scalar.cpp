@@ -6,10 +6,14 @@
 //
 // The inner-product kernel mirrors the vector ones with four scalar lanes
 // per C element over 2 x 2 tiles, so the compiler is free to vectorise the
-// lane loop and the tail fills the lanes the way a masked load would.
+// lane loop and the tail fills the lanes the way a masked load would. The
+// short-product kernel is the microkernel's loop on A's columns in place,
+// and the pivot search is branch-free: the largest |x| on four max lanes,
+// then a scan for the first element equal to it.
 #include "blas/kernel_impl.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace camult::blas {
 namespace {
@@ -97,6 +101,57 @@ void inner_product_scalar(idx m, idx n, idx k, double alpha, const double* a,
   }
 }
 
+// The microkernel's accumulate and store loops on one mr_eff x nr_eff tile,
+// with A read from its columns (ld lda) and B from its columns (ld ldb).
+void short_tile(idx k, double alpha, const double* __restrict a, idx lda,
+                const double* __restrict b, idx ldb, double* __restrict c,
+                idx ldc, idx mr_eff, idx nr_eff) {
+  double acc[MR * NR] = {};
+  for (idx p = 0; p < k; ++p) {
+    const double* ap = a + p * lda;
+    for (idx cj = 0; cj < nr_eff; ++cj) {
+      const double bv = b[p + cj * ldb];
+      double* accc = acc + cj * MR;
+      for (idx ri = 0; ri < mr_eff; ++ri) accc[ri] += ap[ri] * bv;
+    }
+  }
+  for (idx cj = 0; cj < nr_eff; ++cj) {
+    double* cc = c + cj * ldc;
+    const double* accc = acc + cj * MR;
+    for (idx ri = 0; ri < mr_eff; ++ri) cc[ri] += alpha * accc[ri];
+  }
+}
+
+void short_product_scalar(idx m, idx n, idx k, double alpha, const double* a,
+                          idx lda, const double* b, idx ldb, double* c,
+                          idx ldc) {
+  for (idx i = 0; i < m; i += MR) {
+    const idx mr_eff = std::min<idx>(MR, m - i);
+    for (idx j = 0; j < n; j += NR) {
+      short_tile(k, alpha, a + i, lda, b + j * ldb, ldb, c + i + j * ldc, ldc,
+                 mr_eff, std::min<idx>(NR, n - j));
+    }
+  }
+}
+
+// std::max(m, v) keeps m when v is NaN, so a NaN never enters a lane. The
+// lanes start at 0, which the non-NaN x[0] already reaches.
+idx iamax_scalar(idx n, const double* x) {
+  constexpr int kMaxLanes = 4;
+  double lane[kMaxLanes] = {};
+  idx i = 0;
+  for (; i + kMaxLanes <= n; i += kMaxLanes) {
+    for (int l = 0; l < kMaxLanes; ++l) {
+      lane[l] = std::max(lane[l], std::abs(x[i + l]));
+    }
+  }
+  double top = std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
+  for (; i < n; ++i) top = std::max(top, std::abs(x[i]));
+  i = 0;
+  while (std::abs(x[i]) != top) ++i;
+  return i;
+}
+
 }  // namespace
 
 namespace detail {
@@ -106,6 +161,8 @@ KernelInfo make_scalar_kernel() {
   k.name = "scalar";
   k.fn = &microkernel_scalar;
   k.dot = &inner_product_scalar;
+  k.nn_short = &short_product_scalar;
+  k.iamax = &iamax_scalar;
   k.blocking = {/*mc=*/192, /*kc=*/256, /*nc=*/768, MR, NR};
   k.compiled = true;
   k.supported = false;  // dispatcher sets this (always true for scalar)

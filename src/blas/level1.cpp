@@ -3,10 +3,15 @@
 #include <cmath>
 #include <limits>
 
+#include "blas/kernel.hpp"
+
 namespace camult::blas {
 
 idx iamax(idx n, const double* x, idx incx) {
   if (n <= 0) return -1;
+  // Nothing compares greater than a NaN x[0], and a later NaN never wins.
+  if (std::isnan(x[0])) return 0;
+  if (incx == 1) return active_kernel().iamax(n, x);
   idx best = 0;
   double best_val = std::abs(x[0]);
   for (idx i = 1; i < n; ++i) {

@@ -8,7 +8,10 @@
 
 namespace camult::blas {
 
-/// Index of the element with the largest |value| (first on ties); -1 if n==0.
+/// Index of the element with the largest |value| (first on ties); -1 if
+/// n <= 0. A NaN never wins unless it is x[0], which then wins. Unit-stride
+/// calls run the active kernel variant's vectorised search (kernel.hpp),
+/// which returns exactly the index of the scalar loop.
 idx iamax(idx n, const double* x, idx incx);
 
 /// x <-> y elementwise.

@@ -54,10 +54,10 @@ struct Candidates {
 
 /// Rows of a tournament leaf's block that one pass of tournament_leaf
 /// reads: about 1.5 MiB of a `cols`-column block, and at least 2b. The
-/// pass's stack (the chunk under <= b carried winners) and rgetf2's gemm
-/// packing buffers then stay in a 2 MiB L2 through the whole GEPP. Depends
-/// on (cols, b) only, so the chunking (and the bits of the winners) never
-/// depend on the caller.
+/// pass's stack (the chunk under <= b carried winners) then stays in a
+/// 2 MiB L2 through the whole GEPP (docs/algorithms.md § 1 has the sweep).
+/// Depends on (cols, b) only, so the chunking (and the bits of the
+/// winners) never depend on the caller.
 idx tournament_chunk_rows(idx cols, idx b);
 
 /// Leaf match over `block` (rows of the panel starting at global row

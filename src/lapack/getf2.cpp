@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "blas/level1.hpp"
-#include "blas/level2.hpp"
 
 namespace camult::lapack {
 
@@ -47,16 +46,20 @@ idx getf2(MatrixView a, PivotVector& ipiv, double* growth) {
 }
 
 idx getf2(MatrixView a, PivotVector& ipiv) {
+  ipiv.assign(static_cast<std::size_t>(std::min(a.rows(), a.cols())), 0);
+  return getf2_block(a, ipiv.data());
+}
+
+idx getf2_block(MatrixView a, idx* ipiv) {
   const idx m = a.rows();
   const idx n = a.cols();
   const idx k = std::min(m, n);
-  ipiv.assign(static_cast<std::size_t>(k), 0);
   idx info = 0;
 
   for (idx j = 0; j < k; ++j) {
     // Pivot: largest magnitude in column j at or below the diagonal.
     const idx p = j + blas::iamax(m - j, a.col_ptr(j) + j, 1);
-    ipiv[static_cast<std::size_t>(j)] = p;
+    ipiv[j] = p;
     if (a(p, j) != 0.0) {
       if (p != j) {
         blas::swap(n, a.data() + j, a.ld(), a.data() + p, a.ld());
@@ -67,10 +70,14 @@ idx getf2(MatrixView a, PivotVector& ipiv) {
     } else if (info == 0) {
       info = j + 1;
     }
-    if (j < k) {
-      // Rank-1 update of the trailing submatrix.
-      blas::ger(-1.0, a.col_ptr(j) + j + 1, 1, a.data() + j + (j + 1) * a.ld(),
-                a.ld(), a.block(j + 1, j + 1, m - j - 1, n - j - 1));
+    // Rank-1 update of the trailing submatrix. No zero-skip, as in
+    // gemm_small: a NaN or Inf multiplier reaches every column it
+    // multiplies, also one whose U entry is exactly 0.
+    const double* l = a.col_ptr(j) + j + 1;
+    for (idx jj = j + 1; jj < n; ++jj) {
+      double* col = a.col_ptr(jj) + j + 1;
+      const double u = -a(j, jj);
+      for (idx i = 0; i < m - j - 1; ++i) col[i] += u * l[i];
     }
   }
   return info;

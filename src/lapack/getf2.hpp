@@ -17,6 +17,14 @@ namespace camult::lapack {
 /// pivot (the factorization still completes, as in LAPACK).
 idx getf2(MatrixView a, PivotVector& ipiv);
 
+/// getf2's unblocked loop on an m x n block, with the min(m, n) pivots
+/// written to ipiv[0..) relative to the block's top row. rgetf2 factors its
+/// base blocks with it. Per column: pivot search, a row swap across the
+/// block, reciprocal scaling, and a rank-1 update of the block's remaining
+/// columns that skips no zero multiplier (NaN and Inf propagate as through
+/// gemm). Allocates nothing; returns what getf2 returns.
+idx getf2_block(MatrixView a, idx* ipiv);
+
 /// Same factorization, additionally reporting the pivot-growth factor
 /// max|U| / max|A_in| in *growth (0 for an all-zero input; growth == nullptr
 /// is allowed and bit-identical to the two-argument form). This is the

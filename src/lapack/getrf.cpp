@@ -19,14 +19,7 @@ idx rgetf2_rec(MatrixView a, PivotVector& ipiv, std::size_t piv_offset) {
     ipiv[piv_offset] = 0;
     return (a(0, 0) == 0.0) ? 1 : 0;
   }
-  if (n == 1) {
-    const idx p = blas::iamax(m, a.col_ptr(0), 1);
-    ipiv[piv_offset] = p;
-    if (a(p, 0) == 0.0) return 1;
-    if (p != 0) std::swap(a(0, 0), a(p, 0));
-    blas::scal(m - 1, 1.0 / a(0, 0), a.col_ptr(0) + 1, 1);
-    return 0;
-  }
+  if (n <= kLuBaseCols) return getf2_block(a, ipiv.data() + piv_offset);
 
   const idx n1 = k / 2;
   const idx n2 = n - n1;

@@ -12,6 +12,11 @@
 
 namespace camult::lapack {
 
+/// rgetf2's recursion stops at blocks of at most this many columns and
+/// factors them with getf2's unblocked loop (getf2_block), from the sweep
+/// in docs/benchmarks.md § LU leaf kernel.
+inline constexpr idx kLuBaseCols = 8;
+
 /// Recursive LU with partial pivoting, any m x n. Same in-place contract as
 /// getf2. Returns 0 or the 1-based index of the first zero pivot.
 idx rgetf2(MatrixView a, PivotVector& ipiv);

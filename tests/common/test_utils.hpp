@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "blas/kernel.hpp"
 #include "blas/types.hpp"
 #include "matrix/matrix.hpp"
 #include "matrix/permutation.hpp"
@@ -36,6 +37,22 @@ double max_diff(ConstMatrixView a, ConstMatrixView b);
 /// by max magnitude).
 ::testing::AssertionResult matrices_near(ConstMatrixView a, ConstMatrixView b,
                                          double tol);
+
+/// Restores cpuid auto-selection of the BLAS kernel variant when it goes
+/// out of scope, however the test that switched variants exits. Inline, so
+/// suites that never switch variants need not link camult_blas.
+struct KernelGuard {
+  ~KernelGuard() { blas::set_active_kernel(""); }
+};
+
+/// Names of the kernel variants this host can run, fastest first.
+inline std::vector<std::string> runnable_kernels() {
+  std::vector<std::string> out;
+  for (const blas::KernelInfo& k : blas::kernel_registry()) {
+    if (k.supported) out.emplace_back(k.name);
+  }
+  return out;
+}
 
 /// Residual thresholds: scaled residuals from lapack/verify.hpp are measured
 /// in units of (size * eps); anything below this is a pass.

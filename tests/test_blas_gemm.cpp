@@ -3,10 +3,13 @@
 // The inner-product path (Trans, NoTrans on a narrow C) is checked for every
 // runnable kernel: contraction tails and blocks, the routing rule's
 // boundary, views, NaN/Inf propagation, shape-independent element bits and
-// its GemmTraffic count.
+// its GemmTraffic count. The short-product path (NoTrans, NoTrans on a
+// narrow C with a short contraction) must give the packed path's bits for
+// every runnable kernel, on views, row tails and non-finite inputs.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <tuple>
@@ -20,8 +23,10 @@
 namespace camult::blas {
 namespace {
 
+using camult::test::KernelGuard;
 using camult::test::matrices_near;
 using camult::test::reference_gemm;
+using camult::test::runnable_kernels;
 
 Matrix make_operand(Trans t, idx rows_op, idx cols_op, std::uint64_t seed) {
   // Storage shape depends on whether the operand is transposed.
@@ -211,18 +216,6 @@ TEST(Gemm, NanPlacementMatchesSmallVsBlocked) {
 
 // ---- Inner-product path ----------------------------------------------------
 
-// Restores cpuid auto-selection no matter how a test exits.
-struct KernelGuard {
-  ~KernelGuard() { set_active_kernel(""); }
-};
-
-std::vector<std::string> runnable_kernels() {
-  std::vector<std::string> out;
-  for (const KernelInfo& k : kernel_registry()) {
-    if (k.supported) out.emplace_back(k.name);
-  }
-  return out;
-}
 
 // C = alpha * A^T B + beta * C with A (k x m) and B (k x n) viewed at row
 // `off` of matrices 2 * off rows taller, with spare columns, and C viewed
@@ -389,6 +382,132 @@ TEST(GemmTraffic, InnerProductCallIsCounted) {
   EXPECT_EQ(t.kernel_bytes, (m + n) * k * 8);
   EXPECT_EQ(t.c_bytes, m * n * 16 * blocks);
   EXPECT_EQ(t.total(), 352000 + 7680);
+}
+
+// ---- Short-product path ----------------------------------------------------
+
+bool same_bits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+// C = alpha * A B + beta * C with A (m x k), B (k x n) and C viewed at an
+// offset inside taller hosts with spare columns. gemm's result must equal,
+// bit for bit, gemm_packed over pack_a(A, NoTrans) on a copy of the C host,
+// and every host entry outside the view must keep its bits. beta == 0
+// must overwrite NaN garbage.
+void check_nn_short(idx m, idx n, idx k, double alpha, double beta, idx off,
+                    std::uint64_t seed) {
+  const Matrix abig = random_matrix(m + 2 * off, k + 1, seed);
+  const Matrix bbig = random_matrix(k + 2 * off, n + 2, seed + 1);
+  Matrix cbig = random_matrix(m + off + 3, n + 1, seed + 2);
+  const ConstMatrixView a = abig.view().block(off, 1, m, k);
+  const ConstMatrixView b = bbig.view().block(off, 2, k, n);
+  MatrixView c = cbig.view().block(off, 1, m, n);
+  if (beta == 0.0) fill(c, std::numeric_limits<double>::quiet_NaN());
+  const Matrix c0 = cbig;
+  Matrix cref_big = cbig;
+  MatrixView cref = cref_big.view().block(off, 1, m, n);
+  gemm(Trans::NoTrans, Trans::NoTrans, alpha, a, b, beta, c);
+  const PackedPanel ap = pack_a(a, Trans::NoTrans);
+  gemm_packed(alpha, ap, Trans::NoTrans, b, beta, cref);
+  for (idx j = 0; j < cbig.cols(); ++j) {
+    for (idx i = 0; i < cbig.rows(); ++i) {
+      const bool inside = i >= off && i < off + m && j >= 1 && j < 1 + n;
+      ASSERT_TRUE(same_bits(cbig(i, j), cref_big(i, j)))
+          << active_kernel().name << " m=" << m << " n=" << n << " k=" << k
+          << " alpha=" << alpha << " beta=" << beta << " (" << i << ", " << j
+          << ") " << cbig(i, j) << " vs packed " << cref_big(i, j);
+      if (!inside) {
+        ASSERT_TRUE(same_bits(cbig(i, j), c0(i, j)))
+            << active_kernel().name << " touched (" << i << ", " << j << ")";
+      }
+    }
+  }
+}
+
+TEST(GemmNnShort, RoutingBoundaryAndRowTailsMatchPackedEveryKernel) {
+  // Shapes on both sides of short_product_shape, rgetf2's own updates on a
+  // 2,066 x 100 stack, and row counts at multiples of every kernel's MR (8
+  // and 16) plus and minus one, all above the 16^3 direct-loop cutoff.
+  struct Case {
+    idx m, n, k;
+    bool routed;
+  };
+  const idx w = kShortMaxWidth, d = kShortMaxDepth;
+  std::vector<Case> cases = {
+      {2054, 7, 6, true},      {2041, 13, 12, true},  {200, w, d, true},
+      {200, w + 1, d, false},  {200, w, d + 1, false}, {300, 1, d, true},
+      {5000, w, 1, true},      {100, 100, 6, false}};
+  for (idx mr : {8, 16}) {
+    for (idx q : {4, 7}) {
+      for (idx dm : {-1, 0, 1}) cases.push_back({mr * q + dm, w, d, true});
+    }
+  }
+  KernelGuard guard;
+  for (const std::string& name : runnable_kernels()) {
+    ASSERT_TRUE(set_active_kernel(name));
+    std::uint64_t seed = 500;
+    for (const Case& c : cases) {
+      ASSERT_GT(c.m * c.n * c.k, 16 * 16 * 16);
+      EXPECT_EQ(short_product_shape(c.m, c.n, c.k), c.routed)
+          << c.m << "x" << c.n << "x" << c.k;
+      for (double alpha : {1.0, -1.0, 0.5}) {
+        for (double beta : {0.0, 1.0, 2.0}) {
+          check_nn_short(c.m, c.n, c.k, alpha, beta, 3, seed++);
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmNnShort, NanAndInfPropagateEveryKernel) {
+  // No zero-skip: a NaN in row i of A poisons row i of C even against an
+  // all-zero column of B, and an Inf in column j of B makes column j of C
+  // non-finite. Row m - 1 sits in the masked row tail of every kernel.
+  const idx m = 203, n = 9, k = 11;
+  ASSERT_TRUE(short_product_shape(m, n, k));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  KernelGuard guard;
+  for (const std::string& name : runnable_kernels()) {
+    ASSERT_TRUE(set_active_kernel(name));
+    Matrix a = random_matrix(m, k, 54);
+    Matrix b = random_matrix(k, n, 55);
+    for (idx p = 0; p < k; ++p) b(p, 1) = 0.0;
+    a(m - 1, 4) = nan;
+    b(7, 3) = inf;
+    Matrix c = random_matrix(m, n, 56);
+    Matrix cref = c;
+    gemm(Trans::NoTrans, Trans::NoTrans, 1.0, a, b, 1.0, c.view());
+    gemm_packed(1.0, pack_a(a, Trans::NoTrans), Trans::NoTrans, b, 1.0,
+                cref.view());
+    for (idx j = 0; j < n; ++j) {
+      for (idx i = 0; i < m; ++i) {
+        const bool poisoned = i == m - 1 || j == 3;
+        EXPECT_EQ(std::isfinite(c(i, j)), !poisoned)
+            << name << " (" << i << ", " << j << ") = " << c(i, j);
+        EXPECT_TRUE(same_bits(c(i, j), cref(i, j)))
+            << name << " (" << i << ", " << j << ")";
+      }
+      EXPECT_TRUE(std::isnan(c(m - 1, j))) << name << " col " << j;
+    }
+  }
+}
+
+TEST(GemmTraffic, ShortProductCallIsCounted) {
+  // One routed call: A and B are read once, C loaded and stored once, and
+  // nothing is packed.
+  const idx m = 2054, n = 7, k = 6;
+  ASSERT_TRUE(short_product_shape(m, n, k));
+  const Matrix a = random_matrix(m, k, 73);
+  const Matrix b = random_matrix(k, n, 74);
+  Matrix c = Matrix::zeros(m, n);
+  gemm_traffic_reset();
+  gemm(Trans::NoTrans, Trans::NoTrans, -1.0, a, b, 1.0, c.view());
+  const GemmTraffic t = gemm_traffic();
+  EXPECT_EQ(t.pack_bytes, 0);
+  EXPECT_EQ(t.kernel_bytes, (m + n) * k * 8);
+  EXPECT_EQ(t.c_bytes, m * n * 16);
 }
 
 TEST(Gemm, BlockingParametersExposed) {

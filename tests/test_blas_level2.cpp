@@ -18,6 +18,7 @@
 namespace camult::blas {
 namespace {
 
+using camult::test::KernelGuard;
 using camult::test::matrices_near;
 
 TEST(Gemv, NoTransMatchesReference) {
@@ -58,11 +59,6 @@ TEST(Gemv, BetaZeroOverwritesGarbage) {
   gemv(Trans::NoTrans, 1.0, a, x.data(), 1, 0.0, y.data(), 1);
   EXPECT_FALSE(std::isnan(y[0]));
 }
-
-// Restores cpuid auto-selection no matter how a test exits.
-struct KernelGuard {
-  ~KernelGuard() { set_active_kernel(""); }
-};
 
 // y = alpha * A^T x + beta * y with A (m x n) viewed at row `off` of a
 // taller matrix (ld > m), x contiguous or strided and y strided by incy.

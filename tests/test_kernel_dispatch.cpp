@@ -26,12 +26,8 @@ namespace {
 using blas::GemmBlocking;
 using blas::KernelInfo;
 using blas::Trans;
+using camult::test::KernelGuard;
 using camult::test::kResidualThreshold;
-
-// Restores cpuid auto-selection no matter how a test exits.
-struct KernelGuard {
-  ~KernelGuard() { blas::set_active_kernel(""); }
-};
 
 std::vector<const KernelInfo*> supported_kernels() {
   std::vector<const KernelInfo*> out;
@@ -51,7 +47,12 @@ TEST(KernelRegistry, ScalarAlwaysPresentAndSupported) {
       EXPECT_TRUE(k.compiled);
       EXPECT_TRUE(k.supported);
     }
-    if (k.compiled) EXPECT_NE(k.fn, nullptr) << k.name;
+    if (k.compiled) {
+      EXPECT_NE(k.fn, nullptr) << k.name;
+      EXPECT_NE(k.dot, nullptr) << k.name;
+      EXPECT_NE(k.nn_short, nullptr) << k.name;
+      EXPECT_NE(k.iamax, nullptr) << k.name;
+    }
     if (k.supported) EXPECT_TRUE(k.compiled) << k.name;
     EXPECT_TRUE(blas::valid_blocking(k.blocking)) << k.name;
     // Unique names.

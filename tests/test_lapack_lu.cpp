@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -82,6 +83,9 @@ TEST_P(Rgetf2Shapes, ResidualSmall) {
   EXPECT_LT(lu_residual(a, lu, ipiv), kResidualThreshold);
 }
 
+// W = kLuBaseCols, the widest block rgetf2 factors with getf2's loop.
+constexpr idx kW = kLuBaseCols;
+
 INSTANTIATE_TEST_SUITE_P(Shapes, Rgetf2Shapes,
                          ::testing::Values(LuShape{1, 1}, LuShape{2, 2},
                                            LuShape{5, 5}, LuShape{16, 16},
@@ -89,12 +93,109 @@ INSTANTIATE_TEST_SUITE_P(Shapes, Rgetf2Shapes,
                                            LuShape{17, 31}, LuShape{257, 64},
                                            LuShape{1000, 100}));
 
+// Widths at the base block's edge, tall and wide, m = 1 and n = 1 included,
+// and one pass of a tournament leaf (2,066 x 100).
+INSTANTIATE_TEST_SUITE_P(
+    BaseBlockEdges, Rgetf2Shapes,
+    ::testing::Values(LuShape{100, kW - 1}, LuShape{100, kW},
+                      LuShape{100, kW + 1}, LuShape{100, 2 * kW + 1},
+                      LuShape{kW - 1, 40}, LuShape{kW, 40},
+                      LuShape{kW + 1, 40}, LuShape{2 * kW + 1, 40},
+                      LuShape{1, kW}, LuShape{1, 2 * kW + 1},
+                      LuShape{kW + 1, 1}, LuShape{300, 1},
+                      LuShape{2066, 100}));
+
+TEST(Rgetf2, ViewInsideTallerHostTouchesOnlyTheView) {
+  // A base block, a recursion over base blocks, and a tournament stack,
+  // each viewed at a row and column offset inside a taller host: every
+  // host entry outside the view keeps its bits.
+  for (auto [m, n] : {LuShape{37, kW}, LuShape{137, 2 * kW + 1},
+                      LuShape{2066, 100}}) {
+    const Matrix host0 = random_matrix(m + 11, n + 3, 27);
+    Matrix host = host0;
+    MatrixView view = host.view().block(5, 2, m, n);
+    PivotVector ipiv;
+    EXPECT_EQ(rgetf2(view, ipiv), 0);
+    EXPECT_LT(lu_residual(host0.view().block(5, 2, m, n), view, ipiv),
+              kResidualThreshold)
+        << m << "x" << n;
+    for (idx j = 0; j < n + 3; ++j) {
+      for (idx i = 0; i < m + 11; ++i) {
+        const bool inside = i >= 5 && i < 5 + m && j >= 2 && j < 2 + n;
+        if (!inside) {
+          ASSERT_EQ(host(i, j), host0(i, j))
+              << m << "x" << n << " touched (" << i << ", " << j << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(Rgetf2, ZeroColumnsReportGetf2sInfoAndComplete) {
+  // Exact zero columns of a 120 x 100 panel: inside the first base block
+  // (column 2), inside a later base block of the left half (40), and in the
+  // top-level right half (75), reached only through the recursion's
+  // updates. A zero input column stays exactly zero under every update, so
+  // each is a zero pivot; info is the first, as getf2 reports it, and the
+  // factorization goes on past it.
+  const std::vector<std::vector<idx>> cases = {{2}, {40}, {75}, {75, 40, 2}};
+  for (const std::vector<idx>& zeros : cases) {
+    Matrix a = random_matrix(120, 100, 29);
+    for (idx j : zeros) {
+      for (idx i = 0; i < 120; ++i) a(i, j) = 0.0;
+    }
+    Matrix lu1 = a, lu2 = a;
+    PivotVector p1, p2;
+    const idx info1 = getf2(lu1.view(), p1);
+    const idx info2 = rgetf2(lu2.view(), p2);
+    EXPECT_EQ(info2, info1) << "first zero column " << zeros.back();
+    EXPECT_EQ(info2, zeros.back() + 1);
+    for (idx j = 0; j < 100; ++j) {
+      for (idx i = 0; i < 120; ++i) {
+        ASSERT_TRUE(std::isfinite(lu2(i, j))) << "(" << i << ", " << j << ")";
+      }
+    }
+    EXPECT_LT(lu_residual(a, lu2, p2), kResidualThreshold);
+    EXPECT_LT(lu_residual(a, lu1, p1), kResidualThreshold);
+  }
+}
+
+TEST(Rgetf2, NanMultiplierReachesAColumnWithAZeroUEntry) {
+  // Column 0 elects row 0 (10.0) and turns a NaN in row 2 into a NaN
+  // multiplier. Column 3 is zero except in row 2, so every U entry above
+  // row 2 in it is exactly 0; the rank-1 updates skip no zero multiplier,
+  // so the NaN still reaches U(2, 3), through a base block and through
+  // the recursion's gemm alike. A zero-skipping update would leave 5.0.
+  for (idx n : {idx{4}, 2 * kW + 1}) {
+    const idx col = n - 1;
+    Matrix a = random_matrix(12, n, 31);
+    a(0, 0) = 10.0;
+    a(2, 0) = std::numeric_limits<double>::quiet_NaN();
+    for (idx i = 0; i < 12; ++i) a(i, col) = 0.0;
+    a(2, col) = 5.0;
+    for (int kernel = 0; kernel < 2; ++kernel) {
+      Matrix lu = a;
+      PivotVector ipiv;
+      if (kernel == 0) {
+        getf2(lu.view(), ipiv);
+      } else {
+        rgetf2(lu.view(), ipiv);
+      }
+      EXPECT_EQ(ipiv[0], 0);
+      EXPECT_TRUE(std::isnan(lu(2, col)))
+          << (kernel == 0 ? "getf2" : "rgetf2") << " n=" << n
+          << " U(2, col) = " << lu(2, col);
+    }
+  }
+}
+
 TEST(Rgetf2, MatchesGetf2Exactly) {
   // Partial pivoting is deterministic on distinct-magnitude inputs, and
   // recursive LU performs the same pivot choices. The factors can differ in
   // rounding (different operation order), so compare pivots exactly and
   // factors loosely.
-  for (auto [m, n] : {LuShape{40, 40}, LuShape{60, 24}, LuShape{128, 32}}) {
+  for (auto [m, n] : {LuShape{40, 40}, LuShape{60, 24}, LuShape{128, 32},
+                      LuShape{2066, 100}}) {
     Matrix a = random_distinct_magnitude_matrix(m, n, 17);
     Matrix lu1 = a, lu2 = a;
     PivotVector p1, p2;

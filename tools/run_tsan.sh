@@ -48,7 +48,11 @@
 # kernel behind gemm(Trans, NoTrans) and gemv(Trans) and the geqr3 built
 # on it: masked contraction tails, fringe tiles and strided views inside
 # taller matrices, where an off-by-one reads past the view — ASan catches
-# that, the tolerance checks do not).
+# that, the tolerance checks do not), and test_blas_level1 and
+# test_lapack_lu (the vectorised pivot search's vector tail, rgetf2's base
+# blocks on views inside taller hosts, and the short-product kernel's
+# masked row tail under the Schur updates above them, where an off-by-one
+# reads past a column).
 # Any reported race fails the run.
 #
 # Usage: tools/run_tsan.sh [build-dir]        (default: build-tsan)
@@ -70,7 +74,8 @@ cmake --build "$build_dir" -j --target test_runtime test_scheduler_stress \
   test_observability test_pack_concurrency test_worker_pool test_blas_pack \
   test_fault_inject test_svc test_window test_blas_trsm_trmm test_adversarial \
   test_core_tslu test_core_tsqr test_core_caqr test_tpqrt test_tiled \
-  test_baseline test_blas_gemm test_blas_level2 test_lapack_qr
+  test_baseline test_blas_gemm test_blas_level2 test_lapack_qr \
+  test_blas_level1 test_lapack_lu
 
 case "$san" in
   thread)
@@ -104,4 +109,6 @@ esac
 "$build_dir/tests/test_blas_gemm"
 "$build_dir/tests/test_blas_level2"
 "$build_dir/tests/test_lapack_qr"
+"$build_dir/tests/test_blas_level1"
+"$build_dir/tests/test_lapack_lu"
 echo "[$san sanitizer] all scheduler tests passed"
