@@ -6,9 +6,11 @@
 // rgetf2/geqr3 beating their BLAS2 counterparts on tall panels. The
 // BM_geqr3_phase_* rows split a 2,000 x 100 geqr3 into its three phases,
 // and BM_gemm_tn times the narrow A^T B shape that two of them run on.
-// BM_tpqrt is the TS kernel a chunked CAQR leaf runs per chunk, and
-// BM_tsqr_leaf_tall_view the chunked leaf itself. On the LU side, the /2066
-// panel rows are one pass of a chunked tournament leaf (b +
+// BM_tpqrt is the TS kernel a chunked CAQR leaf runs per chunk (/3928 is
+// one real chunk), BM_tpqrt_phase_* split it into its four phases,
+// BM_gemm_nt_short times the short updates C2 -= V2 W^T below its top
+// level, and BM_tsqr_leaf_tall_view is the chunked leaf itself. On the LU
+// side, the /2066 panel rows are one pass of a chunked tournament leaf (b +
 // tournament_chunk_rows(100, 100) rows), BM_rgetf2_phase_* split that
 // rgetf2 into its three phases, and BM_iamax and BM_gemm_nn_short time its
 // pivot search and the short Schur updates above its base blocks.
@@ -78,6 +80,28 @@ void BM_gemm_nn_short(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_gemm_nn_short)->Args({2054, 7, 6})->Args({2041, 13, 12});
+
+void BM_gemm_nt_short(benchmark::State& state) {
+  // C (m x n) -= V (m x k) W^T with W n x k: the update C2 -= V2 W^T that
+  // tpqrt's recursion runs below its top level on a 3,928-row chunk, which
+  // gemm routes to the short-product kernel.
+  const idx m = state.range(0), n = state.range(1), k = state.range(2);
+  Matrix v = random_matrix(m, k, 24);
+  Matrix w = random_matrix(n, k, 25);
+  Matrix c = random_matrix(m, n, 26);
+  for (auto _ : state) {
+    blas::gemm(blas::Trans::NoTrans, blas::Trans::Trans, -1.0, v, w, 1.0,
+               c.view());
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["GFlop/s"] = benchmark::Counter(
+      2.0 * static_cast<double>(m) * n * k * state.iterations() * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_gemm_nt_short)
+    ->Args({3928, 25, 25})
+    ->Args({3928, 13, 12})
+    ->Args({3928, 7, 6});
 
 void BM_iamax(benchmark::State& state) {
   // The pivot search of one column of a 2,066-row tournament stack.
@@ -380,7 +404,78 @@ void BM_tpqrt(benchmark::State& state) {
       2.0 * static_cast<double>(m) * b * b * state.iterations() * 1e-9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_tpqrt)->Arg(2000);
+BENCHMARK(BM_tpqrt)->Arg(2000)->Arg(3928);
+
+enum class TpqrtPhase { Base, W, Nt, T12 };
+
+template <TpqrtPhase Phase>
+void BM_tpqrt_phase(benchmark::State& state) {
+  // One phase of a tpqrt of [R; B] with B m x 100, run on the blocks the
+  // recursion hands it: tpqrt on each base block, and at each node
+  // W = C2^T V2, C2 -= V2 W^T (tpmqrt's two gemms, C2 = B2 and V2 = B1) or
+  // T12 = -T1 (B1^T B2) T2. V and T come from a real tpqrt of the stack, W
+  // is random; every phase writes into fresh copies of R and B (restored
+  // outside the timed region) or into scratch.
+  const idx m = state.range(0), b = 100;
+  Matrix r0 = random_matrix(b, b, 19);
+  std::vector<double> tau0;
+  lapack::geqr2(r0.view(), tau0);
+  const Matrix b0 = random_matrix(m, b, 11);
+  Matrix rv = r0;
+  Matrix v = b0;
+  Matrix t = Matrix::zeros(b, b);
+  std::vector<double> tau(static_cast<std::size_t>(b));
+  lapack::tpqrt(rv.view(), v.view(), tau.data(), t.view());
+  Matrix r = r0;
+  Matrix c = b0;
+  const Matrix wq = random_matrix(b, b, 27);
+  Matrix ws = Matrix::zeros(b, b);
+  auto base = [&](idx off, idx n) {
+    if constexpr (Phase == TpqrtPhase::Base) {
+      lapack::tpqrt(r.view().block(off, off, n, n), c.view().cols_range(off, n),
+                    tau.data() + off, ws.view().block(off, off, n, n));
+    }
+  };
+  auto node = [&](idx off, idx n1, idx n2) {
+    const ConstMatrixView v1 = v.view().cols_range(off, n1);
+    if constexpr (Phase == TpqrtPhase::W) {
+      blas::gemm(blas::Trans::Trans, blas::Trans::NoTrans, 1.0,
+                 c.view().cols_range(off + n1, n2), v1, 1.0,
+                 ws.view().block(0, 0, n2, n1));
+    } else if constexpr (Phase == TpqrtPhase::Nt) {
+      blas::gemm(blas::Trans::NoTrans, blas::Trans::Trans, -1.0, v1,
+                 wq.view().block(0, 0, n2, n1), 1.0,
+                 c.view().cols_range(off + n1, n2));
+    } else if constexpr (Phase == TpqrtPhase::T12) {
+      MatrixView t12 = ws.view().block(off, off + n1, n1, n2);
+      blas::gemm(blas::Trans::Trans, blas::Trans::NoTrans, 1.0, v1,
+                 v.view().cols_range(off + n1, n2), 0.0, t12);
+      blas::trmm(blas::Side::Left, blas::Uplo::Upper, blas::Trans::NoTrans,
+                 blas::Diag::NonUnit, -1.0, t.view().block(off, off, n1, n1),
+                 t12);
+      blas::trmm(blas::Side::Right, blas::Uplo::Upper, blas::Trans::NoTrans,
+                 blas::Diag::NonUnit, 1.0,
+                 t.view().block(off + n1, off + n1, n2, n2), t12);
+    }
+  };
+  for (auto _ : state) {
+    state.PauseTiming();
+    copy_into(r0.view(), r.view());
+    copy_into(b0.view(), c.view());
+    state.ResumeTiming();
+    walk_halves(0, b, lapack::kGeqr3Base, base, node);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::DoNotOptimize(ws.data());
+  }
+}
+BENCHMARK_TEMPLATE(BM_tpqrt_phase, TpqrtPhase::Base)
+    ->Name("BM_tpqrt_phase_base")->Arg(3928)->Unit(benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(BM_tpqrt_phase, TpqrtPhase::W)
+    ->Name("BM_tpqrt_phase_w")->Arg(3928)->Unit(benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(BM_tpqrt_phase, TpqrtPhase::Nt)
+    ->Name("BM_tpqrt_phase_nt")->Arg(3928)->Unit(benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(BM_tpqrt_phase, TpqrtPhase::T12)
+    ->Name("BM_tpqrt_phase_t12")->Arg(3928)->Unit(benchmark::kMicrosecond);
 
 enum class Geqr3Phase { Base, Larfb, T12 };
 
@@ -421,7 +516,7 @@ void BM_geqr3_phase(benchmark::State& state) {
     state.PauseTiming();
     copy_into(a.view(), w.view());
     state.ResumeTiming();
-    walk_halves(0, b, 8, base, node);
+    walk_halves(0, b, lapack::kGeqr3Base, base, node);
     benchmark::DoNotOptimize(w.data());
     benchmark::DoNotOptimize(t.data());
   }

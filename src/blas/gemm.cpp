@@ -60,9 +60,9 @@ void gemm_small(Trans transa, Trans transb, double alpha, ConstMatrixView a,
 // and microkernel are shared, gemm and gemm_packed produce bit-identical
 // results for every shape gemm sends down this path — the NN CALU update
 // among them (test_blas_pack pins it). A (Trans, NoTrans) call that gemm
-// routes to the inner-product path has no packed twin; a (NoTrans,
-// NoTrans) call it routes to the short-product path gets the packed twin's
-// bits from the kernel itself.
+// routes to the inner-product path has no packed twin; a (NoTrans, *)
+// call it routes to the short-product path gets the packed twin's bits
+// from the kernel itself.
 template <typename GetA, typename GetB>
 void gemm_blocked(const GemmBlocking& blk, MicrokernelFn kern, idx m, idx n,
                   idx k, double alpha, GetA&& get_a, GetB&& get_b,
@@ -147,11 +147,13 @@ void gemm(Trans transa, Trans transb, double alpha, ConstMatrixView a,
     gemm_small(transa, transb, alpha, a, b, c, k);
     return;
   }
-  if (transa == Trans::NoTrans && transb == Trans::NoTrans &&
-      short_product_shape(m, n, k)) {
+  if (transa == Trans::NoTrans && short_product_shape(m, n, k)) {
     // A and B are read once, C loaded and stored once; nothing is packed.
-    active_kernel().nn_short(m, n, k, alpha, a.data(), a.ld(), b.data(),
-                             b.ld(), c.data(), c.ld());
+    // op(B)(p, j) is b(p, j) (NoTrans) or b(j, p) (Trans).
+    const bool bt = transb == Trans::Trans;
+    active_kernel().short_product(m, n, k, alpha, a.data(), a.ld(), b.data(),
+                                  bt ? b.ld() : 1, bt ? 1 : b.ld(), c.data(),
+                                  c.ld());
     GemmTraffic& traffic = detail::gemm_traffic_tls();
     traffic.kernel_bytes += (m + n) * k * 8;
     traffic.c_bytes += m * n * 16;

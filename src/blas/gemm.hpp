@@ -17,12 +17,13 @@
 //    wastes most of each register tile, so the packed path runs these
 //    shapes at a fraction of its rate. The rule is inner_product_shape
 //    below; it reads (m, n, k) only, never the data or its layout.
-//  * Short product: C += alpha * A * B (NoTrans, NoTrans) with a narrow C
-//    and a short contraction — the Schur updates rgetf2's recursion runs
-//    above its base blocks — reads A's columns in place and broadcasts B,
-//    on the microkernel's tile and FMA chain, so it gives the packed
-//    path's bits without paying to pack a panel the tile barely reuses.
-//    The rule is short_product_shape below, again (m, n, k) only.
+//  * Short product: C += alpha * A * op(B) (NoTrans, NoTrans or Trans) with
+//    a narrow C and a short contraction — rgetf2's Schur updates below its
+//    top level, the right-side trsm's, and QR's C2 -= V2 W^T — reads A's
+//    columns in place and broadcasts op(B) through its row and column
+//    strides, on the microkernel's tile and FMA chain, so it gives the
+//    packed path's bits without paying to pack a panel the tile barely
+//    reuses. The rule is short_product_shape below, again (m, n, k) only.
 // The packing half of the pipeline (pack_a/pack_b/PackedPanel and the
 // per-thread scratch pool) lives in pack.hpp; gemm_packed below consumes a
 // pre-packed operand so repeated multiplies against the same panel — the
@@ -39,8 +40,9 @@ namespace camult::blas {
 /// Shape contract: op(A) is m x k, op(B) is k x n, C is m x n.
 /// (Trans, NoTrans) takes the inner-product path when
 /// inner_product_shape(m, n, k). Any other call below 16^3 flops takes a
-/// direct triple loop; above it, (NoTrans, NoTrans) takes the short-product
-/// path when short_product_shape(m, n, k), and the rest the packed path.
+/// direct triple loop; above it, (NoTrans, NoTrans) and (NoTrans, Trans)
+/// take the short-product path when short_product_shape(m, n, k), and the
+/// rest the packed path.
 void gemm(Trans transa, Trans transb, double alpha, ConstMatrixView a,
           ConstMatrixView b, double beta, MatrixView c);
 
@@ -64,17 +66,25 @@ constexpr bool inner_product_shape(idx m, idx n, idx k) {
 void gemm_inner(double alpha, ConstMatrixView a, ConstMatrixView b,
                 MatrixView c);
 
-/// The short-product rule, from the sweep in docs/benchmarks.md § LU leaf
-/// kernel: C at most kShortMaxWidth columns wide and a contraction of at
-/// most kShortMaxDepth, whatever m. gemm checks it after the 16^3 cutoff,
-/// so every routed shape is one the packed path took before, and it gets
-/// the packed path's bits (the packed path holds k <= kShortMaxDepth in one
-/// kc block under every valid blocking the autotuner sweeps, kc >= 128).
-inline constexpr idx kShortMaxWidth = 16;
-inline constexpr idx kShortMaxDepth = 16;
+/// The short-product rule, from the sweep in docs/benchmarks.md § Short QR
+/// updates (NoTrans and Trans B, AVX-512 and AVX2): a contraction of at
+/// most kShortMaxDepth, and C at most kShortAnyRowsWidth columns wide, or
+/// at most kShortMaxWidth wide with at most kShortMaxCElems elements (4
+/// MiB). A wider C beyond that streams from memory in one-tile runs per
+/// column, where the packed path's longer runs win. gemm checks the rule
+/// after the 16^3 cutoff, so every routed shape is one the packed path took
+/// before, and it gets the packed path's bits (the packed path holds k <=
+/// kShortMaxDepth in one kc block under every valid blocking the autotuner
+/// sweeps, kc >= 128).
+inline constexpr idx kShortMaxDepth = 32;
+inline constexpr idx kShortMaxWidth = 32;
+inline constexpr idx kShortAnyRowsWidth = 8;
+inline constexpr idx kShortMaxCElems = idx{1} << 19;
 
-constexpr bool short_product_shape(idx /*m*/, idx n, idx k) {
-  return n <= kShortMaxWidth && k <= kShortMaxDepth;
+constexpr bool short_product_shape(idx m, idx n, idx k) {
+  return k <= kShortMaxDepth &&
+         (n <= kShortAnyRowsWidth ||
+          (n <= kShortMaxWidth && m * n <= kShortMaxCElems));
 }
 
 /// C = alpha * Ap * op(B) + beta * C, where Ap was built by pack_a().

@@ -5,9 +5,10 @@
 // register-blocked MR x NR microkernel; narrow A^T B products with a long
 // contraction (QR's W = C^T V and T12 = V1^T V2, and gemv(Trans)) skip
 // packing and run an inner-product kernel that reads the contiguous
-// columns of A and B directly; narrow A B products with a short
-// contraction (rgetf2's Schur updates above its base blocks) run a
-// packing-free short-product kernel (gemm.hpp has both shape rules); and
+// columns of A and B directly; narrow A op(B) products with a short
+// contraction (rgetf2's Schur updates above its base blocks, QR's
+// C2 -= V2 W^T) run a packing-free short-product kernel (gemm.hpp has both
+// shape rules); and
 // blas::iamax runs the variant's pivot search. CAMULT_KERNEL and
 // set_active_kernel select all four functions of a variant together.
 //
@@ -78,16 +79,19 @@ using InnerProductFn = void (*)(idx m, idx n, idx k, double alpha,
                                 idx ldb, double* c, idx ldc);
 
 /// C(0:m, 0:n) += alpha * A * B without packing: A is m x k (column p at
-/// a + p * lda), B is k x n (column j at b + j * ldb), C is column-major
-/// with ldc. The kernel reads A's columns in place and broadcasts B. Each
-/// C element runs the variant's microkernel chain (a zero accumulator, one
-/// fused or unfused multiply-add per p in order, then one alpha update), so
-/// the result is bit-identical to the packed path whenever the packed path
-/// holds the whole contraction in one kc block. No zero-skip. A row tail
-/// is masked, so no lane reads or writes past a column.
+/// a + p * lda), B is k x n with B(p, j) = b[p * rsb + j * csb], C is
+/// column-major with ldc. (rsb, csb) = (1, ldb) reads a column-major B;
+/// (ldb, 1) reads the transpose of a column-major n x k matrix, so each
+/// step's broadcasts come from one contiguous column. The kernel reads A's
+/// columns in place and broadcasts B. Each C element runs the variant's
+/// microkernel chain (a zero accumulator, one fused or unfused multiply-add
+/// per p in order, then one alpha update), so the result is bit-identical
+/// to the packed path whenever the packed path holds the whole contraction
+/// in one kc block. No zero-skip. A row tail is masked, so no lane reads
+/// or writes past a column.
 using ShortProductFn = void (*)(idx m, idx n, idx k, double alpha,
                                 const double* a, idx lda, const double* b,
-                                idx ldb, double* c, idx ldc);
+                                idx rsb, idx csb, double* c, idx ldc);
 
 /// The first index of the largest |x[i]| over a contiguous x of n >= 1
 /// elements whose x[0] is not NaN; a NaN never wins. Exactly the index of
@@ -96,14 +100,14 @@ using IamaxFn = idx (*)(idx n, const double* x);
 
 /// One registered kernel variant.
 struct KernelInfo {
-  const char* name;       ///< "scalar", "avx2", "avx512"
-  MicrokernelFn fn;       ///< nullptr when !compiled
-  InnerProductFn dot;     ///< nullptr when !compiled
-  ShortProductFn nn_short;  ///< nullptr when !compiled
-  IamaxFn iamax;          ///< nullptr when !compiled
-  GemmBlocking blocking;  ///< built-in default blocking (incl. MR/NR)
-  bool compiled;          ///< TU was built with the required ISA flags
-  bool supported;         ///< compiled && the host cpu can execute it
+  const char* name;              ///< "scalar", "avx2", "avx512"
+  MicrokernelFn fn;              ///< nullptr when !compiled
+  InnerProductFn dot;            ///< nullptr when !compiled
+  ShortProductFn short_product;  ///< nullptr when !compiled
+  IamaxFn iamax;                 ///< nullptr when !compiled
+  GemmBlocking blocking;         ///< built-in default blocking (incl. MR/NR)
+  bool compiled;                 ///< TU was built with the required ISA flags
+  bool supported;                ///< compiled && the host cpu can execute it
 };
 
 /// All variants, in preference order (fastest first). Stable storage: the

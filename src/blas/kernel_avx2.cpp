@@ -12,7 +12,8 @@
 // contraction tail is a masked load, so no lane reads past a column.
 //
 // The short-product kernel runs the microkernel's 8 x 6 tile on A's
-// columns in place, broadcasting B from its columns; a row tail is two
+// columns in place, broadcasting B through its row and column strides
+// (B or the transpose of a column-major matrix); a row tail is two
 // masked loads and stores. The pivot search takes the largest |x| on four
 // max chains, then scans for the first element equal to it.
 #include "blas/kernel_impl.hpp"
@@ -153,11 +154,12 @@ void inner_product_avx2(idx m, idx n, idx k, double alpha, const double* a,
 
 // C(0:8, 0:NC) += alpha * A B on one row tile, rows masked by lo and hi:
 // the microkernel's accumulators, FMA chain and fused alpha update, with A
-// read from its columns (ld lda) instead of a packed block.
+// read from its columns (ld lda) instead of a packed block, and B(p, j)
+// from b[p * rsb + j * csb].
 template <int NC>
 void short_tile(idx k, double alpha, const double* __restrict a, idx lda,
-                const double* __restrict b, idx ldb, double* __restrict c,
-                idx ldc, __m256i lo, __m256i hi) {
+                const double* __restrict b, idx rsb, idx csb,
+                double* __restrict c, idx ldc, __m256i lo, __m256i hi) {
   __m256d acc_lo[NC];
   __m256d acc_hi[NC];
   for (int j = 0; j < NC; ++j) {
@@ -169,7 +171,7 @@ void short_tile(idx k, double alpha, const double* __restrict a, idx lda,
     const __m256d a0 = _mm256_maskload_pd(ap, lo);
     const __m256d a1 = _mm256_maskload_pd(ap + 4, hi);
     for (int j = 0; j < NC; ++j) {
-      const __m256d bv = _mm256_broadcast_sd(b + p + j * ldb);
+      const __m256d bv = _mm256_broadcast_sd(b + p * rsb + j * csb);
       acc_lo[j] = _mm256_fmadd_pd(a0, bv, acc_lo[j]);
       acc_hi[j] = _mm256_fmadd_pd(a1, bv, acc_hi[j]);
     }
@@ -189,7 +191,7 @@ void short_tile(idx k, double alpha, const double* __restrict a, idx lda,
 }
 
 using ShortTileFn = void (*)(idx, double, const double*, idx, const double*,
-                             idx, double*, idx, __m256i, __m256i);
+                             idx, idx, double*, idx, __m256i, __m256i);
 
 constexpr ShortTileFn kShortTiles[NR] = {short_tile<1>, short_tile<2>,
                                          short_tile<3>, short_tile<4>,
@@ -197,8 +199,8 @@ constexpr ShortTileFn kShortTiles[NR] = {short_tile<1>, short_tile<2>,
 
 // Row tiles outer: a tile's k columns of A stay in L1 across the strips.
 void short_product_avx2(idx m, idx n, idx k, double alpha, const double* a,
-                        idx lda, const double* b, idx ldb, double* c,
-                        idx ldc) {
+                        idx lda, const double* b, idx rsb, idx csb,
+                        double* c, idx ldc) {
   const __m256i lanes = _mm256_setr_epi64x(0, 1, 2, 3);
   for (idx i = 0; i < m; i += MR) {
     const idx r = std::min<idx>(MR, m - i);
@@ -206,7 +208,7 @@ void short_product_avx2(idx m, idx n, idx k, double alpha, const double* a,
     const __m256i hi = _mm256_cmpgt_epi64(_mm256_set1_epi64x(r - 4), lanes);
     for (idx j = 0; j < n; j += NR) {
       kShortTiles[std::min<idx>(NR, n - j) - 1](k, alpha, a + i, lda,
-                                                b + j * ldb, ldb,
+                                                b + j * csb, rsb, csb,
                                                 c + i + j * ldc, ldc, lo, hi);
     }
   }
@@ -260,7 +262,7 @@ KernelInfo make_avx2_kernel() {
   k.name = "avx2";
   k.fn = &microkernel_avx2;
   k.dot = &inner_product_avx2;
-  k.nn_short = &short_product_avx2;
+  k.short_product = &short_product_avx2;
   k.iamax = &iamax_avx2;
   k.blocking = {/*mc=*/192, /*kc=*/256, /*nc=*/768, MR, NR};
   k.compiled = true;
@@ -280,7 +282,7 @@ KernelInfo make_avx2_kernel() {
   k.name = "avx2";
   k.fn = nullptr;
   k.dot = nullptr;
-  k.nn_short = nullptr;
+  k.short_product = nullptr;
   k.iamax = nullptr;
   k.blocking = {192, 256, 768, 8, 6};
   k.compiled = false;

@@ -14,7 +14,8 @@
 // contraction tail is a masked load, so no lane reads past a column.
 //
 // The short-product kernel runs the microkernel's 16 x 8 tile on A's
-// columns in place, broadcasting B from its columns; a row tail is two
+// columns in place, broadcasting B through its row and column strides
+// (B or the transpose of a column-major matrix); a row tail is two
 // masked loads and stores. The pivot search takes the largest |x| on four
 // max chains, then scans for the first element equal to it.
 #include "blas/kernel_impl.hpp"
@@ -163,11 +164,12 @@ void inner_product_avx512(idx m, idx n, idx k, double alpha, const double* a,
 
 // C(0:16, 0:NC) += alpha * A B on one row tile, rows masked by lo and hi:
 // the microkernel's accumulators, FMA chain and fused alpha update, with A
-// read from its columns (ld lda) instead of a packed block.
+// read from its columns (ld lda) instead of a packed block, and B(p, j)
+// from b[p * rsb + j * csb].
 template <int NC>
 void short_tile(idx k, double alpha, const double* __restrict a, idx lda,
-                const double* __restrict b, idx ldb, double* __restrict c,
-                idx ldc, __mmask8 lo, __mmask8 hi) {
+                const double* __restrict b, idx rsb, idx csb,
+                double* __restrict c, idx ldc, __mmask8 lo, __mmask8 hi) {
   __m512d acc_lo[NC];
   __m512d acc_hi[NC];
   for (int j = 0; j < NC; ++j) {
@@ -179,7 +181,7 @@ void short_tile(idx k, double alpha, const double* __restrict a, idx lda,
     const __m512d a0 = _mm512_maskz_loadu_pd(lo, ap);
     const __m512d a1 = _mm512_maskz_loadu_pd(hi, ap + 8);
     for (int j = 0; j < NC; ++j) {
-      const __m512d bv = _mm512_set1_pd(b[p + j * ldb]);
+      const __m512d bv = _mm512_set1_pd(b[p * rsb + j * csb]);
       acc_lo[j] = _mm512_fmadd_pd(a0, bv, acc_lo[j]);
       acc_hi[j] = _mm512_fmadd_pd(a1, bv, acc_hi[j]);
     }
@@ -199,7 +201,7 @@ void short_tile(idx k, double alpha, const double* __restrict a, idx lda,
 }
 
 using ShortTileFn = void (*)(idx, double, const double*, idx, const double*,
-                             idx, double*, idx, __mmask8, __mmask8);
+                             idx, idx, double*, idx, __mmask8, __mmask8);
 
 constexpr ShortTileFn kShortTiles[NR] = {
     short_tile<1>, short_tile<2>, short_tile<3>, short_tile<4>,
@@ -207,8 +209,8 @@ constexpr ShortTileFn kShortTiles[NR] = {
 
 // Row tiles outer: a tile's k columns of A stay in L1 across the strips.
 void short_product_avx512(idx m, idx n, idx k, double alpha, const double* a,
-                          idx lda, const double* b, idx ldb, double* c,
-                          idx ldc) {
+                          idx lda, const double* b, idx rsb, idx csb,
+                          double* c, idx ldc) {
   for (idx i = 0; i < m; i += MR) {
     const idx r = std::min<idx>(MR, m - i);
     const auto lo = static_cast<__mmask8>(r >= 8 ? 0xffu : (1u << r) - 1u);
@@ -216,7 +218,7 @@ void short_product_avx512(idx m, idx n, idx k, double alpha, const double* a,
         static_cast<__mmask8>(r >= MR ? 0xffu : r > 8 ? (1u << (r - 8)) - 1u : 0u);
     for (idx j = 0; j < n; j += NR) {
       kShortTiles[std::min<idx>(NR, n - j) - 1](k, alpha, a + i, lda,
-                                                b + j * ldb, ldb,
+                                                b + j * csb, rsb, csb,
                                                 c + i + j * ldc, ldc, lo, hi);
     }
   }
@@ -275,7 +277,7 @@ KernelInfo make_avx512_kernel() {
   k.name = "avx512";
   k.fn = &microkernel_avx512;
   k.dot = &inner_product_avx512;
-  k.nn_short = &short_product_avx512;
+  k.short_product = &short_product_avx512;
   k.iamax = &iamax_avx512;
   // MC stays a multiple of MR=16 and NC of NR=8; same L2/L3 targets as the
   // narrower kernels so the slab-pool footprint is unchanged by dispatch.
@@ -297,7 +299,7 @@ KernelInfo make_avx512_kernel() {
   k.name = "avx512";
   k.fn = nullptr;
   k.dot = nullptr;
-  k.nn_short = nullptr;
+  k.short_product = nullptr;
   k.iamax = nullptr;
   k.blocking = {192, 256, 768, 16, 8};
   k.compiled = false;

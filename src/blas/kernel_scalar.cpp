@@ -8,8 +8,9 @@
 // per C element over 2 x 2 tiles, so the compiler is free to vectorise the
 // lane loop and the tail fills the lanes the way a masked load would. The
 // short-product kernel is the microkernel's loop on A's columns in place,
-// and the pivot search is branch-free: the largest |x| on four max lanes,
-// then a scan for the first element equal to it.
+// with B read through its row and column strides, and the pivot search is
+// branch-free: the largest |x| on four max lanes, then a scan for the first
+// element equal to it.
 #include "blas/kernel_impl.hpp"
 
 #include <algorithm>
@@ -102,15 +103,15 @@ void inner_product_scalar(idx m, idx n, idx k, double alpha, const double* a,
 }
 
 // The microkernel's accumulate and store loops on one mr_eff x nr_eff tile,
-// with A read from its columns (ld lda) and B from its columns (ld ldb).
+// with A read from its columns (ld lda) and B(p, j) from b[p * rsb + j * csb].
 void short_tile(idx k, double alpha, const double* __restrict a, idx lda,
-                const double* __restrict b, idx ldb, double* __restrict c,
-                idx ldc, idx mr_eff, idx nr_eff) {
+                const double* __restrict b, idx rsb, idx csb,
+                double* __restrict c, idx ldc, idx mr_eff, idx nr_eff) {
   double acc[MR * NR] = {};
   for (idx p = 0; p < k; ++p) {
     const double* ap = a + p * lda;
     for (idx cj = 0; cj < nr_eff; ++cj) {
-      const double bv = b[p + cj * ldb];
+      const double bv = b[p * rsb + cj * csb];
       double* accc = acc + cj * MR;
       for (idx ri = 0; ri < mr_eff; ++ri) accc[ri] += ap[ri] * bv;
     }
@@ -123,13 +124,13 @@ void short_tile(idx k, double alpha, const double* __restrict a, idx lda,
 }
 
 void short_product_scalar(idx m, idx n, idx k, double alpha, const double* a,
-                          idx lda, const double* b, idx ldb, double* c,
-                          idx ldc) {
+                          idx lda, const double* b, idx rsb, idx csb,
+                          double* c, idx ldc) {
   for (idx i = 0; i < m; i += MR) {
     const idx mr_eff = std::min<idx>(MR, m - i);
     for (idx j = 0; j < n; j += NR) {
-      short_tile(k, alpha, a + i, lda, b + j * ldb, ldb, c + i + j * ldc, ldc,
-                 mr_eff, std::min<idx>(NR, n - j));
+      short_tile(k, alpha, a + i, lda, b + j * csb, rsb, csb, c + i + j * ldc,
+                 ldc, mr_eff, std::min<idx>(NR, n - j));
     }
   }
 }
@@ -161,7 +162,7 @@ KernelInfo make_scalar_kernel() {
   k.name = "scalar";
   k.fn = &microkernel_scalar;
   k.dot = &inner_product_scalar;
-  k.nn_short = &short_product_scalar;
+  k.short_product = &short_product_scalar;
   k.iamax = &iamax_scalar;
   k.blocking = {/*mc=*/192, /*kc=*/256, /*nc=*/768, MR, NR};
   k.compiled = true;

@@ -11,9 +11,6 @@ namespace camult::lapack {
 
 namespace {
 
-// Widest base block of geqr3's recursion.
-constexpr idx kGeqr3Base = 8;
-
 // geqr2 into caller-owned tau (min(m, n) entries) and work (n entries).
 void geqr2_body(MatrixView a, double* tau, double* work) {
   const idx m = a.rows();

@@ -73,10 +73,16 @@ struct GeqrfOptions {
 void geqrf(MatrixView a, std::vector<double>& tau,
            const GeqrfOptions& opts = {});
 
+/// geqr3's and tpqrt's recursions stop at blocks of at most this many
+/// columns, from the sweeps in docs/benchmarks.md § CAQR leaf kernel and
+/// § Short QR updates.
+inline constexpr idx kGeqr3Base = 8;
+
 /// Recursive QR of an m x n matrix with m >= n. Fills tau (resized to n) and
 /// the full n x n upper triangular T such that Q = I - V T V^T. Blocks of at
-/// most 8 columns are factored by geqr2 with T from larft. Allocates
-/// nothing from the heap once the calling thread's scratch pool is warm.
+/// most kGeqr3Base columns are factored by geqr2 with T from larft.
+/// Allocates nothing from the heap once the calling thread's scratch pool
+/// is warm.
 void geqr3(MatrixView a, std::vector<double>& tau, MatrixView t);
 
 /// QR of the stack [R; B] (LAPACK dtpqrt with l = 0): R is the upper
@@ -85,8 +91,8 @@ void geqr3(MatrixView a, std::vector<double>& tau, MatrixView t);
 /// holds the new R, B holds V_B (the reflectors are V = [I; V_B]), tau[0:n]
 /// the reflector scalars and t the n x n upper triangular T with
 /// Q = I - V T V^T. Recurses like geqr3, so the products run on the
-/// inner-product and packed gemm paths; allocates nothing from the heap
-/// once the calling thread's scratch pool is warm.
+/// inner-product, short-product and packed gemm paths; allocates nothing
+/// from the heap once the calling thread's scratch pool is warm.
 void tpqrt(MatrixView r, MatrixView b, double* tau, MatrixView t);
 
 /// Apply tpqrt's reflectors (v = V_B, c x k; t = T, k x k) to the stacked

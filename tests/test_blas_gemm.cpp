@@ -3,9 +3,10 @@
 // The inner-product path (Trans, NoTrans on a narrow C) is checked for every
 // runnable kernel: contraction tails and blocks, the routing rule's
 // boundary, views, NaN/Inf propagation, shape-independent element bits and
-// its GemmTraffic count. The short-product path (NoTrans, NoTrans on a
-// narrow C with a short contraction) must give the packed path's bits for
-// every runnable kernel, on views, row tails and non-finite inputs.
+// its GemmTraffic count. The short-product path ((NoTrans, NoTrans) and
+// (NoTrans, Trans) on a narrow C with a short contraction) must give the
+// packed path's bits for every runnable kernel, at the routing rule's
+// boundary, on views, row tails and non-finite inputs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -390,33 +391,37 @@ bool same_bits(double x, double y) {
   return std::memcmp(&x, &y, sizeof(double)) == 0;
 }
 
-// C = alpha * A B + beta * C with A (m x k), B (k x n) and C viewed at an
-// offset inside taller hosts with spare columns. gemm's result must equal,
-// bit for bit, gemm_packed over pack_a(A, NoTrans) on a copy of the C host,
-// and every host entry outside the view must keep its bits. beta == 0
-// must overwrite NaN garbage.
-void check_nn_short(idx m, idx n, idx k, double alpha, double beta, idx off,
-                    std::uint64_t seed) {
+// C = alpha * A op(B) + beta * C with A (m x k), op(B) (k x n) and C viewed
+// at an offset inside taller hosts with spare columns. gemm's result must
+// equal, bit for bit, gemm_packed over pack_a(A, NoTrans) on a copy of the
+// C host, and every host entry outside the view must keep its bits. beta ==
+// 0 must overwrite NaN garbage.
+void check_short(Trans transb, idx m, idx n, idx k, double alpha,
+                 double beta, idx off, std::uint64_t seed) {
+  const bool bt = transb == Trans::Trans;
   const Matrix abig = random_matrix(m + 2 * off, k + 1, seed);
-  const Matrix bbig = random_matrix(k + 2 * off, n + 2, seed + 1);
+  const Matrix bbig =
+      random_matrix((bt ? n : k) + 2 * off, (bt ? k : n) + 2, seed + 1);
   Matrix cbig = random_matrix(m + off + 3, n + 1, seed + 2);
   const ConstMatrixView a = abig.view().block(off, 1, m, k);
-  const ConstMatrixView b = bbig.view().block(off, 2, k, n);
+  const ConstMatrixView b =
+      bbig.view().block(off, 2, bt ? n : k, bt ? k : n);
   MatrixView c = cbig.view().block(off, 1, m, n);
   if (beta == 0.0) fill(c, std::numeric_limits<double>::quiet_NaN());
   const Matrix c0 = cbig;
   Matrix cref_big = cbig;
   MatrixView cref = cref_big.view().block(off, 1, m, n);
-  gemm(Trans::NoTrans, Trans::NoTrans, alpha, a, b, beta, c);
+  gemm(Trans::NoTrans, transb, alpha, a, b, beta, c);
   const PackedPanel ap = pack_a(a, Trans::NoTrans);
-  gemm_packed(alpha, ap, Trans::NoTrans, b, beta, cref);
+  gemm_packed(alpha, ap, transb, b, beta, cref);
   for (idx j = 0; j < cbig.cols(); ++j) {
     for (idx i = 0; i < cbig.rows(); ++i) {
       const bool inside = i >= off && i < off + m && j >= 1 && j < 1 + n;
       ASSERT_TRUE(same_bits(cbig(i, j), cref_big(i, j)))
-          << active_kernel().name << " m=" << m << " n=" << n << " k=" << k
-          << " alpha=" << alpha << " beta=" << beta << " (" << i << ", " << j
-          << ") " << cbig(i, j) << " vs packed " << cref_big(i, j);
+          << active_kernel().name << (bt ? " NT" : " NN") << " m=" << m
+          << " n=" << n << " k=" << k << " alpha=" << alpha
+          << " beta=" << beta << " (" << i << ", " << j << ") " << cbig(i, j)
+          << " vs packed " << cref_big(i, j);
       if (!inside) {
         ASSERT_TRUE(same_bits(cbig(i, j), c0(i, j)))
             << active_kernel().name << " touched (" << i << ", " << j << ")";
@@ -425,62 +430,101 @@ void check_nn_short(idx m, idx n, idx k, double alpha, double beta, idx off,
   }
 }
 
-TEST(GemmNnShort, RoutingBoundaryAndRowTailsMatchPackedEveryKernel) {
-  // Shapes on both sides of short_product_shape, rgetf2's own updates on a
-  // 2,066 x 100 stack, and row counts at multiples of every kernel's MR (8
-  // and 16) plus and minus one, all above the 16^3 direct-loop cutoff.
-  struct Case {
-    idx m, n, k;
-    bool routed;
-  };
-  const idx w = kShortMaxWidth, d = kShortMaxDepth;
-  std::vector<Case> cases = {
-      {2054, 7, 6, true},      {2041, 13, 12, true},  {200, w, d, true},
-      {200, w + 1, d, false},  {200, w, d + 1, false}, {300, 1, d, true},
-      {5000, w, 1, true},      {100, 100, 6, false}};
+struct ShortCase {
+  idx m, n, k;
+  bool routed;
+};
+
+// Shapes on both sides of every bound of short_product_shape, and row
+// counts at multiples of every kernel's MR (8 and 16) plus and minus one,
+// all above the 16^3 direct-loop cutoff.
+std::vector<ShortCase> short_rule_boundary() {
+  const idx w = kShortMaxWidth, d = kShortMaxDepth, tw = kShortAnyRowsWidth;
+  // The tallest C of full width, and a C of width tw past the element bound.
+  const idx rows = kShortMaxCElems / w;
+  const idx tall = kShortMaxCElems / tw + 1;
+  std::vector<ShortCase> cases = {
+      {rows, w, d, true},      {rows + 1, w, d, false}, {rows, w, d + 1, false},
+      {200, w + 1, d, false},  {tall, tw, d, true},     {tall, tw + 1, d, false},
+      {tall, tw, d + 1, false}, {200, 1, d, true},      {5000, w, 1, true},
+      {100, 100, 6, false}};
   for (idx mr : {8, 16}) {
     for (idx q : {4, 7}) {
       for (idx dm : {-1, 0, 1}) cases.push_back({mr * q + dm, w, d, true});
     }
   }
+  return cases;
+}
+
+void check_short_cases(Trans transb, const std::vector<ShortCase>& cases) {
   KernelGuard guard;
   for (const std::string& name : runnable_kernels()) {
     ASSERT_TRUE(set_active_kernel(name));
     std::uint64_t seed = 500;
-    for (const Case& c : cases) {
+    for (const ShortCase& c : cases) {
       ASSERT_GT(c.m * c.n * c.k, 16 * 16 * 16);
       EXPECT_EQ(short_product_shape(c.m, c.n, c.k), c.routed)
           << c.m << "x" << c.n << "x" << c.k;
+      // The tall boundary cases run one (alpha, beta) to keep the test short.
+      const bool tall = c.m > 5000;
       for (double alpha : {1.0, -1.0, 0.5}) {
         for (double beta : {0.0, 1.0, 2.0}) {
-          check_nn_short(c.m, c.n, c.k, alpha, beta, 3, seed++);
+          if (tall && (alpha != 0.5 || beta != 2.0)) continue;
+          check_short(transb, c.m, c.n, c.k, alpha, beta, 3, seed++);
         }
       }
     }
   }
 }
 
-TEST(GemmNnShort, NanAndInfPropagateEveryKernel) {
-  // No zero-skip: a NaN in row i of A poisons row i of C even against an
-  // all-zero column of B, and an Inf in column j of B makes column j of C
-  // non-finite. Row m - 1 sits in the masked row tail of every kernel.
+TEST(GemmNnShort, RoutingBoundaryAndRowTailsMatchPackedEveryKernel) {
+  // The rule's boundary, rgetf2's updates on a 2,066 x 100 stack (k = 50
+  // stays packed) and the right-side trsm's on a 320-row block.
+  std::vector<ShortCase> cases = short_rule_boundary();
+  for (ShortCase c : {ShortCase{2054, 7, 6, true}, ShortCase{2041, 13, 12, true},
+                      ShortCase{2041, 25, 25, true}, ShortCase{320, 25, 25, true},
+                      ShortCase{2016, 50, 50, false}}) {
+    cases.push_back(c);
+  }
+  check_short_cases(Trans::NoTrans, cases);
+}
+
+TEST(GemmNtShort, RoutingBoundaryAndRowTailsMatchPackedEveryKernel) {
+  // The rule's boundary, tpqrt's updates C2 -= V2 W^T on a 3,928-row chunk
+  // (the top level's k = 50 stays packed) and contractions down to k = 3 on
+  // the same rows.
+  std::vector<ShortCase> cases = short_rule_boundary();
+  for (ShortCase c : {ShortCase{3928, 25, 25, true}, ShortCase{3928, 13, 12, true},
+                      ShortCase{3928, 7, 6, true}, ShortCase{3928, 6, 6, true},
+                      ShortCase{3928, 4, 3, true}, ShortCase{3928, 3, 3, true},
+                      ShortCase{3928, 50, 50, false}}) {
+    cases.push_back(c);
+  }
+  check_short_cases(Trans::Trans, cases);
+}
+
+// No zero-skip: a NaN in row i of A poisons row i of C even against an
+// all-zero column of op(B), and an Inf in column j of op(B) makes column j
+// of C non-finite. Row m - 1 sits in the masked row tail of every kernel.
+void check_short_non_finite(Trans transb) {
   const idx m = 203, n = 9, k = 11;
   ASSERT_TRUE(short_product_shape(m, n, k));
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
+  const bool bt = transb == Trans::Trans;
   KernelGuard guard;
   for (const std::string& name : runnable_kernels()) {
     ASSERT_TRUE(set_active_kernel(name));
     Matrix a = random_matrix(m, k, 54);
-    Matrix b = random_matrix(k, n, 55);
-    for (idx p = 0; p < k; ++p) b(p, 1) = 0.0;
+    Matrix b = bt ? random_matrix(n, k, 55) : random_matrix(k, n, 55);
+    auto opb = [&](idx p, idx j) -> double& { return bt ? b(j, p) : b(p, j); };
+    for (idx p = 0; p < k; ++p) opb(p, 1) = 0.0;
     a(m - 1, 4) = nan;
-    b(7, 3) = inf;
+    opb(7, 3) = inf;
     Matrix c = random_matrix(m, n, 56);
     Matrix cref = c;
-    gemm(Trans::NoTrans, Trans::NoTrans, 1.0, a, b, 1.0, c.view());
-    gemm_packed(1.0, pack_a(a, Trans::NoTrans), Trans::NoTrans, b, 1.0,
-                cref.view());
+    gemm(Trans::NoTrans, transb, 1.0, a, b, 1.0, c.view());
+    gemm_packed(1.0, pack_a(a, Trans::NoTrans), transb, b, 1.0, cref.view());
     for (idx j = 0; j < n; ++j) {
       for (idx i = 0; i < m; ++i) {
         const bool poisoned = i == m - 1 || j == 3;
@@ -494,20 +538,36 @@ TEST(GemmNnShort, NanAndInfPropagateEveryKernel) {
   }
 }
 
-TEST(GemmTraffic, ShortProductCallIsCounted) {
-  // One routed call: A and B are read once, C loaded and stored once, and
-  // nothing is packed.
-  const idx m = 2054, n = 7, k = 6;
+TEST(GemmNnShort, NanAndInfPropagateEveryKernel) {
+  check_short_non_finite(Trans::NoTrans);
+}
+
+TEST(GemmNtShort, NanAndInfPropagateEveryKernel) {
+  check_short_non_finite(Trans::Trans);
+}
+
+// One routed call: A and B are read once, C loaded and stored once, and
+// nothing is packed, whichever way B is stored.
+void check_short_traffic(Trans transb, idx m, idx n, idx k) {
   ASSERT_TRUE(short_product_shape(m, n, k));
   const Matrix a = random_matrix(m, k, 73);
-  const Matrix b = random_matrix(k, n, 74);
+  const Matrix b = transb == Trans::Trans ? random_matrix(n, k, 74)
+                                          : random_matrix(k, n, 74);
   Matrix c = Matrix::zeros(m, n);
   gemm_traffic_reset();
-  gemm(Trans::NoTrans, Trans::NoTrans, -1.0, a, b, 1.0, c.view());
+  gemm(Trans::NoTrans, transb, -1.0, a, b, 1.0, c.view());
   const GemmTraffic t = gemm_traffic();
   EXPECT_EQ(t.pack_bytes, 0);
   EXPECT_EQ(t.kernel_bytes, (m + n) * k * 8);
   EXPECT_EQ(t.c_bytes, m * n * 16);
+}
+
+TEST(GemmTraffic, ShortProductCallIsCounted) {
+  check_short_traffic(Trans::NoTrans, 2054, 7, 6);
+}
+
+TEST(GemmTraffic, ShortProductNtCallIsCounted) {
+  check_short_traffic(Trans::Trans, 3928, 25, 25);
 }
 
 TEST(Gemm, BlockingParametersExposed) {

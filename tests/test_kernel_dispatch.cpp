@@ -50,10 +50,12 @@ TEST(KernelRegistry, ScalarAlwaysPresentAndSupported) {
     if (k.compiled) {
       EXPECT_NE(k.fn, nullptr) << k.name;
       EXPECT_NE(k.dot, nullptr) << k.name;
-      EXPECT_NE(k.nn_short, nullptr) << k.name;
+      EXPECT_NE(k.short_product, nullptr) << k.name;
       EXPECT_NE(k.iamax, nullptr) << k.name;
     }
-    if (k.supported) EXPECT_TRUE(k.compiled) << k.name;
+    if (k.supported) {
+      EXPECT_TRUE(k.compiled) << k.name;
+    }
     EXPECT_TRUE(blas::valid_blocking(k.blocking)) << k.name;
     // Unique names.
     int count = 0;

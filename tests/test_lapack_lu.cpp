@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <tuple>
 #include <vector>
@@ -49,6 +50,65 @@ TEST(Laswp, PartialRange) {
   blas::swap(2, b.data() + 1, b.ld(), b.data() + 4, b.ld());
   blas::swap(2, b.data() + 2, b.ld(), b.data() + 3, b.ld());
   EXPECT_EQ(test::max_diff(a, b), 0.0);
+}
+
+// The oracle: the row-by-row loop, one ld-strided swap across every column
+// per interchange, in order (or in reverse order).
+void laswp_row_loop(MatrixView a, idx k1, idx k2, const PivotVector& ipiv,
+                    bool reverse) {
+  for (idx s = k1; s < k2; ++s) {
+    const idx k = reverse ? k2 - 1 - (s - k1) : s;
+    const idx p = ipiv[static_cast<std::size_t>(k)];
+    if (p != k) {
+      blas::swap(a.cols(), a.data() + k, a.ld(), a.data() + p, a.ld());
+    }
+  }
+}
+
+TEST(Laswp, ColumnWalkMatchesRowLoopOnViews) {
+  // Views at (3, 1) of hosts with spare rows and columns (ld > rows): every
+  // host entry must carry the bits of the row loop's result, and nothing
+  // outside the view may move. Pivot sets: a random one, identity pivots,
+  // pivot rows repeated across interchanges, and k1 > 0.
+  struct Case {
+    idx rows, cols, k1, k2;
+    PivotVector ipiv;
+  };
+  const PivotVector random_piv = [] {
+    PivotVector p;
+    for (idx k = 0; k < 40; ++k) p.push_back(k + (k * 37 + 11) % (300 - k));
+    return p;
+  }();
+  const std::vector<Case> cases = {
+      {300, 7, 0, 40, random_piv},
+      {300, 7, 13, 40, random_piv},
+      {9, 5, 0, 6, {0, 1, 2, 3, 4, 5}},
+      {9, 5, 0, 6, {8, 8, 8, 3, 8, 8}},
+      {9, 5, 2, 5, {4, 1, 4, 4, 4}},
+      {12, 1, 0, 11, {11, 11, 2, 11, 5, 6, 11, 8, 9, 11, 10}},
+      {5, 3, 0, 0, {}},
+  };
+  for (const Case& c : cases) {
+    for (bool reverse : {false, true}) {
+      Matrix host = random_matrix(c.rows + 6, c.cols + 3, 40 + c.rows);
+      Matrix ref = host;
+      MatrixView a = host.view().block(3, 1, c.rows, c.cols);
+      if (reverse) {
+        laswp_inverse(a, c.k1, c.k2, c.ipiv);
+      } else {
+        laswp(a, c.k1, c.k2, c.ipiv);
+      }
+      laswp_row_loop(ref.view().block(3, 1, c.rows, c.cols), c.k1, c.k2,
+                     c.ipiv, reverse);
+      for (idx j = 0; j < host.cols(); ++j) {
+        for (idx i = 0; i < host.rows(); ++i) {
+          ASSERT_EQ(std::memcmp(&host(i, j), &ref(i, j), sizeof(double)), 0)
+              << c.rows << "x" << c.cols << " [" << c.k1 << ", " << c.k2
+              << ") reverse=" << reverse << " at (" << i << ", " << j << ")";
+        }
+      }
+    }
+  }
 }
 
 using LuShape = std::tuple<idx, idx>;

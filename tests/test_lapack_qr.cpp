@@ -236,7 +236,10 @@ TEST_P(Geqr3Shapes, ResidualAndTFactor) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, Geqr3Shapes,
-    ::testing::Values(Geqr3Shape{1, 1, 0}, Geqr3Shape{8, 8, 0},
+    ::testing::Values(Geqr3Shape{1, 1, 0}, Geqr3Shape{3, 3, 0},
+                      Geqr3Shape{4, 4, 0}, Geqr3Shape{5, 5, 0},
+                      Geqr3Shape{40, 3, 0}, Geqr3Shape{40, 4, 0},
+                      Geqr3Shape{40, 5, 7}, Geqr3Shape{8, 8, 0},
                       Geqr3Shape{9, 9, 0}, Geqr3Shape{16, 16, 0},
                       Geqr3Shape{40, 17, 0}, Geqr3Shape{100, 64, 0},
                       Geqr3Shape{200, 100, 0}, Geqr3Shape{65, 33, 0},

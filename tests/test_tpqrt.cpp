@@ -175,14 +175,18 @@ struct TsShape {
 };
 
 std::string ts_name(const ::testing::TestParamInfo<TsShape>& info) {
-  return "n" + std::to_string(info.param.n) + "_c" +
-         std::to_string(info.param.c);
+  std::string name = "n";
+  name += std::to_string(info.param.n);
+  name += "_c";
+  name += std::to_string(info.param.c);
+  return name;
 }
 
-// Every (n, c) with n in {1, 7, 8, 9, 100} and c in {1, n-1, n, n+1, 2000}.
+// Every (n, c) with n in {1, 3, 4, 5, 7, 8, 9, 100} (single base blocks and
+// around the base width kGeqr3Base = 8) and c in {1, n-1, n, n+1, 2000}.
 std::vector<TsShape> ts_shapes() {
   std::vector<TsShape> out;
-  for (idx n : {1, 7, 8, 9, 100}) {
+  for (idx n : {1, 3, 4, 5, 7, 8, 9, 100}) {
     for (idx c : {idx{1}, n - 1, n, n + 1, idx{2000}}) {
       bool seen = c < 0;
       for (const TsShape& s : out) seen = seen || (s.n == n && s.c == c);
@@ -226,13 +230,17 @@ TEST_P(TsKernel, MatchesDenseGeqr3OnTheStack) {
     for (idx i = 0; i < r_host_.rows(); ++i) {
       const bool in_r = i >= 2 && i < 2 + n_ && j >= 1 && j < 1 + n_ &&
                         i - 2 <= j - 1;
-      if (!in_r) EXPECT_EQ(r_host_(i, j), r_before(i, j)) << i << "," << j;
+      if (!in_r) {
+        EXPECT_EQ(r_host_(i, j), r_before(i, j)) << i << "," << j;
+      }
     }
   }
   for (idx j = 0; j < b_host_.cols(); ++j) {
     for (idx i = 0; i < b_host_.rows(); ++i) {
       const bool in_b = i >= 3 && i < 3 + c_ && j >= 2 && j < 2 + n_;
-      if (!in_b) EXPECT_EQ(b_host_(i, j), b_before(i, j)) << i << "," << j;
+      if (!in_b) {
+        EXPECT_EQ(b_host_(i, j), b_before(i, j)) << i << "," << j;
+      }
     }
   }
 

@@ -46,9 +46,11 @@
 # dependency tracker while workers complete earlier tasks), and
 # test_blas_gemm, test_blas_level2 and test_lapack_qr (the inner-product
 # kernel behind gemm(Trans, NoTrans) and gemv(Trans) and the geqr3 built
-# on it: masked contraction tails, fringe tiles and strided views inside
-# taller matrices, where an off-by-one reads past the view — ASan catches
-# that, the tolerance checks do not), and test_blas_level1 and
+# on it, and the short-product kernel behind gemm(NoTrans, Trans), whose
+# masked row tail runs under geqr3's and tpqrt's C2 -= V2 W^T: masked
+# contraction and row tails, fringe tiles and strided views inside taller
+# matrices, where an off-by-one reads past the view — ASan catches that,
+# the tolerance checks do not), and test_blas_level1 and
 # test_lapack_lu (the vectorised pivot search's vector tail, rgetf2's base
 # blocks on views inside taller hosts, and the short-product kernel's
 # masked row tail under the Schur updates above them, where an off-by-one
