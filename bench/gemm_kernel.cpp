@@ -128,9 +128,7 @@ int main() {
 
   std::printf("gemm_kernel — pack-once vs repack-per-call trailing updates "
               "(best of %d reps)\n", reps);
-  std::printf("dispatched kernel: %s (arch %s)\n",
-              blas::active_kernel().name,
-              std::string(blas::arch_id()).c_str());
+  std::printf("dispatched kernel: %s\n", blas::active_kernel().name);
 
   Table t({"m", "k", "segw", "segs", "kernel", "unpacked_gflops",
            "packed_gflops", "speedup", "flops_per_byte", "max_diff"});
@@ -161,8 +159,8 @@ int main() {
   // The dispatched row must be >= parity with every fixed-kernel row.
   const Scenario par = scenarios[0];
   const int par_reps = std::max(2, reps / 2);
-  Table kt({"kernel", "arch", "packed_gflops", "flops_per_byte", "mc", "kc",
-            "nc", "mr", "nr"});
+  Table kt({"kernel", "packed_gflops", "flops_per_byte", "mc", "kc", "nc",
+            "mr", "nr"});
   std::vector<std::string> forced = {"auto"};
   for (const blas::KernelInfo& ki : blas::kernel_registry()) {
     if (ki.compiled && ki.supported) forced.push_back(ki.name);
@@ -173,13 +171,11 @@ int main() {
     const double flops = 2.0 * static_cast<double>(par.m) *
                          static_cast<double>(par.k) *
                          static_cast<double>(par.segw * par.segs);
-    const blas::GemmBlocking blk =
-        blas::active_blocking(par.m, par.segw, par.k);
+    const blas::GemmBlocking& blk = blas::active_kernel().blocking;
     kt.row()
         .cell(name == "auto"
                   ? std::string("auto(") + blas::active_kernel().name + ")"
                   : name)
-        .cell(std::string(blas::arch_id()))
         .cell(flops / tm.packed_s * 1e-9)
         .cell(tm.flops_per_byte, 3)
         .cell(static_cast<long long>(blk.mc))

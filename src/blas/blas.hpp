@@ -9,5 +9,4 @@
 #include "blas/syrk.hpp"    // IWYU pragma: export
 #include "blas/trmm.hpp"    // IWYU pragma: export
 #include "blas/trsm.hpp"    // IWYU pragma: export
-#include "blas/tuning.hpp"  // IWYU pragma: export
 #include "blas/types.hpp"   // IWYU pragma: export

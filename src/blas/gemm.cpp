@@ -119,13 +119,6 @@ void gemm_inner(double alpha, ConstMatrixView a, ConstMatrixView b,
   traffic.c_bytes += m * n * 16 * blocks;
 }
 
-GemmBlocking gemm_blocking() {
-  // The blocking a large square multiply would get right now (override and
-  // tuning table applied) — benchmarks/tests introspection, not a contract
-  // for any particular call.
-  return active_blocking(4096, 4096, 4096);
-}
-
 void gemm(Trans transa, Trans transb, double alpha, ConstMatrixView a,
           ConstMatrixView b, double beta, MatrixView c) {
   const idx m = c.rows();
@@ -161,7 +154,7 @@ void gemm(Trans transa, Trans transb, double alpha, ConstMatrixView a,
   }
 
   const KernelInfo& kern = active_kernel();
-  const GemmBlocking blk = active_blocking(m, n, k);
+  const GemmBlocking& blk = kern.blocking;
 
   // Packing workspaces come from the per-thread scratch pool: after the
   // first call on a worker these are pointer swaps, not allocations.
@@ -197,7 +190,7 @@ void gemm_packed(double alpha, const PackedPanel& a_packed, Trans transb,
 
   // The panel fixes both the kernel (its MR x NR layout is baked into the
   // packed data) and the cache blocking, so a panel packed before a kernel
-  // switch or tuning reload still multiplies correctly.
+  // switch still multiplies correctly.
   const GemmBlocking& blk = a_packed.blocking();
   const MicrokernelFn kern = a_packed.kernel()->fn;
 

@@ -7,9 +7,9 @@
 // RUNTIME from cpuid — see kernel.hpp:
 //  * Packed: a GotoBLAS-style blocked algorithm. A and B are packed into
 //    contiguous cache-resident panels and a register-blocked MR x NR
-//    microkernel computes each C tile; the cache blocking is runtime data
-//    sourced from the autotune table (tuning.hpp). All four transpose
-//    combinations are supported; transposition is absorbed by packing.
+//    microkernel computes each C tile, over pack.hpp's fixed cache blocking
+//    (contraction blocks of kGemmKC). All four transpose combinations are
+//    supported; transposition is absorbed by packing.
 //  * Inner product: C += alpha * A^T * B (Trans, NoTrans) with a narrow C
 //    and a long contraction — QR's W = C^T V and T12 = V1^T V2 — reads the
 //    contiguous columns of A and B in place, one dot product per C
@@ -74,12 +74,13 @@ void gemm_inner(double alpha, ConstMatrixView a, ConstMatrixView b,
 /// column, where the packed path's longer runs win. gemm checks the rule
 /// after the 16^3 cutoff, so every routed shape is one the packed path took
 /// before, and it gets the packed path's bits (the packed path holds k <=
-/// kShortMaxDepth in one kc block under every valid blocking the autotuner
-/// sweeps, kc >= 128).
+/// kShortMaxDepth in one kc block).
 inline constexpr idx kShortMaxDepth = 32;
 inline constexpr idx kShortMaxWidth = 32;
 inline constexpr idx kShortAnyRowsWidth = 8;
 inline constexpr idx kShortMaxCElems = idx{1} << 19;
+static_assert(kShortMaxDepth <= kGemmKC,
+              "a routed contraction must fit one packed kc block");
 
 constexpr bool short_product_shape(idx m, idx n, idx k) {
   return k <= kShortMaxDepth &&
@@ -98,10 +99,5 @@ void gemm_packed(double alpha, const PackedPanel& a_packed, Trans transb,
 /// C = alpha * op(A) * Bp + beta * C, where Bp was built by pack_b().
 void gemm_packed(Trans transa, double alpha, ConstMatrixView a,
                  const PackedPanel& b_packed, double beta, MatrixView c);
-
-/// The blocking a large square multiply would use right now (active kernel
-/// + tuning table + override applied). GemmBlocking itself lives in
-/// kernel.hpp; this accessor is kept for benchmarks/tests.
-GemmBlocking gemm_blocking();
 
 }  // namespace camult::blas

@@ -24,14 +24,13 @@
 // Selection order: CAMULT_KERNEL=scalar|avx2|avx512 forces a variant (a
 // typo, or forcing a variant the host cannot run, warns once on stderr and
 // falls back to auto); otherwise the highest-throughput supported variant
-// wins (avx512 > avx2 > scalar). Tests and the autotuner can switch at
-// runtime with set_active_kernel().
+// wins (avx512 > avx2 > scalar). Tests can switch at runtime with
+// set_active_kernel().
 //
-// Cache blocking (MC/KC/NC) is runtime data too: each kernel carries a
-// built-in default, the on-disk tuning table (see tuning.hpp) can override
-// it per (arch-id, shape-class), and set_blocking_override() pins it for
-// autotune sweeps. The register tile MR x NR is FIXED per kernel — it is
-// baked into the kernel's register allocation and into the packed-panel
+// Every variant uses one fixed cache blocking, pack.hpp's kGemmMC/KC/NC;
+// KC decides where gemm splits a long contraction, so it is part of the
+// bits of every result. The register tile MR x NR is FIXED per kernel — it
+// is baked into the kernel's register allocation and into the packed-panel
 // layout, which is why PackedPanel records the kernel it was packed for.
 #pragma once
 
@@ -45,8 +44,8 @@ namespace camult::blas {
 
 /// Register/cache blocking for the blocked gemm driver. MR x NR is the
 /// microkernel register tile; MC/KC target L2, NC targets L3. Invariants
-/// (checked by valid_blocking): mc % mr == 0 and nc % nr == 0 — the
-/// packed-offset arithmetic in PackedPanel relies on them.
+/// (static_asserts in kernel_impl.hpp): mc % mr == 0 and nc % nr == 0 —
+/// the packed-offset arithmetic in PackedPanel relies on them.
 struct GemmBlocking {
   idx mc;  ///< rows of the packed A panel
   idx kc;  ///< depth of the packed panels
@@ -54,11 +53,6 @@ struct GemmBlocking {
   idx mr;  ///< microkernel rows
   idx nr;  ///< microkernel cols
 };
-
-/// True when blk satisfies the driver/pack invariants: positive dims,
-/// mc % mr == 0, nc % nr == 0, and cache blocks bounded so the packing
-/// slabs stay within sane memory (mc*kc and kc*nc <= 2^22 doubles).
-bool valid_blocking(const GemmBlocking& blk);
 
 /// C(0:mr_eff, 0:nr_eff) += alpha * Ap * Bp on one register tile. Ap is a
 /// packed MR x kc block (always MR rows; fringe rows are zero-padded by the
@@ -105,7 +99,7 @@ struct KernelInfo {
   InnerProductFn dot;            ///< nullptr when !compiled
   ShortProductFn short_product;  ///< nullptr when !compiled
   IamaxFn iamax;                 ///< nullptr when !compiled
-  GemmBlocking blocking;         ///< built-in default blocking (incl. MR/NR)
+  GemmBlocking blocking;         ///< the fixed blocking (incl. MR/NR)
   bool compiled;                 ///< TU was built with the required ISA flags
   bool supported;                ///< compiled && the host cpu can execute it
 };
@@ -127,24 +121,6 @@ const KernelInfo& active_kernel();
 /// switch keep working (they remember their kernel), but new work picks up
 /// the new variant at an unspecified point.
 bool set_active_kernel(std::string_view name);
-
-/// Host architecture id used to key tuning-table entries, derived from
-/// cpuid (e.g. "x86-avx512", "x86-avx2", "generic"). Stable across runs on
-/// the same machine; a tuning entry whose arch does not match is stale and
-/// ignored.
-std::string_view arch_id();
-
-/// Cache blocking the driver should use for an m x n x k problem with the
-/// active kernel: the blocking override if set, else the tuning-table entry
-/// for (arch_id, active kernel, shape_class(m, n, k)), else the kernel's
-/// built-in default. Pass m or n < 0 when unknown (pack_a / pack_b).
-GemmBlocking active_blocking(idx m, idx n, idx k);
-
-/// Pin the MC/KC/NC used by subsequent gemm/pack calls on every thread
-/// (autotune sweeps; tests). MR/NR in blk must match the active kernel.
-/// Returns false and changes nothing if blk is invalid or mismatched.
-bool set_blocking_override(const GemmBlocking& blk);
-void clear_blocking_override();
 
 /// Bytes moved through the GEMM kernels by the calling thread, counted at
 /// the algorithmic level (what the communication-cost model charges, not

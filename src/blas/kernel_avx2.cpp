@@ -264,7 +264,7 @@ KernelInfo make_avx2_kernel() {
   k.dot = &inner_product_avx2;
   k.short_product = &short_product_avx2;
   k.iamax = &iamax_avx2;
-  k.blocking = {/*mc=*/192, /*kc=*/256, /*nc=*/768, MR, NR};
+  k.blocking = fixed_blocking<MR, NR>();
   k.compiled = true;
   k.supported = false;  // dispatcher decides from cpuid
   return k;
@@ -284,7 +284,7 @@ KernelInfo make_avx2_kernel() {
   k.dot = nullptr;
   k.short_product = nullptr;
   k.iamax = nullptr;
-  k.blocking = {192, 256, 768, 8, 6};
+  k.blocking = fixed_blocking<8, 6>();
   k.compiled = false;
   k.supported = false;
   return k;

@@ -279,9 +279,7 @@ KernelInfo make_avx512_kernel() {
   k.dot = &inner_product_avx512;
   k.short_product = &short_product_avx512;
   k.iamax = &iamax_avx512;
-  // MC stays a multiple of MR=16 and NC of NR=8; same L2/L3 targets as the
-  // narrower kernels so the slab-pool footprint is unchanged by dispatch.
-  k.blocking = {/*mc=*/192, /*kc=*/256, /*nc=*/768, MR, NR};
+  k.blocking = fixed_blocking<MR, NR>();
   k.compiled = true;
   k.supported = false;  // dispatcher decides from cpuid
   return k;
@@ -301,7 +299,7 @@ KernelInfo make_avx512_kernel() {
   k.dot = nullptr;
   k.short_product = nullptr;
   k.iamax = nullptr;
-  k.blocking = {192, 256, 768, 16, 8};
+  k.blocking = fixed_blocking<16, 8>();
   k.compiled = false;
   k.supported = false;
   return k;

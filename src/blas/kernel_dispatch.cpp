@@ -1,7 +1,7 @@
-// kernel_dispatch.cpp — cpuid detection, the kernel registry, CAMULT_KERNEL
-// handling and the runtime blocking resolution (override > tuning table >
-// kernel default). This is the only TU that decides what the host can run;
-// the per-arch kernel TUs only say what the toolchain could compile.
+// kernel_dispatch.cpp — cpuid detection, the kernel registry and
+// CAMULT_KERNEL handling. This is the only TU that decides what the host
+// can run; the per-arch kernel TUs only say what the toolchain could
+// compile.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -9,7 +9,6 @@
 
 #include "blas/kernel.hpp"
 #include "blas/kernel_impl.hpp"
-#include "blas/tuning.hpp"
 
 namespace camult::blas {
 namespace {
@@ -91,29 +90,9 @@ std::atomic<const KernelInfo*>& active_slot() {
   return slot;
 }
 
-// Blocking override for autotune sweeps. Writes happen only from the tool /
-// test driving the sweep, between timed regions; concurrent readers see
-// either the old or the new blocking, both valid.
-GemmBlocking g_override_blk;
-std::atomic<bool> g_override_armed{false};
-
 thread_local GemmTraffic tl_traffic;
 
 }  // namespace
-
-bool valid_blocking(const GemmBlocking& blk) {
-  if (blk.mr <= 0 || blk.nr <= 0 || blk.mc <= 0 || blk.kc <= 0 ||
-      blk.nc <= 0) {
-    return false;
-  }
-  if (blk.mc % blk.mr != 0 || blk.nc % blk.nr != 0) return false;
-  // Bound the packing slabs: mc*kc (A block) and kc*nc (B block) stay under
-  // 2^22 doubles (32 MiB) so a hostile tuning file cannot balloon the pool.
-  const idx kMaxBlockDoubles = idx{1} << 22;
-  if (blk.mc > kMaxBlockDoubles / blk.kc) return false;
-  if (blk.nc > kMaxBlockDoubles / blk.kc) return false;
-  return true;
-}
 
 const std::vector<KernelInfo>& kernel_registry() {
   static const std::vector<KernelInfo> registry = build_registry();
@@ -137,48 +116,6 @@ bool set_active_kernel(std::string_view name) {
   }
   active_slot().store(k, std::memory_order_release);
   return true;
-}
-
-std::string_view arch_id() {
-#if defined(__x86_64__) || defined(__i386__)
-  if (cpu_has_avx512()) return "x86-avx512";
-  if (cpu_has_avx2()) return "x86-avx2";
-  return "x86-baseline";
-#else
-  return "generic";
-#endif
-}
-
-GemmBlocking active_blocking(idx m, idx n, idx k) {
-  const KernelInfo& kern = active_kernel();
-  if (g_override_armed.load(std::memory_order_acquire)) {
-    GemmBlocking blk = g_override_blk;
-    if (blk.mr == kern.blocking.mr && blk.nr == kern.blocking.nr) return blk;
-    // Kernel changed since the override was armed: the override's layout no
-    // longer matches the register tile — fall through to defaults.
-  }
-  GemmBlocking blk = kern.blocking;
-  const TuningEntry* e =
-      tuning_table().find(arch_id(), kern.name, shape_class(m, n, k));
-  if (e != nullptr) {
-    blk.mc = e->mc;
-    blk.kc = e->kc;
-    blk.nc = e->nc;
-  }
-  return blk;
-}
-
-bool set_blocking_override(const GemmBlocking& blk) {
-  if (!valid_blocking(blk)) return false;
-  const KernelInfo& kern = active_kernel();
-  if (blk.mr != kern.blocking.mr || blk.nr != kern.blocking.nr) return false;
-  g_override_blk = blk;
-  g_override_armed.store(true, std::memory_order_release);
-  return true;
-}
-
-void clear_blocking_override() {
-  g_override_armed.store(false, std::memory_order_release);
 }
 
 GemmTraffic gemm_traffic() { return tl_traffic; }

@@ -8,8 +8,18 @@
 #pragma once
 
 #include "blas/kernel.hpp"
+#include "blas/pack.hpp"
 
 namespace camult::blas::detail {
+
+/// The one cache blocking (pack.hpp's kGemmMC/KC/NC) on an MR x NR register
+/// tile. PackedPanel's packed offsets need whole tiles per cache block.
+template <idx MR, idx NR>
+constexpr GemmBlocking fixed_blocking() {
+  static_assert(kGemmMC % MR == 0, "packed A offsets assume MC % MR == 0");
+  static_assert(kGemmNC % NR == 0, "packed B offsets assume NC % NR == 0");
+  return {kGemmMC, kGemmKC, kGemmNC, MR, NR};
+}
 
 KernelInfo make_scalar_kernel();
 KernelInfo make_avx2_kernel();

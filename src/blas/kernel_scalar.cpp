@@ -164,7 +164,7 @@ KernelInfo make_scalar_kernel() {
   k.dot = &inner_product_scalar;
   k.short_product = &short_product_scalar;
   k.iamax = &iamax_scalar;
-  k.blocking = {/*mc=*/192, /*kc=*/256, /*nc=*/768, MR, NR};
+  k.blocking = fixed_blocking<MR, NR>();
   k.compiled = true;
   k.supported = false;  // dispatcher sets this (always true for scalar)
   return k;

@@ -317,11 +317,10 @@ PackedPanel pack_a(ConstMatrixView a, Trans trans) {
   p.op_ = PackOperand::A;
   p.rows_ = m;
   p.cols_ = k;
-  // The eventual gemm n is unknown at pack time (n = -1): the shape class
-  // keys off m/k only. The panel records kernel + blocking so every
-  // consumer walks the same layout regardless of later tuning changes.
+  // The panel records its kernel and that kernel's blocking, so every
+  // consumer walks the same layout whatever kernel is active later.
   p.kernel_ = &active_kernel();
-  p.blk_ = active_blocking(m, -1, k);
+  p.blk_ = p.kernel_->blocking;
   p.padded_ = padded_extent(m, p.blk_.mc, p.blk_.mr);
   if (p.empty()) return p;
   p.buf_ = ScratchBuffer(static_cast<std::size_t>(p.padded_ * k));
@@ -344,7 +343,7 @@ PackedPanel pack_b(ConstMatrixView b, Trans trans) {
   p.rows_ = k;
   p.cols_ = n;
   p.kernel_ = &active_kernel();
-  p.blk_ = active_blocking(-1, n, k);
+  p.blk_ = p.kernel_->blocking;
   p.padded_ = padded_extent(n, p.blk_.nc, p.blk_.nr);
   if (p.empty()) return p;
   p.buf_ = ScratchBuffer(static_cast<std::size_t>(p.padded_ * k));

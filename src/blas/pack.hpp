@@ -39,19 +39,13 @@
 
 namespace camult::blas {
 
-/// Built-in default blocking of the scalar and AVX2 kernels (8 x 6 register
-/// tile). Kept as named constants for tests that probe blocking boundaries;
-/// the blocking a given call ACTUALLY uses is runtime data — the active
-/// kernel's GemmBlocking, possibly overridden by the tuning table (see
-/// kernel.hpp / tuning.hpp) — and a PackedPanel records the blocking and
-/// kernel it was packed for.
-inline constexpr idx kGemmMR = 8;
-inline constexpr idx kGemmNR = 6;
+/// The cache blocking of every kernel variant; only the MR x NR register
+/// tile differs between them (kernel_impl.hpp's fixed_blocking checks that
+/// each tile divides MC and NC). KC is where the packed path splits a long
+/// contraction, so changing it changes the bits of every gemm with k > KC.
 inline constexpr idx kGemmMC = 192;
 inline constexpr idx kGemmKC = 256;
 inline constexpr idx kGemmNC = 768;
-static_assert(kGemmMC % kGemmMR == 0, "packed A offsets assume MC % MR == 0");
-static_assert(kGemmNC % kGemmNR == 0, "packed B offsets assume NC % NR == 0");
 
 /// Counters for the calling thread's scratch pool (test/bench telemetry).
 /// Aggregable across threads with += (see core::pool_buffer_stats for the
@@ -120,10 +114,9 @@ class PackedPanel {
   /// True once pack_a/pack_b filled the panel (or it is 0-sized).
   bool valid() const { return buf_.data() != nullptr || empty(); }
 
-  /// The blocking this panel was packed with. gemm_packed drives its cache
-  /// loops with THESE values (not the current active blocking), so a panel
-  /// keeps working even if the tuning table or kernel selection changed
-  /// after it was packed.
+  /// The blocking this panel was packed with: its kernel's. gemm_packed
+  /// drives its cache loops with THESE values, so a panel keeps working
+  /// even if the kernel selection changed after it was packed.
   const GemmBlocking& blocking() const { return blk_; }
   /// The kernel variant active at pack time; gemm_packed dispatches to it
   /// because the panel layout is tied to its MR/NR register tile. Null only
@@ -149,7 +142,7 @@ class PackedPanel {
   /// mr- (A) or nr- (B) padded extent of the non-depth dimension; the
   /// stride between consecutive depth blocks is padded_ * kc.
   idx padded_ = 0;
-  GemmBlocking blk_{kGemmMC, kGemmKC, kGemmNC, kGemmMR, kGemmNR};
+  GemmBlocking blk_{};
   const KernelInfo* kernel_ = nullptr;
 };
 

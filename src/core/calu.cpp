@@ -8,7 +8,7 @@
 #include "core/partition.hpp"
 #include "core/tournament.hpp"
 #include "core/tslu.hpp"
-#include "lapack/getf2.hpp"
+#include "lapack/getrf.hpp"
 #include "lapack/laswp.hpp"
 
 namespace camult::core {
@@ -125,11 +125,10 @@ void CaluJob::submit_iteration(idx k) {
     std::vector<BlockAccess> acc;
     leaf_tiles(acc, lstart, lrows, kb, AccessMode::Read);
     acc.push_back({cand_.key(kr, i), AccessMode::Write});
-    const lapack::LuPanelKernel kern = opts_.leaf_kernel;
     add(acc, TaskKind::Panel, k, prio_.panel(k), "leaf" + std::to_string(i),
-        [S, panel, lstart, lrows, i, b, kern]() {
+        [S, panel, lstart, lrows, i, b]() {
           S->slot[static_cast<std::size_t>(i)] = tournament_leaf(
-              panel.block(lstart, 0, lrows, panel.cols()), lstart, b, kern);
+              panel.block(lstart, 0, lrows, panel.cols()), lstart, b);
         });
   }
 
@@ -142,15 +141,14 @@ void CaluJob::submit_iteration(idx k) {
       acc.push_back({cand_.key(kr, step.sources[s]), AccessMode::Read});
     }
     std::vector<int> sources = step.sources;
-    const lapack::LuPanelKernel kern = opts_.leaf_kernel;
     add(acc, TaskKind::Panel, k, prio_.panel(k),
-        "node l" + std::to_string(step.level), [S, sources, b, kern]() {
+        "node l" + std::to_string(step.level), [S, sources, b]() {
           std::vector<const Candidates*> srcs;
           srcs.reserve(sources.size());
           for (int s : sources) {
             srcs.push_back(&S->slot[static_cast<std::size_t>(s)]);
           }
-          Candidates combined = tournament_combine(srcs, b, kern);
+          Candidates combined = tournament_combine(srcs, b);
           S->slot[static_cast<std::size_t>(sources.front())] =
               std::move(combined);
         });
@@ -168,10 +166,9 @@ void CaluJob::submit_iteration(idx k) {
     PanelHealthSlot* hslot = &panel_health_[static_cast<std::size_t>(k)];
     const bool monitor = opts_.monitor;
     const double growth_limit = opts_.growth_limit;
-    const lapack::LuPanelKernel kern = opts_.leaf_kernel;
     add(acc, TaskKind::Panel, k, prio_.panel(k), "pivot",
         [S, panel, row0, jb, global_ipiv, info_slot, hslot, monitor,
-         growth_limit, kern]() {
+         growth_limit]() {
           const Candidates& root = S->slot[0];
           // Health decision point: the tournament only READ the panel, and
           // the root's packed LU is exactly the U_KK about to be installed
@@ -188,9 +185,7 @@ void CaluJob::submit_iteration(idx k) {
                                  rc.umax > growth_limit * scr.absmax));
           if (fall_back) {
             S->fell_back = true;
-            const idx inf = kern == lapack::LuPanelKernel::Recursive
-                                ? lapack::rgetf2(panel, S->piv)
-                                : lapack::getf2(panel, S->piv);
+            const idx inf = lapack::rgetf2(panel, S->piv);
             if (inf != 0) *info_slot = row0 + inf;
             // GEPP factored the whole panel (the L tasks become no-ops);
             // re-measure growth from the factors it actually produced.

@@ -17,7 +17,6 @@
 
 #include "core/options.hpp"
 #include "core/panel_driver.hpp"
-#include "lapack/getrf.hpp"
 #include "matrix/permutation.hpp"
 
 namespace camult::core {
@@ -31,8 +30,6 @@ namespace camult::core {
 /// the tree; nothing scans the panel serially.
 struct CaluOptions : DriverOptions {
   ReductionTree tree = ReductionTree::Binary;
-  /// GEPP kernel inside the tournament (see TsluOptions::leaf_kernel).
-  lapack::LuPanelKernel leaf_kernel = lapack::LuPanelKernel::Recursive;
   /// The paper's Section V future-work extension: perform the trailing
   /// update on column super-blocks of `update_cols_per_task` panels (B =
   /// this * b), reducing the task count and improving BLAS-3 granularity at

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "lapack/getf2.hpp"
 #include "lapack/getrf.hpp"
 
 namespace camult::core {
@@ -43,19 +42,15 @@ void screen_column(const double* col, idx n, double* dst, PanelScreen& s) {
 // and global index global_row(r) by its stack row r. The winners' packed LU
 // stays on top of the factored stack (see keep_lu_top).
 template <typename Original, typename GlobalRow>
-Candidates elect(MatrixView stack, idx b, lapack::LuPanelKernel kernel,
-                 Original original, GlobalRow global_row) {
+Candidates elect(MatrixView stack, idx b, Original original,
+                 GlobalRow global_row) {
   const idx rows = stack.rows();
   const idx cols = stack.cols();
   const idx k = std::min(b, rows);
 
   PivotVector ipiv;
   // Zero pivots tolerated: the row order is still the GEPP order.
-  if (kernel == lapack::LuPanelKernel::Recursive) {
-    lapack::rgetf2(stack, ipiv);
-  } else {
-    lapack::getf2(stack, ipiv);
-  }
+  lapack::rgetf2(stack, ipiv);
 
   // Positions after applying the swap sequence: permuted[r] = original slot.
   Permutation perm = ipiv_to_permutation(ipiv, rows);
@@ -86,8 +81,7 @@ idx tournament_chunk_rows(idx cols, idx b) {
   return std::max(2 * b, rows);
 }
 
-Candidates tournament_leaf(ConstMatrixView block, idx row_offset, idx b,
-                           lapack::LuPanelKernel kernel) {
+Candidates tournament_leaf(ConstMatrixView block, idx row_offset, idx b) {
   assert(!block.empty());
   const idx rows = block.rows();
   const idx cols = block.cols();
@@ -111,7 +105,7 @@ Candidates tournament_leaf(ConstMatrixView block, idx row_offset, idx b,
       screen_column(block.col_ptr(j) + top, c, dst + w, screen);
     }
     Candidates next = elect(
-        stack, b, kernel,
+        stack, b,
         [&](idx r, idx j) {
           return r < w ? out.values(r, j) : block(top + r - w, j);
         },
@@ -127,7 +121,7 @@ Candidates tournament_leaf(ConstMatrixView block, idx row_offset, idx b,
 }
 
 Candidates tournament_combine(const std::vector<const Candidates*>& sources,
-                              idx b, lapack::LuPanelKernel kernel) {
+                              idx b) {
   assert(!sources.empty());
   const idx cols = sources.front()->values.cols();
   idx total = 0;
@@ -147,7 +141,7 @@ Candidates tournament_combine(const std::vector<const Candidates*>& sources,
   }
   Matrix scratch = stacked;
   Candidates out = elect(
-      scratch.view(), b, kernel,
+      scratch.view(), b,
       [&stacked](idx r, idx j) { return stacked(r, j); },
       [&index](idx r) { return index[static_cast<std::size_t>(r)]; });
   keep_lu_top(scratch.view(), out);

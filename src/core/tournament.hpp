@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "lapack/getrf.hpp"
 #include "matrix/matrix.hpp"
 #include "matrix/permutation.hpp"
 
@@ -69,16 +68,13 @@ idx tournament_chunk_rows(idx cols, idx b);
 /// chunk is one GEPP on its copy; a taller block's winners equal GEPP's
 /// only within each chunk. The copy loop also fills Candidates::screen,
 /// and lu_top is the top of the last pass's factored stack.
-Candidates tournament_leaf(
-    ConstMatrixView block, idx row_offset, idx b,
-    lapack::LuPanelKernel kernel = lapack::LuPanelKernel::Recursive);
+Candidates tournament_leaf(ConstMatrixView block, idx row_offset, idx b);
 
 /// Internal match: stack the candidate sets and run GEPP on the stack;
 /// elects min(b, total rows) pivot rows and merges the sources' screens.
 /// `sources` must be non-empty.
-Candidates tournament_combine(
-    const std::vector<const Candidates*>& sources, idx b,
-    lapack::LuPanelKernel kernel = lapack::LuPanelKernel::Recursive);
+Candidates tournament_combine(const std::vector<const Candidates*>& sources,
+                              idx b);
 
 /// Convert the winners into a LAPACK-style swap sequence over the panel:
 /// swap step k brings winner k (global row winners[k]) to row k. The

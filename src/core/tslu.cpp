@@ -6,21 +6,10 @@
 #include "blas/blas.hpp"
 #include "core/partition.hpp"
 #include "core/tournament.hpp"
-#include "lapack/getf2.hpp"
 #include "lapack/getrf.hpp"
 #include "lapack/laswp.hpp"
 
 namespace camult::core {
-
-namespace {
-
-idx gepp(MatrixView a, PivotVector& ipiv, lapack::LuPanelKernel kernel) {
-  return kernel == lapack::LuPanelKernel::Recursive
-             ? lapack::rgetf2(a, ipiv)
-             : lapack::getf2(a, ipiv);
-}
-
-}  // namespace
 
 void guarded_l_solve(ConstMatrixView lu, MatrixView x) {
   const idx b = std::min(lu.rows(), lu.cols());
@@ -68,9 +57,9 @@ idx tslu_factor(MatrixView panel, PivotVector& ipiv, const TsluOptions& opts,
   const RowPartition part = partition_panel_rows(m, b, opts.tr, b);
   const idx leaves = part.count();
   if (leaves == 1) {
-    // Degenerate tournament: plain GEPP with the configured kernel.
+    // Degenerate tournament: plain GEPP.
     if (monitoring) scr = screen_panel(panel);
-    const idx info = gepp(panel, ipiv, opts.leaf_kernel);
+    const idx info = lapack::rgetf2(panel, ipiv);
     record(check_packed_lu(panel, b).umax, /*fell_back=*/false);
     return info;
   }
@@ -81,7 +70,7 @@ idx tslu_factor(MatrixView panel, PivotVector& ipiv, const TsluOptions& opts,
     slot[static_cast<std::size_t>(i)] = tournament_leaf(
         panel.block(part.start[static_cast<std::size_t>(i)], 0,
                     part.rows[static_cast<std::size_t>(i)], b),
-        part.start[static_cast<std::size_t>(i)], b, opts.leaf_kernel);
+        part.start[static_cast<std::size_t>(i)], b);
   }
   for (const ReductionStep& step :
        reduction_schedule(static_cast<int>(leaves), opts.tree)) {
@@ -90,7 +79,7 @@ idx tslu_factor(MatrixView panel, PivotVector& ipiv, const TsluOptions& opts,
     for (int s : step.sources) {
       srcs.push_back(&slot[static_cast<std::size_t>(s)]);
     }
-    Candidates combined = tournament_combine(srcs, b, opts.leaf_kernel);
+    Candidates combined = tournament_combine(srcs, b);
     slot[static_cast<std::size_t>(step.sources.front())] =
         std::move(combined);
   }
@@ -111,7 +100,7 @@ idx tslu_factor(MatrixView panel, PivotVector& ipiv, const TsluOptions& opts,
         (rc.zero_pivot || (opts.growth_limit > 0.0 && scr.absmax > 0.0 &&
                            rc.umax > opts.growth_limit * scr.absmax));
     if (fall_back) {
-      const idx info = gepp(panel, ipiv, opts.leaf_kernel);
+      const idx info = lapack::rgetf2(panel, ipiv);
       record(check_packed_lu(panel, b).umax, /*fell_back=*/true);
       return info;
     }

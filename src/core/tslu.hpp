@@ -13,7 +13,6 @@
 #pragma once
 
 #include "core/options.hpp"
-#include "lapack/getrf.hpp"
 #include "matrix/permutation.hpp"
 
 namespace camult::core {
@@ -21,10 +20,6 @@ namespace camult::core {
 struct TsluOptions {
   idx tr = 4;  ///< leaf count of the tournament (paper's T_r)
   ReductionTree tree = ReductionTree::Binary;
-  /// GEPP kernel at tournament leaves/nodes. The paper uses recursive LU
-  /// ("rgetf2") because it runs at BLAS-3 speed on out-of-cache panels;
-  /// BLAS-2 getf2 can win when the panel is cache resident.
-  lapack::LuPanelKernel leaf_kernel = lapack::LuPanelKernel::Recursive;
   /// Health monitoring with graceful degradation: screen the panel for
   /// non-finite entries and, when the tournament elects a zero/degenerate
   /// pivot or its growth exceeds growth_limit, discard the tournament and

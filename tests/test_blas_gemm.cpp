@@ -6,7 +6,8 @@
 // its GemmTraffic count. The short-product path ((NoTrans, NoTrans) and
 // (NoTrans, Trans) on a narrow C with a short contraction) must give the
 // packed path's bits for every runnable kernel, at the routing rule's
-// boundary, on views, row tails and non-finite inputs.
+// boundary, on views, row tails and non-finite inputs. A long contraction
+// must split where the fixed blocking's kGemmKC says, for every kernel.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -570,12 +571,35 @@ TEST(GemmTraffic, ShortProductNtCallIsCounted) {
   check_short_traffic(Trans::Trans, 3928, 25, 25);
 }
 
-TEST(Gemm, BlockingParametersExposed) {
-  const GemmBlocking blk = gemm_blocking();
-  EXPECT_GT(blk.mr, 0);
-  EXPECT_GT(blk.nr, 0);
-  EXPECT_GE(blk.mc, blk.mr);
-  EXPECT_GE(blk.nc, blk.nr);
+// The packed path splits a long contraction into blocks of kGemmKC, and the
+// split is part of every result's bits: a gemm equals, bit for bit, gemm
+// over consecutive kGemmKC-column slices of the contraction, the first
+// slice with the caller's beta and the rest with beta = 1.
+TEST(Gemm, LongContractionSplitsAtKcEveryKernel) {
+  const idx m = 300, n = 300, k = 1000;
+  const double alpha = -0.5, beta = 2.0;
+  const Matrix a = random_matrix(m, k, 91);
+  const Matrix b = random_matrix(k, n, 92);
+  const Matrix c0 = random_matrix(m, n, 93);
+  KernelGuard guard;
+  for (const std::string& name : runnable_kernels()) {
+    ASSERT_TRUE(set_active_kernel(name));
+    Matrix whole = c0;
+    gemm(Trans::NoTrans, Trans::NoTrans, alpha, a, b, beta, whole.view());
+    Matrix sliced = c0;
+    for (idx p = 0; p < k; p += kGemmKC) {
+      const idx kc = std::min(kGemmKC, k - p);
+      gemm(Trans::NoTrans, Trans::NoTrans, alpha, a.view().block(0, p, m, kc),
+           b.view().block(p, 0, kc, n), p == 0 ? beta : 1.0, sliced.view());
+    }
+    idx differ = 0;
+    for (idx j = 0; j < n; ++j) {
+      for (idx i = 0; i < m; ++i) {
+        differ += same_bits(whole(i, j), sliced(i, j)) ? 0 : 1;
+      }
+    }
+    EXPECT_EQ(differ, 0) << name;
+  }
 }
 
 }  // namespace

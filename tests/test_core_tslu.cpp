@@ -130,9 +130,8 @@ void expect_same_candidates(const Candidates& got, const Candidates& want,
 // The sequential flat tournament spelled out: GEPP on a fresh
 // [winners; chunk] stack per chunk of tournament_chunk_rows rows. A block of
 // one chunk is one GEPP on its copy.
-Candidates flat_tournament_reference(
-    ConstMatrixView block, idx row_offset, idx b,
-    lapack::LuPanelKernel kernel = lapack::LuPanelKernel::Recursive) {
+Candidates flat_tournament_reference(ConstMatrixView block, idx row_offset,
+                                     idx b) {
   const idx cols = block.cols();
   const idx chunk = tournament_chunk_rows(cols, b);
   Candidates ref;
@@ -148,11 +147,7 @@ Candidates flat_tournament_reference(
     for (idx i = 0; i < c; ++i) index.push_back(row_offset + top + i);
     Matrix lu = stack;
     PivotVector ipiv;
-    if (kernel == lapack::LuPanelKernel::Recursive) {
-      lapack::rgetf2(lu.view(), ipiv);
-    } else {
-      lapack::getf2(lu.view(), ipiv);
-    }
+    lapack::rgetf2(lu.view(), ipiv);
     const Permutation perm = ipiv_to_permutation(ipiv, w + c);
     const idx k = std::min(b, w + c);
     ref.values = Matrix(k, cols);
@@ -202,19 +197,14 @@ TEST(Tournament, LeafElectsGeppPivotRows) {
     }
   }
 
-  // A block of exactly one chunk is still one GEPP with the configured
-  // kernel, bit for bit: winners, their indices, and the winners' packed LU.
+  // A block of exactly one chunk is still one rgetf2, bit for bit:
+  // winners, their indices, and the winners' packed LU.
   const idx cols = 100, wide_b = 100;
   const Matrix one =
       random_matrix(tournament_chunk_rows(cols, wide_b), cols, 21);
-  for (const lapack::LuPanelKernel kernel :
-       {lapack::LuPanelKernel::Recursive, lapack::LuPanelKernel::Getf2}) {
-    expect_same_candidates(
-        tournament_leaf(one, 7, wide_b, kernel),
-        flat_tournament_reference(one, 7, wide_b, kernel),
-        kernel == lapack::LuPanelKernel::Recursive ? "one chunk, rgetf2"
-                                                   : "one chunk, getf2");
-  }
+  expect_same_candidates(tournament_leaf(one, 7, wide_b),
+                         flat_tournament_reference(one, 7, wide_b),
+                         "one chunk, rgetf2");
 }
 
 TEST(Tournament, ChunkedLeafIsAFlatTournamentOverChunks) {

@@ -23,7 +23,6 @@
 namespace camult {
 namespace {
 
-using blas::GemmBlocking;
 using blas::KernelInfo;
 using blas::Trans;
 using camult::test::KernelGuard;
@@ -56,7 +55,10 @@ TEST(KernelRegistry, ScalarAlwaysPresentAndSupported) {
     if (k.supported) {
       EXPECT_TRUE(k.compiled) << k.name;
     }
-    EXPECT_TRUE(blas::valid_blocking(k.blocking)) << k.name;
+    // One cache blocking for every variant; only the register tile differs.
+    EXPECT_EQ(k.blocking.mc, blas::kGemmMC) << k.name;
+    EXPECT_EQ(k.blocking.kc, blas::kGemmKC) << k.name;
+    EXPECT_EQ(k.blocking.nc, blas::kGemmNC) << k.name;
     // Unique names.
     int count = 0;
     for (const KernelInfo& o : reg) {
@@ -89,24 +91,6 @@ TEST(KernelRegistry, ForcedSelectionAndTypoSafety) {
   // "" and "auto" both restore cpuid selection.
   EXPECT_TRUE(blas::set_active_kernel("auto"));
   EXPECT_EQ(std::string(blas::active_kernel().name), before);
-}
-
-TEST(KernelRegistry, ArchIdStable) {
-  EXPECT_FALSE(blas::arch_id().empty());
-  EXPECT_EQ(blas::arch_id(), blas::arch_id());
-}
-
-TEST(KernelRegistry, ValidBlockingRejectsBadShapes) {
-  EXPECT_TRUE(blas::valid_blocking({192, 256, 768, 8, 6}));
-  EXPECT_FALSE(blas::valid_blocking({0, 256, 768, 8, 6}));
-  EXPECT_FALSE(blas::valid_blocking({192, 0, 768, 8, 6}));
-  EXPECT_FALSE(blas::valid_blocking({192, 256, 768, 0, 6}));
-  EXPECT_FALSE(blas::valid_blocking({190, 256, 768, 8, 6}));   // mc % mr
-  EXPECT_FALSE(blas::valid_blocking({192, 256, 769, 8, 6}));   // nc % nr
-  EXPECT_FALSE(blas::valid_blocking({-192, 256, 768, 8, 6}));
-  // Slab bound: mc*kc and kc*nc limited to 2^22 doubles.
-  EXPECT_FALSE(blas::valid_blocking({1 << 16, 1 << 16, 768, 8, 6}));
-  EXPECT_FALSE(blas::valid_blocking({192, 1 << 16, 6 << 12, 8, 6}));
 }
 
 // ---- fringe-exhaustive full-vs-fringe bit parity -----------------------

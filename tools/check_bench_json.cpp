@@ -113,8 +113,8 @@ void check_row(const std::string& file, const JsonValue& row,
       fail(file, where + "." + key + " is not a number");
     }
   }
-  static const char* kText[] = {"competitor", "kernel", "arch", "phase",
-                                "qos", "tenant"};
+  static const char* kText[] = {"competitor", "kernel", "phase", "qos",
+                                "tenant"};
   for (const char* key : kText) {
     if (const JsonValue* v = row.find(key); v != nullptr && !v->is_string()) {
       fail(file, where + "." + key + " is not a string");

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # loc.sh — code-line counts: non-blank lines that are not `//` comments,
-# for each src/ subdirectory, for src/ in total, and for tests/.
+# for each src/ subdirectory, for src/ in total, and for tests/, tools/
+# and bench/.
 # Informational (not a CI gate); simplification changes quote its
 # before/after numbers.
 #
@@ -20,4 +21,6 @@ for dir in src/*/; do
   printf '%-24s %6d\n' "${dir%/}" "$(count "$dir")"
 done
 printf '%-24s %6d\n' src "$(count src)"
-printf '%-24s %6d\n' tests "$(count tests)"
+for dir in tests tools bench; do
+  printf '%-24s %6d\n' "$dir" "$(count "$dir")"
+done
