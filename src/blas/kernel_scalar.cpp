@@ -2,7 +2,7 @@
 // and no ISA flags beyond the project baseline, so this TU runs anywhere
 // the binary loads; it is the guaranteed fallback the dispatcher can always
 // select. The register tile matches the AVX2 kernel so both share the same
-// packed-panel layout and default blocking.
+// packed-panel layout.
 //
 // The inner-product kernel mirrors the vector ones with four scalar lanes
 // per C element over 2 x 2 tiles, so the compiler is free to vectorise the

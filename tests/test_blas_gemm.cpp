@@ -574,31 +574,183 @@ TEST(GemmTraffic, ShortProductNtCallIsCounted) {
 // The packed path splits a long contraction into blocks of kGemmKC, and the
 // split is part of every result's bits: a gemm equals, bit for bit, gemm
 // over consecutive kGemmKC-column slices of the contraction, the first
-// slice with the caller's beta and the rest with beta = 1.
+// slice with the caller's beta and the rest with beta = 1. The operands and
+// C are views at row and column offset `off` of larger hosts (off = 0: the
+// whole hosts), and every host entry outside C must match too. With beta ==
+// 0, C starts as NaN, which the first slice must overwrite.
+void check_kc_split(Trans ta, Trans tb, idx m, idx n, idx k, idx off,
+                    std::uint64_t seed, double beta = 2.0) {
+  const double alpha = -0.5;
+  const bool at = ta == Trans::Trans, bt = tb == Trans::Trans;
+  const idx ar = at ? k : m, ac = at ? m : k;
+  const idx br = bt ? n : k, bc = bt ? k : n;
+  const Matrix ahost = random_matrix(ar + 2 * off, ac + off, seed);
+  const Matrix bhost = random_matrix(br + 2 * off, bc + off, seed + 1);
+  Matrix chost = random_matrix(m + 2 * off, n + off, seed + 2);
+  if (beta == 0.0) {
+    fill(chost.view().block(off, off, m, n),
+         std::numeric_limits<double>::quiet_NaN());
+  }
+  const ConstMatrixView a = ahost.view().block(off, off, ar, ac);
+  const ConstMatrixView b = bhost.view().block(off, off, br, bc);
+  KernelGuard guard;
+  for (const std::string& name : runnable_kernels()) {
+    ASSERT_TRUE(set_active_kernel(name));
+    Matrix whole = chost;
+    gemm(ta, tb, alpha, a, b, beta, whole.view().block(off, off, m, n));
+    Matrix sliced = chost;
+    for (idx p = 0; p < k; p += kGemmKC) {
+      const idx kc = std::min(kGemmKC, k - p);
+      gemm(ta, tb, alpha, at ? a.block(p, 0, kc, m) : a.block(0, p, m, kc),
+           bt ? b.block(0, p, n, kc) : b.block(p, 0, kc, n),
+           p == 0 ? beta : 1.0, sliced.view().block(off, off, m, n));
+    }
+    idx differ = 0;
+    for (idx j = 0; j < chost.cols(); ++j) {
+      for (idx i = 0; i < chost.rows(); ++i) {
+        differ += same_bits(whole(i, j), sliced(i, j)) ? 0 : 1;
+      }
+    }
+    EXPECT_EQ(differ, 0) << name << " m=" << m << " n=" << n << " k=" << k
+                         << " ta=" << at << " tb=" << bt << " off=" << off;
+  }
+}
+
 TEST(Gemm, LongContractionSplitsAtKcEveryKernel) {
-  const idx m = 300, n = 300, k = 1000;
-  const double alpha = -0.5, beta = 2.0;
-  const Matrix a = random_matrix(m, k, 91);
-  const Matrix b = random_matrix(k, n, 92);
-  const Matrix c0 = random_matrix(m, n, 93);
+  check_kc_split(Trans::NoTrans, Trans::NoTrans, 300, 300, 1000, 0, 91);
+}
+
+TEST(Gemm, LongContractionSplitsAtKcWithBetaZeroEveryKernel) {
+  check_kc_split(Trans::NoTrans, Trans::NoTrans, 300, 300, 1000, 0, 109, 0.0);
+}
+
+// Transposition is absorbed by packing, so every (transa, transb) splits
+// the same way. C stays wider than kInnerMaxWidth, so (Trans, NoTrans)
+// takes the packed path too.
+TEST(Gemm, LongContractionSplitsAtKcTransAEveryKernel) {
+  check_kc_split(Trans::Trans, Trans::NoTrans, 300, 270, 1000, 0, 94);
+}
+
+TEST(Gemm, LongContractionSplitsAtKcTransBEveryKernel) {
+  check_kc_split(Trans::NoTrans, Trans::Trans, 270, 300, 1000, 0, 97);
+}
+
+TEST(Gemm, LongContractionSplitsAtKcBothTransEveryKernel) {
+  check_kc_split(Trans::Trans, Trans::Trans, 300, 290, 1000, 0, 100);
+}
+
+// One column past kGemmKC is a second contraction block of depth 1 (the
+// last slice stays on the packed path: C is too wide for short_product).
+TEST(Gemm, ContractionOneColumnPastKcSplitsEveryKernel) {
+  ASSERT_FALSE(short_product_shape(300, 300, 1));
+  check_kc_split(Trans::NoTrans, Trans::NoTrans, 300, 300, kGemmKC + 1, 0,
+                 103);
+}
+
+// Strided views, as CALU's and CAQR's trailing updates pass them, split the
+// same way, with C crossing the kGemmMC and kGemmNC blocks too.
+TEST(Gemm, LongContractionSplitsAtKcOnViewsEveryKernel) {
+  check_kc_split(Trans::NoTrans, Trans::NoTrans, kGemmMC + 58, kGemmNC + 22,
+                 600, 3, 106);
+}
+
+// MC and NC only decide which cache block an element of C is computed in,
+// never its bits: a block of C cut anywhere, across the kGemmMC and kGemmNC
+// boundaries, equals the gemm of just its rows of A and columns of B.
+TEST(Gemm, ElementBitsIndependentOfMcAndNcEveryKernel) {
+  const idx m = 2 * kGemmMC + 16, n = kGemmNC + 32, k = 300;
+  const Matrix a = random_matrix(m, k, 111);
+  const Matrix b = random_matrix(k, n, 112);
+  const Matrix c0 = random_matrix(m, n, 113);
+  struct Cut {
+    idx row, col, rows, cols;
+  };
+  const Cut cuts[] = {{0, 0, 37, 41},
+                      {kGemmMC - 9, kGemmNC - 5, 20, 37},
+                      {2 * kGemmMC - 3, 7, 19, 33},
+                      {5, 3, m - 5, 45}};
   KernelGuard guard;
   for (const std::string& name : runnable_kernels()) {
     ASSERT_TRUE(set_active_kernel(name));
     Matrix whole = c0;
-    gemm(Trans::NoTrans, Trans::NoTrans, alpha, a, b, beta, whole.view());
-    Matrix sliced = c0;
-    for (idx p = 0; p < k; p += kGemmKC) {
-      const idx kc = std::min(kGemmKC, k - p);
-      gemm(Trans::NoTrans, Trans::NoTrans, alpha, a.view().block(0, p, m, kc),
-           b.view().block(p, 0, kc, n), p == 0 ? beta : 1.0, sliced.view());
-    }
-    idx differ = 0;
-    for (idx j = 0; j < n; ++j) {
-      for (idx i = 0; i < m; ++i) {
-        differ += same_bits(whole(i, j), sliced(i, j)) ? 0 : 1;
+    gemm(Trans::NoTrans, Trans::NoTrans, 1.5, a, b, -1.0, whole.view());
+    for (const Cut& cut : cuts) {
+      ASSERT_FALSE(short_product_shape(cut.rows, cut.cols, k));
+      Matrix part =
+          Matrix::from(c0.view().block(cut.row, cut.col, cut.rows, cut.cols));
+      gemm(Trans::NoTrans, Trans::NoTrans, 1.5,
+           a.view().block(cut.row, 0, cut.rows, k),
+           b.view().block(0, cut.col, k, cut.cols), -1.0, part.view());
+      idx differ = 0;
+      for (idx j = 0; j < cut.cols; ++j) {
+        for (idx i = 0; i < cut.rows; ++i) {
+          differ +=
+              same_bits(part(i, j), whole(cut.row + i, cut.col + j)) ? 0 : 1;
+        }
       }
+      EXPECT_EQ(differ, 0) << name << " block at (" << cut.row << ", "
+                           << cut.col << ")";
     }
-    EXPECT_EQ(differ, 0) << name;
+  }
+}
+
+// The blocking gemm runs with is exposed as the active kernel's: the fixed
+// MC/KC/NC on the variant's register tile, and a packed panel records the
+// same.
+TEST(Gemm, BlockingParametersExposed) {
+  const GemmBlocking& blk = active_kernel().blocking;
+  EXPECT_GT(blk.mr, 0);
+  EXPECT_GT(blk.nr, 0);
+  EXPECT_GE(blk.mc, blk.mr);
+  EXPECT_GE(blk.nc, blk.nr);
+  EXPECT_EQ(blk.mc, kGemmMC);
+  EXPECT_EQ(blk.kc, kGemmKC);
+  EXPECT_EQ(blk.nc, kGemmNC);
+  const PackedPanel p = pack_a(random_matrix(20, 10, 115), Trans::NoTrans);
+  EXPECT_EQ(p.blocking().mc, blk.mc);
+  EXPECT_EQ(p.blocking().kc, blk.kc);
+  EXPECT_EQ(p.blocking().nc, blk.nc);
+  EXPECT_EQ(p.blocking().mr, blk.mr);
+  EXPECT_EQ(p.blocking().nr, blk.nr);
+}
+
+// Register tiles of the cache block that starts at each multiple of
+// `block` along an extent, each block cut into ceil(rows / tile) tiles.
+idx tiles_over_blocks(idx extent, idx block, idx tile) {
+  idx tiles = 0;
+  for (idx s = 0; s < extent; s += block) {
+    tiles += (std::min(block, extent - s) + tile - 1) / tile;
+  }
+  return tiles;
+}
+
+// One packed call: per kGemmKC block, B is packed once and each kGemmMC
+// block of A once (source reads plus tile-padded writes), the microkernel
+// streams one packed A and B tile pair per register tile, and C is loaded
+// and stored once.
+TEST(GemmTraffic, PackedCallCountsEachKcBlockEveryKernel) {
+  const idx m = 300, n = 300, k = 1000;
+  ASSERT_FALSE(inner_product_shape(m, n, k));
+  ASSERT_FALSE(short_product_shape(m, n, k));
+  ASSERT_LE(n, kGemmNC);
+  const Matrix a = random_matrix(m, k, 117);
+  const Matrix b = random_matrix(k, n, 118);
+  const idx kblocks = (k + kGemmKC - 1) / kGemmKC;
+  KernelGuard guard;
+  for (const std::string& name : runnable_kernels()) {
+    ASSERT_TRUE(set_active_kernel(name));
+    const idx mr = active_kernel().blocking.mr;
+    const idx nr = active_kernel().blocking.nr;
+    const idx a_tiles = tiles_over_blocks(m, kGemmMC, mr);
+    const idx b_tiles = tiles_over_blocks(n, kGemmNC, nr);
+    Matrix c = Matrix::zeros(m, n);
+    gemm_traffic_reset();
+    gemm(Trans::NoTrans, Trans::NoTrans, 1.0, a, b, 0.0, c.view());
+    const GemmTraffic t = gemm_traffic();
+    EXPECT_EQ(t.pack_bytes, (m + a_tiles * mr + n + b_tiles * nr) * k * 8)
+        << name;
+    EXPECT_EQ(t.kernel_bytes, a_tiles * b_tiles * (mr + nr) * k * 8) << name;
+    EXPECT_EQ(t.c_bytes, m * n * 16 * kblocks) << name;
   }
 }
 

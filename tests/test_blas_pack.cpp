@@ -6,7 +6,9 @@
 // off the allocator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,9 +20,11 @@ namespace camult {
 namespace {
 
 using blas::Trans;
+using camult::test::KernelGuard;
 using camult::test::matrices_near;
 using camult::test::max_diff;
 using camult::test::reference_gemm;
+using camult::test::runnable_kernels;
 
 // Operand sized so op(X) has the requested logical dims.
 Matrix operand(Trans t, idx op_rows, idx op_cols, std::uint64_t seed) {
@@ -225,6 +229,43 @@ TEST(GemmPacked, TransAbsorbedAtPackTime) {
   EXPECT_EQ(max_diff(c1.view(), c2.view()), 0.0);
 }
 
+// A panel holds the whole contraction, kGemmKC-deep block after block, and
+// gemm_packed walks it with the blocks gemm uses: over a contraction of
+// several blocks, both overloads give gemm's bits, for either storage of
+// the packed operand and under every kernel.
+TEST(GemmPacked, LongContractionMatchesGemmEveryKernel) {
+  const idx m = 300, n = 70, k = 3 * blas::kGemmKC + 100;
+  const Matrix a = random_matrix(m, k, 71);
+  const Matrix at = operand(Trans::Trans, m, k, 71);
+  const Matrix b = random_matrix(k, n, 72);
+  const Matrix bt = operand(Trans::Trans, k, n, 73);
+  const Matrix c0 = random_matrix(m, n, 74);
+  KernelGuard guard;
+  for (const std::string& name : runnable_kernels()) {
+    ASSERT_TRUE(blas::set_active_kernel(name));
+    for (Trans t : {Trans::NoTrans, Trans::Trans}) {
+      const Matrix& aop = t == Trans::NoTrans ? a : at;
+      const Matrix& bop = t == Trans::NoTrans ? b : bt;
+      Matrix want_a = c0;
+      blas::gemm(t, Trans::NoTrans, -1.0, aop.view(), b.view(), 0.5,
+                 want_a.view());
+      Matrix got_a = c0;
+      blas::gemm_packed(-1.0, blas::pack_a(aop.view(), t), Trans::NoTrans,
+                        b.view(), 0.5, got_a.view());
+      EXPECT_EQ(max_diff(got_a.view(), want_a.view()), 0.0)
+          << name << " pack_a trans=" << (t == Trans::Trans);
+      Matrix want_b = c0;
+      blas::gemm(Trans::NoTrans, t, -1.0, a.view(), bop.view(), 0.5,
+                 want_b.view());
+      Matrix got_b = c0;
+      blas::gemm_packed(Trans::NoTrans, -1.0, a.view(),
+                        blas::pack_b(bop.view(), t), 0.5, got_b.view());
+      EXPECT_EQ(max_diff(got_b.view(), want_b.view()), 0.0)
+          << name << " pack_b trans=" << (t == Trans::Trans);
+    }
+  }
+}
+
 // ---- PackedPanel layout --------------------------------------------------
 
 // a_block(0, 0) of a small panel must hold exactly what pack_a_block writes:
@@ -251,6 +292,67 @@ TEST(PackedPanelLayout, SixtyFourByteAligned) {
       blas::pack_b(random_matrix(30, 50, 52).view(), Trans::NoTrans);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(pa.a_block(0, 0)) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(pb.b_block(0, 0)) % 64, 0u);
+}
+
+// A panel's depth blocks are kGemmKC deep, the last one ragged: each block
+// holds exactly what pack_a_block / pack_b_block write for its depth range,
+// on the kernel's register tile.
+TEST(PackedPanelLayout, DepthBlocksAreKcDeepEveryKernel) {
+  const idx m = 11, n = 7, k = blas::kGemmKC + 5;
+  const Matrix a = random_matrix(m, k, 65);
+  const Matrix b = random_matrix(k, n, 66);
+  KernelGuard guard;
+  for (const std::string& name : runnable_kernels()) {
+    ASSERT_TRUE(blas::set_active_kernel(name));
+    const idx mr = blas::active_kernel().blocking.mr;
+    const idx nr = blas::active_kernel().blocking.nr;
+    const blas::PackedPanel pa = blas::pack_a(a.view(), Trans::NoTrans);
+    const blas::PackedPanel pb = blas::pack_b(b.view(), Trans::NoTrans);
+    for (const idx p0 : {idx{0}, blas::kGemmKC}) {
+      const idx kc = std::min(blas::kGemmKC, k - p0);
+      std::vector<double> want_a(
+          static_cast<std::size_t>(((m + mr - 1) / mr) * mr * kc));
+      blas::pack_a_block(a.view(), Trans::NoTrans, 0, p0, m, kc, mr,
+                         want_a.data());
+      std::vector<double> want_b(
+          static_cast<std::size_t>(((n + nr - 1) / nr) * nr * kc));
+      blas::pack_b_block(b.view(), Trans::NoTrans, p0, 0, kc, n, nr,
+                         want_b.data());
+      const double* got_a = pa.a_block(0, p0);
+      const double* got_b = pb.b_block(p0, 0);
+      idx differ = 0;
+      for (std::size_t i = 0; i < want_a.size(); ++i) {
+        differ += got_a[i] == want_a[i] ? 0 : 1;
+      }
+      for (std::size_t i = 0; i < want_b.size(); ++i) {
+        differ += got_b[i] == want_b[i] ? 0 : 1;
+      }
+      EXPECT_EQ(differ, 0) << name << " depth block at " << p0;
+    }
+  }
+}
+
+// Each panel records the kernel active when it was packed and that
+// kernel's blocking: the fixed MC/KC/NC on the kernel's own register tile.
+TEST(PackedPanelLayout, RecordsItsKernelsFixedBlockingEveryKernel) {
+  const Matrix a = random_matrix(45, 30, 63);
+  const Matrix b = random_matrix(30, 45, 64);
+  KernelGuard guard;
+  for (const std::string& name : runnable_kernels()) {
+    ASSERT_TRUE(blas::set_active_kernel(name));
+    const blas::KernelInfo* kernel = &blas::active_kernel();
+    const blas::PackedPanel panels[] = {
+        blas::pack_a(a.view(), Trans::NoTrans),
+        blas::pack_b(b.view(), Trans::NoTrans)};
+    for (const blas::PackedPanel& p : panels) {
+      EXPECT_EQ(p.kernel(), kernel) << name;
+      EXPECT_EQ(p.blocking().mc, blas::kGemmMC) << name;
+      EXPECT_EQ(p.blocking().kc, blas::kGemmKC) << name;
+      EXPECT_EQ(p.blocking().nc, blas::kGemmNC) << name;
+      EXPECT_EQ(p.blocking().mr, kernel->blocking.mr) << name;
+      EXPECT_EQ(p.blocking().nr, kernel->blocking.nr) << name;
+    }
+  }
 }
 
 TEST(PackedPanelLayout, EmptyAndMoves) {

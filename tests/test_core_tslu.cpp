@@ -127,9 +127,32 @@ void expect_same_candidates(const Candidates& got, const Candidates& want,
   expect_same_bits(got.lu_top, want.lu_top, what + " lu_top");
 }
 
-// The sequential flat tournament spelled out: GEPP on a fresh
+// One match spelled out: rgetf2 on a copy of `stack`, whose rows carry the
+// global indices `index`; the first min(b, rows) rows of the permuted stack
+// win, with the top of the factored copy as their packed LU.
+Candidates elect_reference(const Matrix& stack, const std::vector<idx>& index,
+                           idx b) {
+  const idx rows = stack.rows(), cols = stack.cols();
+  Matrix lu = stack;
+  PivotVector ipiv;
+  lapack::rgetf2(lu.view(), ipiv);
+  const Permutation perm = ipiv_to_permutation(ipiv, rows);
+  const idx k = std::min(b, rows);
+  Candidates ref;
+  ref.values = Matrix(k, cols);
+  for (idx r = 0; r < k; ++r) {
+    const idx src = perm[static_cast<std::size_t>(r)];
+    for (idx j = 0; j < cols; ++j) ref.values(r, j) = stack(src, j);
+    ref.row_index.push_back(index[static_cast<std::size_t>(src)]);
+  }
+  ref.lu_top = Matrix(k, cols);
+  copy_into(lu.view().rows_range(0, k), ref.lu_top.view());
+  return ref;
+}
+
+// The sequential flat tournament spelled out: one match on a fresh
 // [winners; chunk] stack per chunk of tournament_chunk_rows rows. A block of
-// one chunk is one GEPP on its copy.
+// one chunk is one match on its copy.
 Candidates flat_tournament_reference(ConstMatrixView block, idx row_offset,
                                      idx b) {
   const idx cols = block.cols();
@@ -145,20 +168,7 @@ Candidates flat_tournament_reference(ConstMatrixView block, idx row_offset,
     }
     std::vector<idx> index = ref.row_index;
     for (idx i = 0; i < c; ++i) index.push_back(row_offset + top + i);
-    Matrix lu = stack;
-    PivotVector ipiv;
-    lapack::rgetf2(lu.view(), ipiv);
-    const Permutation perm = ipiv_to_permutation(ipiv, w + c);
-    const idx k = std::min(b, w + c);
-    ref.values = Matrix(k, cols);
-    ref.row_index.clear();
-    for (idx r = 0; r < k; ++r) {
-      const idx src = perm[static_cast<std::size_t>(r)];
-      for (idx j = 0; j < cols; ++j) ref.values(r, j) = stack(src, j);
-      ref.row_index.push_back(index[static_cast<std::size_t>(src)]);
-    }
-    ref.lu_top = Matrix(k, cols);
-    copy_into(lu.view().rows_range(0, k), ref.lu_top.view());
+    ref = elect_reference(stack, index, b);
   }
   return ref;
 }
@@ -276,6 +286,54 @@ TEST(Tournament, CombinePicksFromBothSides) {
     EXPECT_GE(root.row_index[static_cast<std::size_t>(r)], 10)
         << "winner " << r << " should come from the large block";
   }
+}
+
+// A leaf shorter than b elects all its rows in rgetf2's order, and its
+// packed LU is the whole factored block; a combine of short sources too.
+TEST(Tournament, ShortLeafAndCombineAreOneRgetf2) {
+  const idx b = 8;
+  const Matrix outer = random_matrix(12, b, 27);
+  const ConstMatrixView top = outer.view().rows_range(1, 5);
+  const ConstMatrixView bottom = outer.view().rows_range(9, 2);
+  const Candidates l0 = tournament_leaf(top, 1, b);
+  const Candidates l1 = tournament_leaf(bottom, 9, b);
+  expect_same_candidates(l0, flat_tournament_reference(top, 1, b), "l0");
+  expect_same_candidates(l1, flat_tournament_reference(bottom, 9, b), "l1");
+  EXPECT_EQ(l0.lu_top.rows(), 5);
+
+  Matrix stack(7, b);
+  copy_into(l0.values.view(), stack.view().rows_range(0, 5));
+  copy_into(l1.values.view(), stack.view().rows_range(5, 2));
+  std::vector<idx> index = l0.row_index;
+  index.insert(index.end(), l1.row_index.begin(), l1.row_index.end());
+  expect_same_candidates(tournament_combine({&l0, &l1}, b),
+                         elect_reference(stack, index, b), "root");
+}
+
+// An internal match stacks its sources' candidates in source order and
+// plays one rgetf2 on the stack: winners, their indices and their packed
+// LU, bit for bit, with sources of b rows and one shorter than b.
+TEST(Tournament, CombineIsOneRgetf2OnTheStackedSources) {
+  const idx b = 12;
+  const Matrix panel = random_matrix(100, b, 43);
+  const ConstMatrixView p = panel.view();
+  const Candidates l0 = tournament_leaf(p.rows_range(0, 40), 0, b);
+  const Candidates l1 = tournament_leaf(p.rows_range(40, 53), 40, b);
+  const Candidates l2 = tournament_leaf(p.rows_range(93, 7), 93, b);
+  const std::vector<const Candidates*> sources = {&l0, &l1, &l2};
+  Matrix stack(2 * b + 7, b);
+  std::vector<idx> index;
+  idx row = 0;
+  for (const Candidates* c : sources) {
+    copy_into(c->values.view(),
+              stack.view().rows_range(row, c->values.rows()));
+    index.insert(index.end(), c->row_index.begin(), c->row_index.end());
+    row += c->values.rows();
+  }
+  ASSERT_EQ(row, stack.rows());
+  const Candidates root = tournament_combine(sources, b);
+  expect_same_candidates(root, elect_reference(stack, index, b), "root");
+  EXPECT_EQ(root.values.rows(), b);
 }
 
 TEST(Tournament, LeafAndCombineScreensMatchScreenPanel) {

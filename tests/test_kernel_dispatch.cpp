@@ -1,16 +1,19 @@
-// Runtime microkernel dispatch: registry/cpuid selection sanity, forced
-// selection via set_active_kernel, fringe-exhaustive full-vs-fringe bit
-// parity for EVERY registered kernel (each mr_eff/nr_eff remainder, several
-// alphas), direct microkernel calls on exactly-sized buffers (out-of-bounds
-// reads fault under the sanitizer leg), cross-kernel agreement on gemm, and
-// the cross-kernel determinism suite: adversarial CALU/CAQR backward-error
-// bounds plus packed-vs-one-shot trailing-update bitwise parity under each
-// forced variant.
+// Runtime microkernel dispatch: registry/cpuid selection sanity and each
+// variant's fixed blocking, forced selection via set_active_kernel,
+// fringe-exhaustive full-vs-fringe bit parity for EVERY registered kernel
+// (each mr_eff/nr_eff remainder, several alphas), direct microkernel calls
+// on exactly-sized buffers (out-of-bounds reads fault under the sanitizer
+// leg), cross-kernel agreement on gemm, and the cross-kernel determinism
+// suite under each forced variant: adversarial CALU/CAQR backward-error
+// bounds, packed-vs-one-shot trailing-update bitwise parity, concurrent
+// gemm against the serial bits, and packed panels used after a kernel
+// switch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "blas/blas.hpp"
@@ -91,6 +94,23 @@ TEST(KernelRegistry, ForcedSelectionAndTypoSafety) {
   // "" and "auto" both restore cpuid selection.
   EXPECT_TRUE(blas::set_active_kernel("auto"));
   EXPECT_EQ(std::string(blas::active_kernel().name), before);
+}
+
+// Every registered variant carries the fixed cache blocking on a tile that
+// divides it, and holds a short-product contraction in one kc block (the
+// short path's bit identity with the packed path needs that).
+TEST(KernelRegistry, TilesDivideTheFixedCacheBlocks) {
+  for (const KernelInfo& k : blas::kernel_registry()) {
+    const blas::GemmBlocking& blk = k.blocking;
+    EXPECT_GT(blk.mr, 0) << k.name;
+    EXPECT_GT(blk.nr, 0) << k.name;
+    EXPECT_EQ(blk.mc % blk.mr, 0) << k.name;
+    EXPECT_EQ(blk.nc % blk.nr, 0) << k.name;
+    EXPECT_GE(blk.kc, blas::kShortMaxDepth) << k.name;
+    // The packing slabs stay a few MiB.
+    EXPECT_LE(blk.mc * blk.kc, idx{1} << 22) << k.name;
+    EXPECT_LE(blk.kc * blk.nc, idx{1} << 22) << k.name;
+  }
 }
 
 // ---- fringe-exhaustive full-vs-fringe bit parity -----------------------
@@ -298,6 +318,79 @@ TEST_P(KernelSweep, PackedTrailingUpdateBitwiseParity) {
     }
     EXPECT_EQ(camult::test::max_diff(packed.view(), plain.view()), 0.0)
         << GetParam() << " " << c.name;
+  }
+}
+
+TEST_P(KernelSweep, ConcurrentGemmKeepsSerialBits) {
+  // gemm, pack_a and pack_b take the blocking from the kernel they run
+  // on, with no lock or shared table on the way. Threads multiplying their
+  // own operands at once (gemm, and gemm_packed over either packed side)
+  // must each get the serial results, bit for bit.
+  constexpr int kThreads = 4;
+  const idx m = 210, n = 90, k = 2 * blas::kGemmKC + 40;
+  struct Work {
+    Matrix a, b, c0;
+    std::vector<Matrix> out;
+  };
+  auto run = [&](Work& w) {
+    w.out.assign(3, w.c0);
+    blas::gemm(Trans::NoTrans, Trans::NoTrans, -1.0, w.a.view(), w.b.view(),
+               1.0, w.out[0].view());
+    blas::gemm_packed(-1.0, blas::pack_a(w.a.view(), Trans::NoTrans),
+                      Trans::NoTrans, w.b.view(), 1.0, w.out[1].view());
+    blas::gemm_packed(Trans::NoTrans, -1.0, w.a.view(),
+                      blas::pack_b(w.b.view(), Trans::NoTrans), 1.0,
+                      w.out[2].view());
+  };
+  std::vector<Work> serial(kThreads), threaded(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    const std::uint64_t seed = 1400 + 3 * static_cast<std::uint64_t>(t);
+    serial[t] = {random_matrix(m, k, seed), random_matrix(k, n, seed + 1),
+                 random_matrix(m, n, seed + 2), {}};
+    threaded[t] = serial[t];
+    run(serial[t]);
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&run, &threaded, t]() { run(threaded[t]); });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::size_t r = 0; r < 3; ++r) {
+      EXPECT_EQ(camult::test::max_diff(threaded[t].out[r].view(),
+                                       serial[t].out[r].view()),
+                0.0)
+          << GetParam() << " thread " << t << " result " << r;
+    }
+  }
+}
+
+TEST_P(KernelSweep, PackedPanelOutlivesKernelSwitch) {
+  // A panel keeps the kernel and blocking it was packed with: whichever
+  // variant is active when gemm_packed runs, the product is the packing
+  // kernel's, bit for bit.
+  const idx m = 300, n = 64, k = blas::kGemmKC + 200;
+  const Matrix a = random_matrix(m, k, 1451);
+  const Matrix b = random_matrix(k, n, 1452);
+  const Matrix c0 = random_matrix(m, n, 1453);
+  Matrix want = c0;
+  blas::gemm(Trans::NoTrans, Trans::NoTrans, -1.0, a.view(), b.view(), 1.0,
+             want.view());
+  const KernelInfo* packed_with = &blas::active_kernel();
+  const blas::PackedPanel pa = blas::pack_a(a.view(), Trans::NoTrans);
+  const blas::PackedPanel pb = blas::pack_b(b.view(), Trans::NoTrans);
+  for (const KernelInfo* other : supported_kernels()) {
+    ASSERT_TRUE(blas::set_active_kernel(other->name));
+    Matrix got_a = c0;
+    blas::gemm_packed(-1.0, pa, Trans::NoTrans, b.view(), 1.0, got_a.view());
+    Matrix got_b = c0;
+    blas::gemm_packed(Trans::NoTrans, -1.0, a.view(), pb, 1.0, got_b.view());
+    EXPECT_EQ(pa.kernel(), packed_with) << other->name;
+    EXPECT_EQ(pb.kernel(), packed_with) << other->name;
+    EXPECT_EQ(camult::test::max_diff(got_a.view(), want.view()), 0.0)
+        << GetParam() << " panel used under " << other->name;
+    EXPECT_EQ(camult::test::max_diff(got_b.view(), want.view()), 0.0)
+        << GetParam() << " panel used under " << other->name;
   }
 }
 
