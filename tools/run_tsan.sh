@@ -54,7 +54,9 @@
 # test_lapack_lu (the vectorised pivot search's vector tail, rgetf2's base
 # blocks on views inside taller hosts, and the short-product kernel's
 # masked row tail under the Schur updates above them, where an off-by-one
-# reads past a column).
+# reads past a column), and test_kernel_dispatch (per kernel, four threads
+# running gemm and both gemm_packed overloads at once, with no lock on the
+# blocking each call reads from its kernel).
 # Any reported race fails the run.
 #
 # Usage: tools/run_tsan.sh [build-dir]        (default: build-tsan)
@@ -77,7 +79,7 @@ cmake --build "$build_dir" -j --target test_runtime test_scheduler_stress \
   test_fault_inject test_svc test_window test_blas_trsm_trmm test_adversarial \
   test_core_tslu test_core_tsqr test_core_caqr test_tpqrt test_tiled \
   test_baseline test_blas_gemm test_blas_level2 test_lapack_qr \
-  test_blas_level1 test_lapack_lu
+  test_blas_level1 test_lapack_lu test_kernel_dispatch
 
 case "$san" in
   thread)
@@ -113,4 +115,5 @@ esac
 "$build_dir/tests/test_lapack_qr"
 "$build_dir/tests/test_blas_level1"
 "$build_dir/tests/test_lapack_lu"
+"$build_dir/tests/test_kernel_dispatch"
 echo "[$san sanitizer] all scheduler tests passed"
